@@ -3,25 +3,17 @@
 Reproduces the numbers recorded in ``BENCH_throughput.json``: compiled
 versus interpreted routes/second for the landmark name-independent
 scheme on preferential-attachment graphs over the lazy substrate —
-a batch-size sweep and a shard-count sweep at each size, through the
-acceptance fixture ``GraphMetric(preferential_attachment(2048, m=2,
-seed=1), strategy="lazy")``, where the engine must clear **10×** the
+a batch-size sweep at each size, through the acceptance fixture
+``GraphMetric(preferential_attachment(2048, m=2, seed=1),
+strategy="lazy")``, where the engine must clear **10×** the
 interpreted hop loop.
-
-The shard sweep measures the partition-sliced shared-memory serving
-mode: workers attach to table slices in named segments and rounds
-exchange only index sets, so the recorded per-worker resident bytes
-must stay strictly below full replication, and the n = 10⁴ sharded
-rates must beat the replicated-mode rates the seed committed
-(:data:`REPLICATED_SEED`).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_throughput.py``
 (writes ``BENCH_throughput.json``).  Pass ``--check`` for the CI
 variant: on a smoke fixture (n = 256) the compiled engine must be
 bit-identical to the interpreter on a pair sample (path, cost, legs,
-header bits — exact equality, no tolerance), the sharded router must
-be bit-identical to ``BatchRouter`` at shards > 1, and the compiled
-loop must be at least as fast as the interpreted one; no wall-clock
+header bits — exact equality, no tolerance), and the compiled loop
+must be at least as fast as the interpreted one; no wall-clock
 numbers are committed.
 """
 
@@ -33,7 +25,7 @@ import time
 import numpy as np
 
 from _runner import run
-from repro.engine import BatchRouter, ShardedRouter
+from repro.engine import BatchRouter
 from repro.experiments.throughput import (
     _pair_arrays,
     compiled_rate,
@@ -46,17 +38,8 @@ from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
 
 SIZES = (256, 2048, 10_000)
 BATCH_SIZES = (256, 2048, 8192)
-SHARDS = (1, 2, 4)
 #: Acceptance floor on the n=2048 fixture (ISSUE 9).
 REQUIRED_SPEEDUP = 10.0
-#: Sharded routes/s committed by the table-replicating serving mode
-#: (the seed of ISSUE 10) — the partition-sliced mode must beat these
-#: at n = 10⁴ for every shards > 1.
-REPLICATED_SEED = {
-    256: {1: 310861, 2: 78824, 4: 59264},
-    2048: {1: 159261, 2: 40840, 4: 26692},
-    10_000: {1: 106794, 2: 33511, 4: 24662},
-}
 
 
 def _build(n: int):
@@ -84,18 +67,6 @@ def measure_point(n: int) -> dict:
         batches[str(batch)] = int(
             compiled_rate(router, np.tile(src, reps), np.tile(tgt, reps), batch)
         )
-    shard_rates = {}
-    shard_bytes = {}
-    big_src, big_tgt = np.tile(src, 4), np.tile(tgt, 4)
-    for shards in SHARDS:
-        with ShardedRouter(tables, shards=shards) as sharded:
-            start = time.perf_counter()
-            sharded.route_arrays(big_src, big_tgt)
-            shard_rates[str(shards)] = int(
-                len(big_src) / (time.perf_counter() - start)
-            )
-            resident = sharded.partition_bytes()
-            shard_bytes[str(shards)] = int(max(resident["per_worker"]))
     best = max(batches.values())
     return {
         "n": n,
@@ -103,8 +74,6 @@ def measure_point(n: int) -> dict:
         "compiled_bytes": int(tables.nbytes()),
         "interpreted_routes_per_sec": int(interpreted),
         "compiled_routes_per_sec_by_batch": batches,
-        "sharded_routes_per_sec_by_shards": shard_rates,
-        "sharded_worker_bytes_by_shards": shard_bytes,
         "best_speedup": round(best / interpreted, 1),
     }
 
@@ -116,48 +85,18 @@ def measure() -> dict:
         f"n=2048 speedup {acceptance['best_speedup']} < "
         f"{REQUIRED_SPEEDUP} (acceptance criterion)"
     )
-    for point in points:
-        for shards in SHARDS:
-            if shards == 1:
-                continue
-            worker_bytes = point["sharded_worker_bytes_by_shards"][
-                str(shards)
-            ]
-            assert worker_bytes < point["compiled_bytes"], (
-                f"n={point['n']} shards={shards}: per-worker resident "
-                f"{worker_bytes} bytes not below replication "
-                f"{point['compiled_bytes']} (acceptance criterion)"
-            )
-    big = next(p for p in points if p["n"] == 10_000)
-    for shards in SHARDS:
-        if shards == 1:
-            continue
-        rate = big["sharded_routes_per_sec_by_shards"][str(shards)]
-        floor = REPLICATED_SEED[10_000][shards]
-        assert rate > floor, (
-            f"n=10000 shards={shards}: sliced-mode {rate}/s does not "
-            f"beat the replicated-mode seed {floor}/s "
-            "(acceptance criterion)"
-        )
     return {
         "graph_family": "preferential_attachment(m=2, seed=1)",
         "scheme": "LandmarkNameIndependentScheme",
         "substrate": "lazy",
         "pair_sample": 2000,
         "required_speedup_n2048": REQUIRED_SPEEDUP,
-        "replicated_seed_routes_per_sec": {
-            str(n): {str(s): r for s, r in by_shards.items()}
-            for n, by_shards in REPLICATED_SEED.items()
-        },
         "trajectory": points,
         "note": (
             "compiled output is bit-identical to route() by the "
-            "property tests in tests/test_engine.py; sharded rows "
-            "are the partition-sliced shared-memory mode (workers map "
-            "table slices, rounds exchange index sets), measured "
-            "against the replicated-mode seed rates kept above; "
-            "sharded_worker_bytes is the largest per-worker resident "
-            "table mapping, always below compiled_bytes replication"
+            "property tests in tests/test_engine.py; every rate is one "
+            "in-process BatchRouter (compiled) or scheme.route() loop "
+            "(interpreted)"
         ),
     }
 
@@ -180,33 +119,15 @@ def check() -> None:
 
     src = np.asarray([u for u, _ in pairs], dtype=np.int64)
     tgt = np.asarray([v for _, v in pairs], dtype=np.int64)
-    engine = BatchRouter(tables)
-    single = engine.route_arrays(src, tgt)
-    for shards in (2, 3):
-        with ShardedRouter(tables, shards=shards) as sharded:
-            multi = sharded.route_arrays(src, tgt)
-            resident = sharded.partition_bytes()
-        np.testing.assert_array_equal(single["target"], multi["target"])
-        np.testing.assert_array_equal(single["cost"], multi["cost"])
-        np.testing.assert_array_equal(single["legs"], multi["legs"])
-        np.testing.assert_array_equal(
-            single["zerohop"], multi["zerohop"]
-        )
-        assert max(resident["per_worker"]) < resident["replicated"], (
-            f"shards={shards}: per-worker resident bytes not below "
-            "full replication"
-        )
-
     interpreted = interpreted_rate(scheme, src, tgt)
-    rate = compiled_rate(engine, np.tile(src, 8), np.tile(tgt, 8), 1024)
+    rate = compiled_rate(router, np.tile(src, 8), np.tile(tgt, 8), 1024)
     assert rate >= interpreted, (
         f"compiled {int(rate)}/s slower than interpreted "
         f"{int(interpreted)}/s on the smoke fixture"
     )
     print(
-        "bench_throughput --check: bit-identity holds (single and "
-        f"sharded); compiled {int(rate)}/s >= interpreted "
-        f"{int(interpreted)}/s"
+        "bench_throughput --check: bit-identity holds; compiled "
+        f"{int(rate)}/s >= interpreted {int(interpreted)}/s"
     )
 
 

@@ -10,7 +10,7 @@ Usage::
     python -m repro scale [--sizes 256,2048,10000] [--pairs 100] [--json]
                           [--vicinity-scale 1,4,16] [--landmarks 8,16,32]
     python -m repro throughput [--sizes 256,2048] [--batch-sizes 64,4096]
-                               [--shards 1,2,4] [--pairs 300] [--json]
+                               [--pairs 300] [--json]
     python -m repro report [--output EXPERIMENTS.md] [--jobs 4]
                            [--provenance]
     python -m repro trace grid-8x8 nameind-sf 0 63 [--epsilon 0.5] [--json]
@@ -69,7 +69,6 @@ def _registry_command(name: str) -> Callable[[argparse.Namespace], None]:
                 "loss",
                 "sizes",
                 "batch_sizes",
-                "shards",
                 "vicinity_scale",
                 "landmarks",
             )
@@ -261,16 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 metavar="B,B,...",
                 help="engine batch sizes to sweep (default 64,512,4096)",
-            )
-            cmd.add_argument(
-                "--shards",
-                type=_int_tuple,
-                default=None,
-                metavar="S,S,...",
-                help=(
-                    "worker counts for the partition-sliced "
-                    "shared-memory serving sweep (default 1,2,4)"
-                ),
             )
         if name == "report":
             cmd.add_argument("--output", default="EXPERIMENTS.md")

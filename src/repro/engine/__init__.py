@@ -11,13 +11,9 @@ behind them (the hwtHls split — see ROADMAP item 2):
   CSR-packed vicinity entries, sorted edge-weight keys);
 * :class:`BatchRouter` advances *all* live packets one transition per
   sweep over those arrays (gather/argmax per sweep, no per-packet
-  python on the hot path), bit-identical to the interpreted loops;
-* :class:`ShardedRouter` serves batches across per-shard worker
-  processes pinned to partition slices of the compiled tables
-  (``CompiledTables.slice_partition``) held in named shared-memory
-  segments — shared arrays are mapped once for the whole service, and
-  packet registers live in a per-batch segment so serving rounds
-  exchange only index sets while packets migrate between owners.
+  python on the hot path), bit-identical to the interpreted loops.
+  It is the one compiled serving path; a failed compiled route raises
+  :class:`EngineError`, a :class:`~repro.core.types.RouteFailure`.
 
 Every compiled route is property-tested bit-identical (path, cost,
 legs, header bits, delivered target) to ``route()`` and to RouteTrace
@@ -28,17 +24,13 @@ from repro.engine.batch import BatchRouter, EngineError
 from repro.engine.compiler import (
     CompiledTables,
     EngineUnsupported,
-    PartitionRows,
     compile_scheme,
 )
-from repro.engine.shard import ShardedRouter
 
 __all__ = [
     "BatchRouter",
     "CompiledTables",
     "EngineError",
     "EngineUnsupported",
-    "PartitionRows",
-    "ShardedRouter",
     "compile_scheme",
 ]

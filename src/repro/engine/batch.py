@@ -31,14 +31,18 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.types import RouteResult
+from repro.core.types import RouteFailure, RouteResult
 from repro.engine.compiler import CompiledTables
 
 __all__ = ["BatchRouter", "EngineError"]
 
 
-class EngineError(RuntimeError):
-    """The compiled machine reached a state the interpreter never would."""
+class EngineError(RouteFailure):
+    """The compiled machine reached a state the interpreter never would.
+
+    A :class:`RouteFailure`, so one ``except RouteFailure`` handles a
+    failed route from the interpreter and the engine alike.
+    """
 
 
 # Phase register values.  One machine (kind) is active per router, so
@@ -80,12 +84,17 @@ C_FINAL = 4
 
 
 def _validate_pairs(n: int, sources: Sequence[int], targets: Sequence[int]):
-    """Shared input contract of BatchRouter and ShardedRouter: int64
-    equal-length 1-d arrays with every node id inside ``[0, n)``."""
-    src = np.ascontiguousarray(sources, dtype=np.int64)
-    tgt = np.ascontiguousarray(targets, dtype=np.int64)
+    """Input contract of :meth:`BatchRouter.route_arrays`: equal-length
+    1-d integer arrays with every node id inside ``[0, n)``, returned as
+    int64.  Floats and bools are rejected, never truncated."""
+    src = np.asarray(sources)
+    tgt = np.asarray(targets)
     if src.ndim != 1 or src.shape != tgt.shape:
         raise ValueError("sources/targets must be equal-length 1-d")
+    if src.size and (src.dtype.kind not in "iu" or tgt.dtype.kind not in "iu"):
+        raise ValueError("node ids must be integers")
+    src = np.ascontiguousarray(src, dtype=np.int64)
+    tgt = np.ascontiguousarray(tgt, dtype=np.int64)
     if src.size and (
         src.min() < 0 or src.max() >= n
         or tgt.min() < 0 or tgt.max() >= n
@@ -778,12 +787,10 @@ def _step_landmark(T, A, st, ph):
                 _lm_done(st, move[arrived2])
                 rest = move[~arrived2]
                 if rest.size:
-                    # Membership re-check at the *post-hop* node, which
-                    # may lie outside this partition's slice — use the
-                    # global key array when serving a slice.
-                    member = A.get("VIC_MEMBER_KEY", A["VIC_KEY"])
+                    # A post-hop node whose vicinity lacks the name
+                    # disables shortcuts for the rest of the route.
                     still, _ = _lookup_sorted(
-                        member,
+                        A["VIC_KEY"],
                         st["cur"][rest] * n + st["skey"][rest],
                     )
                     st["shortcut"][rest[~still]] = False

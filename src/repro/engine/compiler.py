@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -57,71 +57,6 @@ class EngineUnsupported(PreprocessingError):
     """The scheme (or its size regime) has no compiled lowering."""
 
 
-class PartitionRows:
-    """Compact row slice of a node-indexed array for one shard.
-
-    Holds only the rows of nodes ``shard_id, shard_id + shards, ...``
-    and remaps ``[node]`` / ``[node, ...]`` gathers to the local row
-    ``node // shards``.  Valid only for nodes the shard owns — the
-    sweep kernels guarantee this by construction (sliced arrays are
-    gathered exclusively at a packet's sweep-start current node, and
-    foreign packets are parked before every sweep).
-    """
-
-    __slots__ = ("data", "shards")
-
-    def __init__(self, data: np.ndarray, shards: int) -> None:
-        self.data = data
-        self.shards = shards
-
-    def __getitem__(self, key):
-        if isinstance(key, tuple):
-            return self.data[(key[0] // self.shards,) + key[1:]]
-        return self.data[key // self.shards]
-
-    @property
-    def nbytes(self) -> int:
-        return self.data.nbytes
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-
-#: Per-kind arrays whose first axis is node-indexed and which the sweep
-#: kernels gather *only* at a packet's sweep-start current node — the
-#: rows a shard's owned nodes index, safe to slice per partition.
-#: Everything else (search/Voronoi slot tables, landmark predecessor
-#: rows, labels, hierarchy parents, directories) is gathered at
-#: arbitrary nodes or slots and stays shared.
-_RING_ROWS = ("R_LO", "R_HI", "R_X", "R_LVL", "R_D")
-_PARTITION_ROWS: Dict[str, Tuple[str, ...]] = {
-    "shortest_path": ("NH",),
-    "cowen": ("NH",),
-    "labeled_nonsf": ("NH",) + _RING_ROWS,
-    "nameind_simple": ("NH", "D") + _RING_ROWS,
-    "labeled_sf": ("NH", "D", "RU") + _RING_ROWS,
-    "nameind_sf": ("NH", "D", "RU") + _RING_ROWS,
-    "landmark": (),
-}
-
-#: Per-kind CSR tables keyed ``u * n + x`` with ``u`` the current node:
-#: key array name -> parallel payload array names.  Slicing by key
-#: prefix preserves sort order, so ``_lookup_sorted`` works unchanged.
-_PARTITION_CSR: Dict[str, Dict[str, Tuple[str, ...]]] = {
-    "shortest_path": {"EKEY": ("EW",)},
-    "cowen": {"EKEY": ("EW",), "CL_KEY": ()},
-    "labeled_nonsf": {"EKEY": ("EW",)},
-    "nameind_simple": {"EKEY": ("EW",)},
-    "labeled_sf": {"EKEY": ("EW",)},
-    "nameind_sf": {"EKEY": ("EW",)},
-    "landmark": {
-        "EKEY": ("EW",),
-        "VIC_KEY": ("VIC_TGT", "VIC_HOME", "VIC_HOP"),
-    },
-}
-
-
 @dataclasses.dataclass
 class CompiledTables:
     """A scheme's routing tables, lowered to flat numpy arrays.
@@ -134,10 +69,6 @@ class CompiledTables:
             (empty for schemes whose results carry no legs).
         arrays: All compiled arrays, keyed by layout name.
         scalars: Compile-time constants (epsilon, level counts, guards).
-        partition: ``(shard_id, shards)`` for a partition slice made by
-            :meth:`slice_partition`, ``None`` for full tables.
-        sliced: Names of the arrays that were partition-sliced (empty
-            for full tables); the rest are shared across shards.
     """
 
     kind: str
@@ -146,87 +77,9 @@ class CompiledTables:
     leg_names: Tuple[str, ...]
     arrays: Dict[str, np.ndarray]
     scalars: Dict[str, float]
-    partition: Optional[Tuple[int, int]] = None
-    sliced: Tuple[str, ...] = ()
 
     def nbytes(self) -> int:
         return int(sum(a.nbytes for a in self.arrays.values()))
-
-    def sliced_bytes(self) -> int:
-        """Bytes held in partition-sliced arrays (0 for full tables)."""
-        return int(
-            sum(self.arrays[name].nbytes for name in self.sliced)
-        )
-
-    def shared_bytes(self) -> int:
-        """Bytes in the arrays every shard shares (one physical copy
-        when served out of shared memory)."""
-        return self.nbytes() - self.sliced_bytes()
-
-    def slice_partition(self, shard_id: int, shards: int) -> "CompiledTables":
-        """A view of these tables for the shard owning ``node % shards
-        == shard_id``: node-row arrays and CSR tables keyed by current
-        node keep only the owned rows; every other array is the same
-        (shared) object.  ``shards == 1`` returns the identity slice.
-
-        The landmark kind additionally exposes the *full* vicinity key
-        array as ``VIC_MEMBER_KEY``: the shortcut-break membership
-        re-check happens at a packet's post-hop node, which may lie in
-        a foreign partition, so that one lookup needs global keys (the
-        payload columns are only ever gathered at owned nodes and stay
-        sliced).
-        """
-        if self.partition is not None:
-            raise ValueError("cannot re-slice a partition slice")
-        if shards < 1 or not 0 <= shard_id < shards:
-            raise ValueError(
-                f"invalid partition ({shard_id}, {shards})"
-            )
-        if shards == 1:
-            return dataclasses.replace(
-                self, arrays=dict(self.arrays), partition=(0, 1)
-            )
-        arrays: Dict[str, np.ndarray] = {}
-        sliced: List[str] = []
-        row_names = _PARTITION_ROWS[self.kind]
-        csr_spec = _PARTITION_CSR[self.kind]
-        for name, arr in self.arrays.items():
-            if name in row_names:
-                arrays[name] = PartitionRows(
-                    np.ascontiguousarray(arr[shard_id::shards]), shards
-                )
-                sliced.append(name)
-            else:
-                arrays[name] = arr
-        for key_name, payload_names in csr_spec.items():
-            keys = self.arrays[key_name]
-            own = np.nonzero(
-                (keys >= 0) & ((keys // self.n) % shards == shard_id)
-            )[0]
-            if own.size:
-                arrays[key_name] = np.ascontiguousarray(keys[own])
-                for name in payload_names:
-                    arrays[name] = np.ascontiguousarray(
-                        self.arrays[name][own]
-                    )
-            else:
-                # Keep the compiler's empty-table sentinel so
-                # _lookup_sorted never sees a zero-length key array.
-                arrays[key_name] = np.asarray([-1], dtype=np.int64)
-                for name in payload_names:
-                    arrays[name] = np.zeros(
-                        1, dtype=self.arrays[name].dtype
-                    )
-            sliced.append(key_name)
-            sliced.extend(payload_names)
-        if self.kind == "landmark":
-            arrays["VIC_MEMBER_KEY"] = self.arrays["VIC_KEY"]
-        return dataclasses.replace(
-            self,
-            arrays=arrays,
-            partition=(shard_id, shards),
-            sliced=tuple(sliced),
-        )
 
 
 # ----------------------------------------------------------------------

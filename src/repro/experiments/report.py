@@ -401,9 +401,6 @@ def generate(
     e20 = throughput_experiment.run(
         pair_count=pair_count, context=context
     )
-    e20b = throughput_experiment.run_shards(
-        pair_count=pair_count, context=context
-    )
     sections.append(
         "## E20 — compiled serving throughput (beyond the paper)\n\n"
         "Every scheme's built tables lower to flat numpy arrays\n"
@@ -414,16 +411,12 @@ def generate(
         "equality, property-tested over every scheme x fixture in\n"
         "tests/test_engine.py.  Throughput on the E19 power-law\n"
         "fixture (landmark scheme, lazy substrate):\n\n"
-        + _block(e20) + "\n" + _block(e20b) +
+        + _block(e20) +
         "\n**Reading:** the speedup is the python-per-hop overhead the\n"
         "engine removes, so it grows with route length (and hence n);\n"
         "the committed trajectory (BENCH_throughput.json) clears the\n"
         "10x acceptance floor at n = 2048 with ~60x and reaches ~450x\n"
-        "at n = 10^4.  Sharded serving pays one process round-trip per\n"
-        "ownership migration, so it only wins once per-shard sweep work\n"
-        "dominates migration — at these sizes the in-process engine is\n"
-        "faster; the mode exists for serving-state partition, not\n"
-        "speed (DESIGN.md, engine section).\n"
+        "at n = 10^4.\n"
     )
 
     if provenance:

@@ -6,22 +6,15 @@ truth, but it pays python-object overhead per hop; the batch engine
 advances *all* live packets one hop per numpy sweep, with results
 bit-identical to the interpreter (property-tested in
 ``tests/test_engine.py``).  This experiment measures what that buys:
-
-* ``run`` — routes/second versus batch size and graph size, compiled
-  against interpreted, on power-law (preferential-attachment) graphs
-  over the lazy substrate — the Internet-like regime of E19, served by
-  the landmark name-independent scheme.
-* ``run_shards`` — routes/second and per-worker resident table bytes
-  versus shard count for the multi-process serving mode, where each
-  worker is pinned to a shared-memory partition slice of the compiled
-  tables (``CompiledTables.slice_partition``), owns the node partition
-  ``node % shards``, and packets migrate between workers as they walk;
-  registers live in a per-batch shared segment, so rounds exchange
-  only index sets.
+routes/second versus batch size and graph size, compiled against
+interpreted, on power-law (preferential-attachment) graphs over the
+lazy substrate — the Internet-like regime of E19, served by the
+landmark name-independent scheme through one in-process
+``BatchRouter``.
 
 CLI: ``python -m repro throughput [--sizes 256,2048] [--batch-sizes
-64,512,4096] [--shards 1,2,4]``.  The committed trajectory (through
-n = 10⁴) lives in ``BENCH_throughput.json``; regenerate it with
+64,512,4096]``.  The committed trajectory (through n = 10⁴) lives in
+``BENCH_throughput.json``; regenerate it with
 ``python benchmarks/bench_throughput.py``.
 """
 
@@ -32,7 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine import BatchRouter, ShardedRouter
+from repro.engine import BatchRouter
 from repro.experiments.harness import ExperimentTable
 from repro.graphs.generators import preferential_attachment
 from repro.pipeline.context import BuildContext
@@ -42,7 +35,6 @@ from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
 #: the CLI reaches the full regime with ``--sizes 256,2048,10000``.
 DEFAULT_SIZES = (256, 1024)
 DEFAULT_BATCH_SIZES = (64, 512, 4096)
-DEFAULT_SHARDS = (1, 2, 4)
 
 
 def _build(n: int, context: BuildContext):
@@ -142,70 +134,5 @@ def run(
             " tests/test_engine.py)",
             "results return in injection-index order regardless of"
             " completion order — the documented determinism contract",
-        ],
-    )
-
-
-def run_shards(
-    pair_count: int = 300,
-    context: Optional[BuildContext] = None,
-    shards: Optional[Sequence[int]] = None,
-    sizes: Optional[Sequence[int]] = None,
-) -> ExperimentTable:
-    """Sharded serving throughput and per-worker table residency.
-
-    Workers are real processes pinned to shared-memory partition
-    slices; a serving round sends each owner only the index set of its
-    live packets (registers are a mapped segment, not pickled dicts),
-    so round cost is submission latency, not register volume.  The
-    ``MB/worker`` column is what one worker maps — its slice plus the
-    shared segment, one physical copy service-wide — against the
-    ``replicated MB`` a per-worker table copy would cost.
-    """
-    if context is None:
-        context = BuildContext()
-    shards = DEFAULT_SHARDS if shards is None else shards
-    n = int(max(sizes)) if sizes else 512
-    _, _, tables = _build(n, context)
-    batch = max(1024, 4 * min(pair_count, 2000))
-    src, tgt = _pair_arrays(n, batch, seed=5)
-    rows: List[List[object]] = []
-    for count in shards:
-        count = int(count)
-        with ShardedRouter(tables, shards=count) as router:
-            start = time.perf_counter()
-            out = router.route_arrays(src, tgt)
-            elapsed = time.perf_counter() - start
-            resident = router.partition_bytes()
-        rows.append(
-            [
-                n,
-                count,
-                batch,
-                int(batch / elapsed),
-                int(out["rounds"]),
-                round(max(resident["per_worker"]) / 1e6, 3),
-                round(resident["replicated"] / 1e6, 3),
-            ]
-        )
-    return ExperimentTable(
-        title="E20b: sharded serving mode (partition-sliced workers)",
-        columns=[
-            "n",
-            "shards",
-            "batch",
-            "routes/s",
-            "rounds",
-            "MB/worker",
-            "replicated MB",
-        ],
-        rows=rows,
-        notes=[
-            "shards=1 is the in-process fallback; workers attach to"
-            " shared-memory partition slices via the pool initializer"
-            " and own the partition node % shards",
-            "serving rounds exchange index sets over a shared register"
-            " segment — never pickled tables or register dicts"
-            " (DESIGN.md, engine section)",
         ],
     )

@@ -152,9 +152,8 @@ _SPECS = [
     ),
     ExperimentSpec(
         "throughput",
-        "compiled batch engine routes/sec vs batch, shards, and n (E20)",
+        "compiled batch engine routes/sec vs batch size and n (E20)",
         "repro.experiments.throughput",
-        funcs=("run", "run_shards"),
     ),
 ]
 

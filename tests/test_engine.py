@@ -5,26 +5,22 @@ batch engine's output is **bit-identical** to the interpreted
 ``route()`` — same path, same cost (exact float equality, not
 approximate), same legs breakdown, same header bits, same delivered
 node — and agrees with RouteTrace replay.  Also covers: a degraded
-overlay rebuild, sharded == single-process, the determinism contract
-(injection-index ordering), and BuildContext caching of compiled
-artifacts.
+overlay rebuild, the input contract and sweep cap, the determinism
+contract (injection-index ordering), and BuildContext caching of
+compiled artifacts.
 """
 
 import dataclasses
-import gc
-import os
 import random
-import time
 
 import pytest
 
 import numpy as np
 
+from repro.core.types import RouteFailure
 from repro.engine import (
     BatchRouter,
-    EngineError,
     EngineUnsupported,
-    ShardedRouter,
     compile_scheme,
 )
 from repro.metric.graph_metric import GraphMetric
@@ -165,330 +161,44 @@ class TestDegradedOverlay:
 
 
 # ----------------------------------------------------------------------
-# Sharded serving mode
-# ----------------------------------------------------------------------
-
-
-def _assert_sharded_equal(single, multi):
-    np.testing.assert_array_equal(single["target"], multi["target"])
-    np.testing.assert_array_equal(single["cost"], multi["cost"])
-    if single["legs"] is None:
-        assert multi["legs"] is None
-    else:
-        np.testing.assert_array_equal(single["legs"], multi["legs"])
-    assert ("zerohop" in single) == ("zerohop" in multi)
-    if "zerohop" in single:
-        np.testing.assert_array_equal(single["zerohop"], multi["zerohop"])
-
-
-class TestShardedRouter:
-    def _compare(self, tables, pairs, shards):
-        sources = [s for s, _ in pairs]
-        targets = [t for _, t in pairs]
-        single = BatchRouter(tables).route_arrays(sources, targets)
-        with ShardedRouter(tables, shards=shards) as sharded:
-            multi = sharded.route_arrays(sources, targets)
-        _assert_sharded_equal(single, multi)
-
-    def test_sharded_matches_single_process(self, grid_metric, params):
-        scheme = LandmarkNameIndependentScheme(grid_metric, params)
-        pairs = _all_pairs(grid_metric, limit=200, seed=2)
-        self._compare(scheme.compile_tables(), pairs, shards=2)
-
-    def test_sharded_doubling_scheme(self, nameind_simple):
-        pairs = _all_pairs(nameind_simple.metric, limit=120, seed=5)
-        self._compare(nameind_simple.compile_tables(), pairs, shards=3)
-
-    def test_single_shard_fallback(self, grid_metric):
-        tables = ShortestPathScheme(grid_metric).compile_tables()
-        pairs = _all_pairs(grid_metric, limit=60, seed=6)
-        self._compare(tables, pairs, shards=1)
-
-    def test_rejects_bad_shard_count(self, grid_metric):
-        tables = ShortestPathScheme(grid_metric).compile_tables()
-        with pytest.raises(ValueError):
-            ShardedRouter(tables, shards=0)
-
-
-# ----------------------------------------------------------------------
-# Partition slicing (tentpole: CompiledTables.slice_partition)
-# ----------------------------------------------------------------------
-
-
-class TestPartitionSlicing:
-    def test_owned_rows_match_full_tables(self, nameind_simple):
-        """A slice answers owned-node row lookups exactly like the full
-        tables: PartitionRows remaps ``[node]`` to the compacted row."""
-        tables = nameind_simple.compile_tables()
-        for shards in (2, 3):
-            for shard in range(shards):
-                sl = tables.slice_partition(shard, shards)
-                assert sl.partition == (shard, shards)
-                for name in ("NH", "D"):
-                    assert name in sl.sliced
-                    for node in range(shard, tables.n, shards):
-                        np.testing.assert_array_equal(
-                            sl.arrays[name][node],
-                            tables.arrays[name][node],
-                        )
-
-    def test_slices_shrink_resident_bytes(self, nameind_simple):
-        tables = nameind_simple.compile_tables()
-        for shards in (2, 4):
-            for shard in range(shards):
-                sl = tables.slice_partition(shard, shards)
-                assert sl.nbytes() < tables.nbytes()
-                assert (
-                    sl.shared_bytes() + sl.sliced_bytes() == sl.nbytes()
-                )
-
-    def test_csr_slices_partition_the_key_space(self, grid_metric, params):
-        tables = LandmarkNameIndependentScheme(
-            grid_metric, params
-        ).compile_tables()
-        shards = 3
-        slices = [
-            tables.slice_partition(shard, shards)
-            for shard in range(shards)
-        ]
-        parts = []
-        for sl in slices:
-            keys = sl.arrays["VIC_KEY"]
-            keys = keys[keys >= 0]
-            assert (
-                (keys // tables.n) % shards == sl.partition[0]
-            ).all()
-            parts.append(keys)
-        rebuilt = np.sort(np.concatenate(parts))
-        full = tables.arrays["VIC_KEY"]
-        np.testing.assert_array_equal(rebuilt, full[full >= 0])
-
-    def test_landmark_exposes_full_membership_keys(
-        self, grid_metric, params
-    ):
-        """The post-hop shortcut-break membership re-check can land on a
-        foreign node, so the slice carries the full key array (shared),
-        while the payload columns stay sliced."""
-        tables = LandmarkNameIndependentScheme(
-            grid_metric, params
-        ).compile_tables()
-        sl = tables.slice_partition(1, 2)
-        assert sl.arrays["VIC_MEMBER_KEY"] is tables.arrays["VIC_KEY"]
-        assert "VIC_MEMBER_KEY" not in sl.sliced
-        assert "VIC_TGT" in sl.sliced
-
-    def test_identity_slice_and_errors(self, grid_metric):
-        tables = ShortestPathScheme(grid_metric).compile_tables()
-        ident = tables.slice_partition(0, 1)
-        assert ident.partition == (0, 1)
-        assert ident.sliced == ()
-        with pytest.raises(ValueError):
-            tables.slice_partition(2, 2)
-        with pytest.raises(ValueError):
-            tables.slice_partition(0, 0)
-        with pytest.raises(ValueError):
-            ident.slice_partition(0, 2)
-
-    def test_router_reports_per_worker_below_replication(
-        self, grid_metric, params
-    ):
-        tables = LandmarkNameIndependentScheme(
-            grid_metric, params
-        ).compile_tables()
-        with ShardedRouter(tables, shards=2) as router:
-            resident = router.partition_bytes()
-        assert resident["replicated"] == tables.nbytes()
-        assert len(resident["per_worker"]) == 2
-        for per_worker in resident["per_worker"]:
-            assert per_worker < resident["replicated"]
-
-
-# ----------------------------------------------------------------------
-# Multi-router isolation (satellite 1: the aliasing bugfix)
-# ----------------------------------------------------------------------
-
-
-class TestMultiRouterIsolation:
-    def test_second_router_does_not_alias_first(
-        self, grid_metric, geometric_metric, params
-    ):
-        """Regression for the shards=1 aliasing bug: the serial fallback
-        used to install its tables in module globals shared by every
-        router in the process, so constructing a *second* router
-        clobbered the first router's tables mid-flight.  Routers must
-        answer from their own ``self.tables`` regardless of what other
-        routers exist."""
-        t_landmark = LandmarkNameIndependentScheme(
-            grid_metric, params
-        ).compile_tables()
-        t_shortest = ShortestPathScheme(geometric_metric).compile_tables()
-        pairs = _all_pairs(grid_metric, limit=80, seed=11)
-        sources = [s for s, _ in pairs]
-        targets = [t for _, t in pairs]
-        want = BatchRouter(t_landmark).route_arrays(sources, targets)
-        first = ShardedRouter(t_landmark, shards=1)
-        second = ShardedRouter(t_shortest, shards=1)
-        try:
-            got = first.route_arrays(sources, targets)
-        finally:
-            second.close()
-            first.close()
-        _assert_sharded_equal(want, got)
-
-    @pytest.mark.parametrize("shards", [1, 2, 3])
-    def test_interleaved_routers_stay_bit_identical(
-        self, shards, grid_metric, geometric_metric, params
-    ):
-        """Two live routers over different schemes and fixtures, served
-        in alternating batches: every batch must stay bit-identical to
-        its own BatchRouter, for serial and sharded modes alike."""
-        tables = [
-            LandmarkNameIndependentScheme(
-                grid_metric, params
-            ).compile_tables(),
-            ShortestPathScheme(geometric_metric).compile_tables(),
-        ]
-        references = [BatchRouter(t) for t in tables]
-        routers = [ShardedRouter(t, shards=shards) for t in tables]
-        rng = random.Random(17)
-        try:
-            for _ in range(3):
-                for router, reference, t in zip(
-                    routers, references, tables
-                ):
-                    sources = [
-                        rng.randrange(t.n) for _ in range(40)
-                    ]
-                    targets = [
-                        rng.randrange(t.n) for _ in range(40)
-                    ]
-                    want = reference.route_arrays(sources, targets)
-                    got = router.route_arrays(sources, targets)
-                    _assert_sharded_equal(want, got)
-        finally:
-            for router in routers:
-                router.close()
-
-
-# ----------------------------------------------------------------------
-# Worker-pool lifecycle (satellite 2: no stranded workers)
-# ----------------------------------------------------------------------
-
-
-def _assert_workers_dead(pids, timeout=5.0):
-    deadline = time.monotonic() + timeout
-    alive = list(pids)
-    while alive and time.monotonic() < deadline:
-        remaining = []
-        for pid in alive:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                continue
-            remaining.append(pid)
-        alive = remaining
-        if alive:
-            time.sleep(0.05)
-    assert not alive, f"shard workers still alive: {alive}"
-
-
-class TestPoolLifecycle:
-    def _capped(self, tables, max_sweeps):
-        return dataclasses.replace(
-            tables,
-            scalars={**tables.scalars, "max_sweeps": max_sweeps},
-        )
-
-    def test_raising_route_does_not_strand_workers(self, grid_metric):
-        """A worker-side EngineError (sweep cap exceeded mid-round) must
-        leave the pool serving and the register segment unlinked; close
-        must still reap every worker."""
-        tables = self._capped(
-            ShortestPathScheme(grid_metric).compile_tables(), 1
-        )
-        router = ShardedRouter(tables, shards=2)
-        try:
-            pids = router.worker_pids()
-            assert len(pids) == 2
-            shm_before = set(os.listdir("/dev/shm"))
-            with pytest.raises(EngineError):
-                # 0 -> 30 walks column 0 of the 6x6 grid: every hop
-                # stays on shard 0, so that worker exceeds the cap.
-                router.route_arrays([0], [30])
-            assert set(os.listdir("/dev/shm")) == shm_before
-            out = router.route_arrays([5], [5])
-            assert out["target"][0] == 5
-        finally:
-            router.close()
-        _assert_workers_dead(pids)
-
-    def test_driver_raise_unlinks_register_segment(self, grid_metric):
-        tables = self._capped(
-            ShortestPathScheme(grid_metric).compile_tables(), 0
-        )
-        router = ShardedRouter(tables, shards=2)
-        try:
-            shm_before = set(os.listdir("/dev/shm"))
-            with pytest.raises(EngineError):
-                router.route_arrays([0, 1], [7, 8])
-            assert set(os.listdir("/dev/shm")) == shm_before
-        finally:
-            router.close()
-
-    def test_finalizer_reaps_dropped_router(self, grid_metric):
-        tables = ShortestPathScheme(grid_metric).compile_tables()
-        router = ShardedRouter(tables, shards=2)
-        router.route_arrays([0, 1], [7, 8])
-        pids = router.worker_pids()
-        names = [seg.name for seg in router._segments]
-        assert pids and names
-        del router
-        gc.collect()
-        _assert_workers_dead(pids)
-        for name in names:
-            assert not os.path.exists(os.path.join("/dev/shm", name))
-
-    def test_close_is_idempotent(self, grid_metric):
-        tables = ShortestPathScheme(grid_metric).compile_tables()
-        router = ShardedRouter(tables, shards=2)
-        pids = router.worker_pids()
-        router.close()
-        router.close()
-        _assert_workers_dead(pids)
-
-
-# ----------------------------------------------------------------------
-# Input contract (satellite 3: validation shared with BatchRouter)
+# Input contract and sweep cap
 # ----------------------------------------------------------------------
 
 
 class TestInputContract:
-    @pytest.mark.parametrize("mode", ["batch", "sharded1", "sharded2"])
+    @pytest.mark.parametrize("mode", ["batch", "route_batch"])
     def test_rejects_bad_inputs(self, grid_metric, mode):
-        """Both routers reject malformed batches with the same errors,
-        before any worker round runs."""
+        """Malformed batches raise ValueError before any sweep runs,
+        through ``route_arrays`` ("batch") and ``route_batch`` alike;
+        non-integer ids are rejected, never truncated."""
+        router = BatchRouter(
+            ShortestPathScheme(grid_metric).compile_tables(),
+            metric=grid_metric,
+        )
+        route = router.route_arrays if mode == "batch" else router.route_batch
+        n = router.tables.n
+        with pytest.raises(ValueError, match="equal-length"):
+            route([0, 1], [2])
+        for bad_sources, bad_targets, message in (
+            ([-1], [0], "node id out of range"),
+            ([0], [n], "node id out of range"),
+            ([n], [0], "node id out of range"),
+            ([0, 1], [1, -5], "node id out of range"),
+            ([1.7], [2], "node ids must be integers"),
+            ([True], [False], "node ids must be integers"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                route(bad_sources, bad_targets)
+
+    def test_sweep_cap_raises_route_failure(self, grid_metric):
+        """Packets still live after ``max_sweeps`` sweeps fail with the
+        same typed error the interpreter raises."""
         tables = ShortestPathScheme(grid_metric).compile_tables()
-        n = tables.n
-        if mode == "batch":
-            router = BatchRouter(tables)
-        else:
-            router = ShardedRouter(tables, shards=int(mode[-1]))
-        try:
-            with pytest.raises(ValueError, match="equal-length"):
-                router.route_arrays([0, 1], [2])
-            for bad_sources, bad_targets in (
-                ([-1], [0]),
-                ([0], [n]),
-                ([n], [0]),
-                ([0, 1], [1, -5]),
-            ):
-                with pytest.raises(
-                    ValueError, match="node id out of range"
-                ):
-                    router.route_arrays(bad_sources, bad_targets)
-        finally:
-            if isinstance(router, ShardedRouter):
-                router.close()
+        capped = dataclasses.replace(
+            tables, scalars={**tables.scalars, "max_sweeps": 1}
+        )
+        with pytest.raises(RouteFailure, match="still live after 1 sweeps"):
+            BatchRouter(capped).route_arrays([0], [grid_metric.n - 1])
 
 
 # ----------------------------------------------------------------------
