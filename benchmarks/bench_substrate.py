@@ -6,7 +6,10 @@ name-independent scheme on a preferential-attachment graph — build
 seconds (graph / metric / scheme split), full Dijkstra rows
 materialized, ``tracemalloc`` peak and process RSS high water, average
 stretch on a fixed pair sample — plus a dense-vs-lazy head-to-head at
-n = 256 where both strategies are buildable.
+n = 256 where both strategies are buildable.  Each point builds twice:
+the timed build runs untraced (tracing every allocation slows a build
+several-fold), and the ``tracemalloc`` peak comes from a second,
+identical build.
 
 Run with ``PYTHONPATH=src python benchmarks/bench_substrate.py``
 (writes ``BENCH_substrate.json``; ~1-2 minutes, dominated by the
@@ -17,13 +20,17 @@ invariants only, no wall-clock assertions —
   a sampled grid of queries at n = 256;
 * the landmark scheme builds and routes at n = 2048 with
   ``rows_materialized`` a small fraction of n (the acceptance counter
-  behind "never materialize the dense matrix");
+  behind "never materialize the dense matrix"), and 50 sampled nodes'
+  vicinity entries equal ``(node, home landmark, next hop)`` from
+  per-pair queries on a fresh metric — past the dense→lazy switch,
+  where the unit tests do not reach;
 * a 4 MiB row budget is respected (evictions occur, stored bytes stay
   under budget) with answers unchanged.
 """
 
 from __future__ import annotations
 
+import math
 import resource
 import sys
 import time
@@ -47,9 +54,8 @@ def _rss_bytes() -> int:
     return rss * 1024 if sys.platform != "darwin" else rss
 
 
-def measure_point(n: int, strategy: str = "lazy") -> dict:
-    """One trajectory point: build + route at size ``n``."""
-    tracemalloc.start()
+def _build(n: int, strategy: str):
+    """Graph → metric → landmark scheme, with the time of each stage."""
     t0 = time.perf_counter()
     graph = preferential_attachment(n, m=2, seed=1)
     t1 = time.perf_counter()
@@ -57,13 +63,28 @@ def measure_point(n: int, strategy: str = "lazy") -> dict:
     t2 = time.perf_counter()
     scheme = LandmarkNameIndependentScheme(metric)
     t3 = time.perf_counter()
-    _, traced_peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
+    return metric, scheme, (t0, t1, t2, t3)
+
+
+def _traced_peak(n: int, strategy: str) -> int:
+    """``tracemalloc`` high water of one more (untimed) build."""
+    tracemalloc.start()
+    try:
+        _build(n, strategy)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def measure_point(n: int, strategy: str = "lazy") -> dict:
+    """One trajectory point: build + route at size ``n``."""
+    metric, scheme, (t0, t1, t2, t3) = _build(n, strategy)
     build_stats = dict(metric.substrate_stats())
     stretches = [
         scheme.route(u, v).stretch
         for u, v in sample_ordered_pairs(n, PAIRS, seed=0)
     ]
+    rss = _rss_bytes()
     return {
         "n": n,
         "strategy": metric.strategy,
@@ -77,8 +98,8 @@ def measure_point(n: int, strategy: str = "lazy") -> dict:
         ),
         "bounded_searches": int(build_stats["bounded_searches"]),
         "stored_bytes": int(build_stats["stored_bytes"]),
-        "traced_peak_bytes": int(traced_peak),
-        "rss_high_water_bytes": _rss_bytes(),
+        "traced_peak_bytes": _traced_peak(n, strategy),
+        "rss_high_water_bytes": rss,
         "avg_stretch": round(float(np.mean(stretches)), 4),
         "max_stretch": round(float(np.max(stretches)), 4),
         "avg_table_bits": int(scheme.total_table_bits() / n),
@@ -127,7 +148,9 @@ def measure() -> dict:
         "note": (
             "rows_materialized counts full Dijkstra rows ever solved; "
             "dense_matrix_bytes_hypothetical is what the eager APSP "
-            "(float64 dist + int32 pred) would allocate at that n"
+            "(float64 dist + int32 pred) would allocate at that n; "
+            "*_seconds come from an untraced build and traced_peak_bytes "
+            "from a second, traced build of the same point"
         ),
     }
 
@@ -165,6 +188,19 @@ def check() -> None:
     assert rows < n // 4, (
         f"lazy build materialized {rows} rows at n={n} (expected << n)"
     )
+    # Vicinity tables come from one vectorized pass per size-bounded
+    # search; hold sampled nodes to the per-pair definition.
+    reference = GraphMetric(metric.graph.copy(), strategy="lazy")
+    size = math.isqrt(n - 1) + 1
+    for u in map(int, rng.choice(n, size=50, replace=False)):
+        expected = sorted(
+            (scheme.name_of(v), v, scheme.home_landmark(v), reference.next_hop(u, v))
+            for v in reference.size_ball(u, size)
+            if v != u
+        )
+        assert scheme.vicinity_entries(u) == expected, (
+            f"vicinity of node {u} differs from per-pair queries"
+        )
 
     # 3. Budgeted store: evictions happen, budget is respected, answers
     #    survive eviction bit-identically.

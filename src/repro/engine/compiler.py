@@ -27,9 +27,9 @@ Layouts (see DESIGN.md, "engine" section, for the full picture):
 * **Voronoi tree slots** — every ``T_c(j)`` tree-router flattened the
   same way with DFS ``tin/tout`` intervals per slot, plus a sorted
   ``(tree, node) -> slot`` key table for phase entry;
-* **vicinity CSR** — the landmark scheme's per-node vicinity maps as a
-  single sorted int64 key array ``u*n + name`` with parallel target /
-  home / next-hop columns.
+* **vicinity CSR** — the landmark scheme's vicinities as a single
+  sorted int64 key array ``u*n + name`` with parallel target / home /
+  next-hop columns, exactly as the scheme builds and routes on them.
 
 All floating-point values are stored exactly as the interpreted tables
 hold them; the batch router replays the interpreted loops' *addition
@@ -106,6 +106,11 @@ def _edge_tables(metric) -> Dict[str, np.ndarray]:
     }
 
 
+def _nonempty(column: np.ndarray, fill: int) -> np.ndarray:
+    """``column``, or a one-entry ``[fill]`` sentinel if it is empty."""
+    return column if column.size else np.asarray([fill], dtype=np.int64)
+
+
 def _require_dense(metric) -> None:
     if metric.n > DENSE_LIMIT:
         raise EngineUnsupported(
@@ -121,7 +126,7 @@ def _dense_next_hops(metric) -> np.ndarray:
     n = metric.n
     nh = np.empty((n, n), dtype=np.int64)
     for u in metric.nodes:
-        nh[u] = [metric.next_hop(u, v) for v in range(n)]
+        nh[u] = metric.next_hops_from(u)
     return nh
 
 
@@ -554,9 +559,10 @@ def _compile_nameind_sf(scheme) -> CompiledTables:
 def _compile_landmark(scheme) -> CompiledTables:
     """The Internet-scale scheme: compiled purely from existing arrays.
 
-    No dense LUTs — the landmark/predecessor matrices and vicinity maps
-    the scheme already holds are the whole table set, so compilation
-    preserves the lazy substrate's rows-materialized ≪ n invariant.
+    No dense LUTs — the landmark/predecessor matrices and the vicinity
+    CSR the scheme already holds are the whole table set (handed over
+    as they are), so compilation preserves the lazy substrate's
+    rows-materialized ≪ n invariant.
     """
     metric = scheme.metric
     n = metric.n
@@ -576,18 +582,6 @@ def _compile_landmark(scheme) -> CompiledTables:
             dir_home[name] = home
     landmarks = np.asarray(scheme._landmarks, dtype=np.int64)
     names = np.arange(n, dtype=np.int64)
-    # Vicinity CSR: global sorted key u*n + name.
-    vic_keys: List[int] = []
-    vic_tgt: List[int] = []
-    vic_home: List[int] = []
-    vic_hop: List[int] = []
-    for u in metric.nodes:
-        for name in sorted(scheme._vicinity[u]):
-            v, home, hop, _ = scheme._vicinity[u][name]
-            vic_keys.append(u * n + name)
-            vic_tgt.append(v)
-            vic_home.append(home)
-            vic_hop.append(hop)
     arrays = {
         **_edge_tables(metric),
         "NAMEOF": name_of,
@@ -598,10 +592,12 @@ def _compile_landmark(scheme) -> CompiledTables:
         "DIR_ROW": names % k,
         "DIR_NODE": dir_node,
         "DIR_HOME": dir_home,
-        "VIC_KEY": np.asarray(vic_keys or [-1], dtype=np.int64),
-        "VIC_TGT": np.asarray(vic_tgt or [0], dtype=np.int64),
-        "VIC_HOME": np.asarray(vic_home or [0], dtype=np.int64),
-        "VIC_HOP": np.asarray(vic_hop or [0], dtype=np.int64),
+        # The scheme's own vicinity CSR (global sorted key u*n + name),
+        # with one sentinel row when every vicinity is empty.
+        "VIC_KEY": _nonempty(scheme._vic_key, -1),
+        "VIC_TGT": _nonempty(scheme._vic_tgt, 0),
+        "VIC_HOME": _nonempty(scheme._vic_home, 0),
+        "VIC_HOP": _nonempty(scheme._vic_hop, 0),
     }
     return CompiledTables(
         kind="landmark",

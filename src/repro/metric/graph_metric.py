@@ -322,7 +322,7 @@ class GraphMetric:
         old = self._strategy
         sub_dist, sub_pred = dijkstra(
             new_matrix,
-            directed=False,
+            directed=True,
             indices=candidates,
             return_predecessors=True,
         )
@@ -364,7 +364,7 @@ class GraphMetric:
             chunk = candidates[start : start + _ROW_CHUNK]
             new_dist, new_pred = dijkstra(
                 new_matrix,
-                directed=False,
+                directed=True,
                 indices=chunk,
                 return_predecessors=True,
             )
@@ -383,7 +383,7 @@ class GraphMetric:
             if missing:
                 miss_dist, miss_pred = dijkstra(
                     old._matrix,
-                    directed=False,
+                    directed=True,
                     indices=np.asarray(missing, dtype=np.int64),
                     return_predecessors=True,
                 )
@@ -611,6 +611,21 @@ class GraphMetric:
         radius = self._strategy.size_radius(u, size)
         return radius, [int(x) for x in self._strategy.size_ball(u, size)]
 
+    def size_ball_with_hops(
+        self, u: NodeId, size: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The size ball as ``(ids, distances, first hops)`` arrays.
+
+        Entries are in ``(distance, id)`` order, starting with ``u``
+        itself, and ``hops[i] == next_hop(u, ids[i])``.  On the lazy
+        strategy this is one size-bounded search plus one vectorized
+        pass over the ball — the per-node vicinity table in a single
+        call.
+        """
+        if not 1 <= size <= self._n:
+            raise ValueError(f"size must be in [1, {self._n}], got {size}")
+        return self._strategy.size_ball_with_hops(u, size)
+
     def r_u(self, u: NodeId, j: int) -> float:
         """The paper's ``r_u(j)``: radius of the size-``2^j`` ball at u.
 
@@ -658,12 +673,26 @@ class GraphMetric:
         Canonical paths are read off the Dijkstra predecessor tree of
         source ``u``, so they are exact (never distance-tolerance based)
         and consistent: all paths from ``u`` form a tree.  First hops
-        are memoized per source in the same store as the distance rows
-        and invalidated together by :meth:`splice_rows`.
+        are extracted for a whole row in one vectorized pass, memoized
+        per source in the same store as the distance rows and
+        invalidated together by :meth:`splice_rows`.
+
+        Raises:
+            RouteFailure: If ``u``'s stored predecessor row is not a
+                tree (a corrupted row that closes a cycle).
         """
         if u == v:
             return u
         return self._strategy.next_hop(u, v)
+
+    def next_hops_from(self, u: NodeId) -> np.ndarray:
+        """First hops from ``u`` toward every node (``[u]`` is ``u``).
+
+        ``next_hops_from(u)[v] == next_hop(u, v)`` for every ``v``.
+        Materializes the full row on lazy metrics; the returned array
+        is the memoized row itself, so callers must not mutate it.
+        """
+        return self._strategy.next_hops_from(u)
 
     def shortest_path(self, u: NodeId, v: NodeId) -> List[NodeId]:
         """The canonical shortest path from ``u`` to ``v`` (inclusive)."""

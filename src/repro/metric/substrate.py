@@ -44,7 +44,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from repro.core.types import NodeId, PreprocessingError
+from repro.core.types import NodeId, PreprocessingError, RouteFailure
 
 #: Relative slack used when comparing floating-point distances.  All edge
 #: weights are >= 1 after normalization, so an absolute epsilon is safe.
@@ -88,9 +88,9 @@ class _Row:
     ascending, ``dist``/``pred`` aligned) plus the search ``limit`` that
     produced them — every node with ``d <= limit`` is settled, so any
     query whose reach is within ``limit`` answers exactly.  ``hops``
-    memoizes first-hop extractions for this source (satellite: next-hop
-    rows live in the same LRU entry as the distances, so one eviction or
-    splice invalidates both together).
+    memoizes this source's first hops (aligned with ``ids`` on partial
+    rows), so one eviction or splice drops them together with the
+    distances they came from.
     """
 
     __slots__ = (
@@ -112,14 +112,13 @@ class _Row:
         limit: float,
         full: bool,
         ids: Optional[np.ndarray] = None,
-        hops: Optional[Dict[NodeId, NodeId]] = None,
     ) -> None:
         self.ids = ids
         self.dist = dist
         self.pred = pred
         self.limit = limit
         self.full = full
-        self.hops = {} if hops is None else hops
+        self.hops: Optional[np.ndarray] = None
         self.order, self.sorted_dist = _lexsorted_view(dist, ids)
         self.nbytes = (
             dist.nbytes
@@ -170,10 +169,10 @@ class RowStore:
     """Budgeted LRU cache of per-source :class:`_Row` entries.
 
     Eviction is by least-recent *access*; the byte budget covers the
-    entries' numpy arrays (first-hop memo dicts ride along uncharged —
-    they are small relative to the rows they annotate and die with
-    them).  A single row is always admitted even when it alone exceeds
-    the budget, so queries never livelock.
+    entries' distance, predecessor and order arrays (first-hop memos
+    ride along uncharged and die with the rows they annotate).  A single
+    row is always admitted even when it alone exceeds the budget, so
+    queries never livelock.
     """
 
     def __init__(self, budget_bytes: int) -> None:
@@ -232,31 +231,39 @@ def _row_digest_bytes(dist: np.ndarray, pred: np.ndarray) -> str:
     return digest.hexdigest()
 
 
-def _first_hops(
-    source: NodeId,
-    targets: Iterable[NodeId],
-    lookup_pred,
-    hops: Dict[NodeId, NodeId],
-) -> None:
-    """Memoize first hops of canonical paths from ``source``.
+def first_hops(parent: np.ndarray, root: int, source: NodeId) -> np.ndarray:
+    """First hops of a predecessor tree, by vectorized pointer jumping.
 
-    ``lookup_pred(v)`` returns the predecessor of ``v`` on the canonical
-    shortest path from ``source`` (the Dijkstra predecessor tree), so
-    walking the chain back to ``source`` — or to a node whose first hop
-    is already memoized — yields the first edge.  This is exactly the
-    dense ``_next_hops_from`` walk, restricted to the requested targets.
+    ``parent[i]`` is the tree parent of index ``i`` (ignored at
+    ``root``).  Returns ``hop`` with ``hop[i]`` the child of ``root`` on
+    the tree path ``root → i`` and ``hop[root] = root``: the first edge
+    of the canonical path from ``source`` when ``parent`` is its
+    Dijkstra predecessor row.  Children of the root point at themselves
+    and every other index at its parent; each squaring ``jump[jump]``
+    doubles the reach, so ⌈log₂ m⌉ + 1 rounds land every index of a
+    valid tree on a child.  A corrupted row whose pointers cycle never
+    does — a 2-cycle even converges, to self-loops — so the result is
+    checked and a non-tree raises :class:`RouteFailure` naming
+    ``source``.
     """
-    for v in targets:
-        if v == source or v in hops:
-            continue
-        chain: List[NodeId] = []
-        node = v
-        while node != source and node not in hops:
-            chain.append(node)
-            node = lookup_pred(node)
-        first = chain[-1] if node == source else hops[node]
-        for x in chain:
-            hops[x] = first
+    m = parent.shape[0]
+    index = np.arange(m)
+    child = parent == root
+    jump = np.where(child | (parent < 0), index, parent)
+    jump[root] = root
+    for _ in range((m - 1).bit_length() + 1):  # ⌈log₂ m⌉ + 1
+        nxt = jump[jump]
+        if np.array_equal(nxt, jump):
+            break
+        jump = nxt
+    landed = child[jump]
+    landed[root] = True
+    if not landed.all():
+        raise RouteFailure(
+            f"predecessor row of source {source} is not a shortest-path "
+            "tree (cycle or dangling pointer)"
+        )
+    return jump
 
 
 class DenseStrategy:
@@ -273,14 +280,14 @@ class DenseStrategy:
 
     def __init__(self, matrix: csr_matrix, n: int) -> None:
         self._n = n
-        dist, pred = dijkstra(matrix, directed=False, return_predecessors=True)
+        dist, pred = dijkstra(matrix, directed=True, return_predecessors=True)
         if not np.all(np.isfinite(dist)):
             raise PreprocessingError("graph must be connected")
         self._dist = dist
         self._pred = pred
         self._order_cache: Dict[NodeId, np.ndarray] = {}
         self._sorted_dist_cache: Dict[NodeId, np.ndarray] = {}
-        self._next_hop_cache: Dict[NodeId, Dict[NodeId, NodeId]] = {}
+        self._next_hop_cache: Dict[NodeId, np.ndarray] = {}
 
     # -- construction without solving (updated()/unpickle paths) -------
 
@@ -370,15 +377,25 @@ class DenseStrategy:
         d = self._dist[u]
         return float(max(d[x] for x in among))
 
-    def next_hop(self, u: NodeId, v: NodeId) -> NodeId:
+    def next_hops_from(self, u: NodeId) -> np.ndarray:
         hops = self._next_hop_cache.get(u)
         if hops is None:
-            hops = {}
+            hops = first_hops(self._pred[u], u, u)
             self._next_hop_cache[u] = hops
-        if v not in hops:
-            pred = self._pred[u]
-            _first_hops(u, range(self._n), lambda x: int(pred[x]), hops)
-        return hops[v]
+        return hops
+
+    def next_hop(self, u: NodeId, v: NodeId) -> NodeId:
+        return int(self.next_hops_from(u)[v])
+
+    def size_ball_with_hops(
+        self, u: NodeId, size: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        ids = self._order_from(u)[:size]
+        return (
+            ids,
+            self._sorted_dist_cache[u][:size],
+            self.next_hops_from(u)[ids],
+        )
 
     # -- maintenance ----------------------------------------------------
 
@@ -388,7 +405,7 @@ class DenseStrategy:
     def splice_rows(self, rows: List[int], matrix: csr_matrix) -> None:
         index = np.asarray(rows, dtype=np.int64)
         sub_dist, sub_pred = dijkstra(
-            matrix, directed=False, indices=index, return_predecessors=True
+            matrix, directed=True, indices=index, return_predecessors=True
         )
         if not np.all(np.isfinite(sub_dist)):
             raise PreprocessingError("graph must be connected")
@@ -481,28 +498,23 @@ class LazyStrategy:
     ) -> Tuple[np.ndarray, np.ndarray]:
         dist, pred = dijkstra(
             self._matrix,
-            directed=False,
+            directed=True,
             indices=[u],
             return_predecessors=True,
             limit=limit,
         )
         return dist[0], pred[0]
 
-    def _install(
-        self, u: NodeId, limit: float, previous: Optional[_Row]
-    ) -> _Row:
+    def _install(self, u: NodeId, limit: float) -> _Row:
         self.bounded_searches += 1
         dist, pred = self._run(u, limit=limit)
-        hops = previous.hops if previous is not None else None
         settled = np.isfinite(dist)
         if bool(settled.all()):
-            entry = _Row(dist, pred, float("inf"), True, hops=hops)
+            entry = _Row(dist, pred, float("inf"), True)
             self.rows_materialized += 1
         else:
             ids = np.nonzero(settled)[0]
-            entry = _Row(
-                dist[ids], pred[ids], float(limit), False, ids=ids, hops=hops
-            )
+            entry = _Row(dist[ids], pred[ids], float(limit), False, ids=ids)
         return self.store.put(u, entry)
 
     def ensure_full(self, u: NodeId) -> _Row:
@@ -511,7 +523,7 @@ class LazyStrategy:
             self.store.hits += 1
             return entry
         self.store.misses += 1
-        return self._install(u, np.inf, entry)
+        return self._install(u, np.inf)
 
     def ensure_radius(self, u: NodeId, need: float) -> _Row:
         entry = self.store.get(u)
@@ -520,7 +532,7 @@ class LazyStrategy:
             return entry
         self.store.misses += 1
         limit = need if entry is None else max(need, 2.0 * entry.limit)
-        return self._install(u, limit, entry)
+        return self._install(u, limit)
 
     def ensure_size(self, u: NodeId, size: int) -> _Row:
         entry = self.store.get(u)
@@ -533,7 +545,7 @@ class LazyStrategy:
         if entry is not None:
             limit = max(limit, 2.0 * entry.limit)
         while True:
-            entry = self._install(u, limit, entry)
+            entry = self._install(u, limit)
             if entry.full or entry.settled >= size:
                 break
             limit *= 2.0
@@ -554,7 +566,7 @@ class LazyStrategy:
         self.store.misses += 1
         limit = 1.0 if entry is None else max(1.0, 2.0 * entry.limit)
         while True:
-            entry = self._install(u, limit, entry)
+            entry = self._install(u, limit)
             if entry.full or entry.lookup(v)[0] != float("inf"):
                 return entry
             limit *= 2.0
@@ -656,15 +668,44 @@ class LazyStrategy:
                 return float(d.max())
             limit = 2.0 * entry.limit
 
+    def _row_hops(self, u: NodeId, entry: _Row) -> np.ndarray:
+        """First hops over every node ``entry`` settled, memoized on it."""
+        if entry.hops is None:
+            if entry.full:
+                entry.hops = first_hops(entry.pred, u, u)
+            else:
+                # Every predecessor of a settled node is settled (it is
+                # strictly nearer), so the tree maps into ``ids``.
+                parent = np.searchsorted(entry.ids, entry.pred)
+                root = int(np.searchsorted(entry.ids, u))
+                entry.hops = entry.ids[first_hops(parent, root, u)]
+        return entry.hops
+
+    def next_hops_from(self, u: NodeId) -> np.ndarray:
+        return self._row_hops(u, self.ensure_full(u))
+
     def next_hop(self, u: NodeId, v: NodeId) -> NodeId:
         entry = self.ensure_target(u, v)
-        hops = entry.hops
-        if v not in hops:
-            # Every node on the canonical path to a settled target is
-            # itself settled (its distance is smaller), so the chain
-            # walk stays within the entry.
-            _first_hops(u, (v,), lambda x: entry.lookup(x)[1], hops)
-        return hops[v]
+        hops = self._row_hops(u, entry)
+        if entry.full:
+            return int(hops[v])
+        return int(hops[np.searchsorted(entry.ids, v)])
+
+    def size_ball_with_hops(
+        self, u: NodeId, size: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        entry = self.ensure_size(u, size)
+        ids, dists = entry.prefix(size)
+        if entry.full:
+            return ids, dists, self._row_hops(u, entry)[ids]
+        # Pointer-jump over the ball alone, rooted at ids[0] = u: it is
+        # closed under predecessors (each is strictly nearer, so it
+        # sorts earlier), while the partial row may have settled far
+        # more nodes.
+        pred = entry.pred[entry.order[:size]]
+        by_id = np.argsort(ids)
+        parent = by_id[np.searchsorted(ids, pred, sorter=by_id)]
+        return ids, dists, ids[first_hops(parent, 0, u)]
 
     # -- maintenance ----------------------------------------------------
 
@@ -680,7 +721,7 @@ class LazyStrategy:
         # rows without a burst of on-demand misses.
         for s in rows:
             self.store.misses += 1
-            self._install(s, np.inf, None)
+            self._install(s, np.inf)
 
     def mutable_row(self, u: NodeId) -> Tuple[np.ndarray, np.ndarray]:
         # Copy-on-write: entries can be shared with a pre-edit metric
@@ -738,7 +779,7 @@ class LazyStrategy:
             best = 0.0
             for start in range(0, self._n, _ROW_CHUNK):
                 indices = np.arange(start, min(start + _ROW_CHUNK, self._n))
-                dist = dijkstra(self._matrix, directed=False, indices=indices)
+                dist = dijkstra(self._matrix, directed=True, indices=indices)
                 if not np.all(np.isfinite(dist)):
                     raise PreprocessingError("graph must be connected")
                 best = max(best, float(dist.max()))
@@ -746,7 +787,7 @@ class LazyStrategy:
         source = 0
         best = 0.0
         for _ in range(4):
-            dist = dijkstra(self._matrix, directed=False, indices=[source])[0]
+            dist = dijkstra(self._matrix, directed=True, indices=[source])[0]
             far = int(dist.argmax())
             ecc = float(dist[far])
             if ecc <= best:

@@ -36,6 +36,7 @@ import weakref
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type
 
 import networkx as nx
+import numpy as np
 
 from repro.core.edits import EditKind, GraphEdit, apply_edit_to_graph
 from repro.core.params import SchemeParameters
@@ -52,7 +53,9 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: v3: XOR-aggregated content keys + dependency-tracked invalidation.
 #: v4: strategy-tagged metric cache keys; lazy metrics pickle only their
 #: materialized rows (partial search state is recomputed on demand).
-CACHE_FORMAT_VERSION = 4
+#: v5: the landmark scheme holds its vicinities as a sorted-key CSR, and
+#: compiled-table keys digest that CSR's bytes.
+CACHE_FORMAT_VERSION = 5
 
 
 @dataclasses.dataclass
@@ -628,10 +631,11 @@ class BuildContext:
 
         Keyed by the metric identity, scheme class, parameters, and a
         digest of the scheme's instance-level identity (naming
-        permutation, landmark set) so two same-class schemes with
-        different namings never share compiled artifacts.  Lives under
-        the ``engine`` artifact kind of the v4 key scheme, so disk
-        caching and ``apply_edit`` invalidation come for free.
+        permutation, landmark set, vicinity CSR keys) so two same-class
+        schemes with different namings or vicinity sizes never share
+        compiled artifacts.  Lives under the ``engine`` artifact kind
+        of the v5 key scheme, so disk caching and ``apply_edit``
+        invalidation come for free.
         """
         cls_name = (
             f"{type(scheme).__module__}.{type(scheme).__qualname__}"
@@ -643,11 +647,11 @@ class BuildContext:
         landmarks = getattr(scheme, "_landmarks", None)
         if landmarks is not None:
             digest.update(repr(sorted(landmarks)).encode())
-            vicinity = getattr(scheme, "_vicinity", None)
-            if vicinity is not None:
-                digest.update(
-                    repr([sorted(v) for v in vicinity]).encode()
-                )
+        vicinity_keys = getattr(scheme, "_vic_key", None)
+        if vicinity_keys is not None:
+            # Raw bytes: repr() of a numpy array elides past 1,000
+            # entries, which would let different vicinities collide.
+            digest.update(np.ascontiguousarray(vicinity_keys).tobytes())
         key = (
             self.metric_key(scheme.metric),
             cls_name,

@@ -102,7 +102,12 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
             self._landmarks[int(j)]
             for j in np.argmin(self._landmark_dist, axis=0)
         ]
-        self._vicinity = self._build_vicinities(vicinity_size)
+        (
+            self._vic_key,
+            self._vic_tgt,
+            self._vic_home,
+            self._vic_hop,
+        ) = self._build_vicinities(vicinity_size)
         self._directory = self._build_directory()
         self._tree_depth = self._max_tree_depth()
 
@@ -125,27 +130,34 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
 
     def _build_vicinities(
         self, size: int
-    ) -> List[Dict[int, Tuple[NodeId, NodeId, NodeId, float]]]:
-        """Per node: name -> (member, member's home, next hop, distance).
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's vicinity as one sorted-key CSR.
 
-        One size-bounded search per node — never a full row.
+        Entry ``i`` is keyed ``VIC_KEY[i] = u·n + name`` (ascending, so
+        node ``u``'s entries are one contiguous, name-sorted slice) with
+        the member node, its home landmark, and ``u``'s next hop toward
+        it.  One size-bounded search per node — never a full row — and
+        the first hops come from that search's own predecessor tree.
         """
         metric = self._metric
-        vicinities: List[Dict[int, Tuple[NodeId, NodeId, NodeId, float]]] = []
+        n = metric.n
+        members: List[np.ndarray] = []
+        hops: List[np.ndarray] = []
         for u in metric.nodes:
-            _, members = metric.size_ball_with_radius(u, size)
-            entry: Dict[int, Tuple[NodeId, NodeId, NodeId, float]] = {}
-            for v in members:
-                if v == u:
-                    continue
-                entry[self.name_of(v)] = (
-                    v,
-                    self._home[v],
-                    metric.next_hop(u, v),
-                    metric.distance(u, v),
-                )
-            vicinities.append(entry)
-        return vicinities
+            ids, _, hop = metric.size_ball_with_hops(u, size)
+            keep = ids != u
+            members.append(ids[keep])
+            hops.append(hop[keep])
+        owner = np.repeat(
+            np.arange(n, dtype=np.int64), [m.shape[0] for m in members]
+        )
+        tgt = np.concatenate(members).astype(np.int64)
+        key = owner * n + np.asarray(self._name_of, dtype=np.int64)[tgt]
+        order = np.argsort(key)
+        tgt = tgt[order]
+        hop = np.concatenate(hops).astype(np.int64)[order]
+        home = np.asarray(self._home, dtype=np.int64)[tgt]
+        return key[order], tgt, home, hop
 
     def _build_directory(self) -> List[Dict[int, Tuple[NodeId, NodeId]]]:
         """Per landmark index: name -> (node, home landmark)."""
@@ -159,25 +171,25 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
         return directory
 
     def _max_tree_depth(self) -> int:
-        """Max hop-depth over all landmark trees (header suffix bound)."""
-        depth_max = 0
-        n = self._metric.n
-        for row in self._landmark_pred:
-            depth = np.zeros(n, dtype=np.int64)
-            seen = np.zeros(n, dtype=bool)
-            for v in range(n):
-                chain = []
-                x = v
-                while not seen[x] and row[x] >= 0:
-                    chain.append(x)
-                    x = int(row[x])
-                base = depth[x]
-                for i, node in enumerate(reversed(chain), start=1):
-                    depth[node] = base + i
-                    seen[node] = True
-                seen[x] = True
-            depth_max = max(depth_max, int(depth.max()))
-        return depth_max
+        """Max hop-depth over all landmark trees (header suffix bound).
+
+        Pointer jumping over the whole ``k × n`` predecessor matrix:
+        ``depth`` counts the edges from each node to its current jump
+        target, and each round adds the target's count and squares the
+        jump, so ⌈log₂ n⌉ rounds land every node of a tree on its root.
+        """
+        pred = self._landmark_pred
+        k, n = pred.shape
+        rows = np.arange(k)[:, None]
+        root = pred < 0
+        jump = np.where(root, np.arange(n), pred)
+        depth = (~root).astype(np.int64)
+        for _ in range((n - 1).bit_length() + 1):  # ⌈log₂ n⌉ + 1
+            if root[rows, jump].all():
+                return int(depth.max())
+            depth = depth + depth[rows, jump]
+            jump = jump[rows, jump]
+        raise PreprocessingError("a landmark predecessor row is not a tree")
 
     # ------------------------------------------------------------------
     # Structure access
@@ -194,8 +206,37 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
         """The landmark holding ``name``'s directory entry."""
         return self._landmarks[name % len(self._landmarks)]
 
+    def _vicinity_span(self, u: NodeId) -> Tuple[int, int]:
+        """Node ``u``'s slice ``[lo, hi)`` of the vicinity CSR."""
+        n = self._metric.n
+        lo, hi = np.searchsorted(self._vic_key, (u * n, (u + 1) * n))
+        return int(lo), int(hi)
+
+    def _vicinity_entry(self, u: NodeId, name: int) -> Optional[int]:
+        """CSR position of ``name`` in ``u``'s vicinity, if present."""
+        key = u * self._metric.n + name
+        pos = int(np.searchsorted(self._vic_key, key))
+        if pos < self._vic_key.shape[0] and self._vic_key[pos] == key:
+            return pos
+        return None
+
     def vicinity_names(self, u: NodeId) -> List[int]:
-        return sorted(self._vicinity[u])
+        lo, hi = self._vicinity_span(u)
+        return (self._vic_key[lo:hi] - u * self._metric.n).tolist()
+
+    def vicinity_entries(
+        self, u: NodeId
+    ) -> List[Tuple[int, NodeId, NodeId, NodeId]]:
+        """``u``'s vicinity rows ``(name, node, home, next hop)``, by name."""
+        lo, hi = self._vicinity_span(u)
+        return list(
+            zip(
+                self.vicinity_names(u),
+                self._vic_tgt[lo:hi].tolist(),
+                self._vic_home[lo:hi].tolist(),
+                self._vic_hop[lo:hi].tolist(),
+            )
+        )
 
     def stretch_guarantee(self) -> Optional[float]:
         """No constant worst-case bound — this is the KFY trade-off."""
@@ -272,25 +313,26 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
         # Phase A/B: walk landmark trees toward the directory (then the
         # home) landmark; any vicinity hit short-circuits to phase V.
         while True:
-            entry = (
-                self._vicinity[current].get(name)
+            pos = (
+                self._vicinity_entry(current, name)
                 if shortcuts_enabled
                 else None
             )
-            if entry is not None:
+            if pos is not None:
                 # Phase V: vicinity descent.  Each hop lies on the
                 # canonical shortest path current -> target, so the
                 # remaining distance strictly decreases while the
                 # shortcut holds; if it breaks we fall back to the
                 # directory walk and disable further shortcuts, which
                 # restores the terminating tree-walk invariant.
-                target, home, hop, _ = entry
+                target = int(self._vic_tgt[pos])
+                home = int(self._vic_home[pos])
                 if current == target:
                     break
-                current = step(hop, "vicinity")
+                current = step(int(self._vic_hop[pos]), "vicinity")
                 if current == target:
                     break
-                if name not in self._vicinity[current]:
+                if self._vicinity_entry(current, name) is None:
                     shortcuts_enabled = False
                 continue
             if target is None:
@@ -337,7 +379,8 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
         """
         unit = bits_for_id(self._metric.n)
         k = len(self._landmarks)
-        bits = k * unit + len(self._vicinity[v]) * 4 * unit
+        lo, hi = self._vicinity_span(v)
+        bits = k * unit + (hi - lo) * 4 * unit
         idx = self._landmark_index.get(v)
         if idx is not None:
             bits += len(self._directory[idx]) * 3 * unit

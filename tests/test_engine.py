@@ -23,6 +23,7 @@ from repro.engine import (
     EngineUnsupported,
     compile_scheme,
 )
+from repro.graphs.generators import grid_2d
 from repro.metric.graph_metric import GraphMetric
 from repro.observability.trace import replay
 from repro.pipeline.context import BuildContext
@@ -300,3 +301,20 @@ class TestCompiler:
         first = context.compiled(scheme)
         second = context.compiled(scheme)
         assert first is second
+
+    def test_context_keys_compiled_by_vicinity(self, params):
+        # Two landmark schemes that differ only in vicinity size must
+        # never share compiled tables.
+        context = BuildContext()
+        metric = context.metric(grid_2d(6))
+        small = context.scheme(
+            LandmarkNameIndependentScheme, metric, params, vicinity_size=4
+        )
+        default = context.scheme(LandmarkNameIndependentScheme, metric, params)
+        small_keys = context.compiled(small).arrays["VIC_KEY"]
+        default_keys = context.compiled(default).arrays["VIC_KEY"]
+        assert not np.array_equal(small_keys, default_keys)
+        assert np.array_equal(small_keys, small.compile_tables().arrays["VIC_KEY"])
+        assert np.array_equal(
+            default_keys, default.compile_tables().arrays["VIC_KEY"]
+        )

@@ -1,9 +1,12 @@
 """Tests for the Internet-scale landmark name-independent scheme."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.core.types import PreprocessingError, RouteFailure
+from repro.engine import BatchRouter
 from repro.graphs.generators import (
     exponential_path,
     grid_2d,
@@ -173,3 +176,80 @@ class TestLazyAcceptance:
             assert result.path[-1] == int(v)
         rows = int(metric.substrate_stats()["rows_materialized"])
         assert rows < n // 4, f"materialized {rows} rows at n={n}"
+
+
+def _loop_tree_depth(landmark_pred: np.ndarray) -> int:
+    """Reference: the per-node chain walk over every landmark tree."""
+    depth_max = 0
+    n = landmark_pred.shape[1]
+    for row in landmark_pred:
+        depth = np.zeros(n, dtype=np.int64)
+        seen = np.zeros(n, dtype=bool)
+        for v in range(n):
+            chain = []
+            x = v
+            while not seen[x] and row[x] >= 0:
+                chain.append(x)
+                x = int(row[x])
+            base = depth[x]
+            for i, node in enumerate(reversed(chain), start=1):
+                depth[node] = base + i
+                seen[node] = True
+            seen[x] = True
+        depth_max = max(depth_max, int(depth.max()))
+    return depth_max
+
+
+@pytest.fixture(scope="module")
+def power_law_scheme():
+    metric = GraphMetric(
+        preferential_attachment(600, m=2, seed=1), strategy="lazy"
+    )
+    naming = list(np.random.default_rng(5).permutation(metric.n))
+    return LandmarkNameIndependentScheme(metric, naming=naming), metric
+
+
+class TestVicinityTables:
+    def test_entries_match_per_pair_definition(self, power_law_scheme):
+        # Built from one size-bounded search per node; checked against
+        # per-pair queries on a separate metric.
+        scheme, metric = power_law_scheme
+        reference = GraphMetric(metric.graph.copy(), strategy="lazy")
+        size = math.isqrt(metric.n - 1) + 1
+        for u in metric.nodes:
+            expected = sorted(
+                (
+                    scheme.name_of(v),
+                    v,
+                    scheme.home_landmark(v),
+                    reference.next_hop(u, v),
+                )
+                for v in reference.size_ball(u, size)
+                if v != u
+            )
+            assert scheme.vicinity_entries(u) == expected
+            assert scheme.vicinity_names(u) == [e[0] for e in expected]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [grid_2d(6), exponential_path(20), random_geometric(60, seed=4)],
+        ids=["grid", "exp-path", "geometric"],
+    )
+    def test_tree_depth_matches_per_node_walk(self, graph):
+        scheme = LandmarkNameIndependentScheme(GraphMetric(graph))
+        assert scheme._tree_depth == _loop_tree_depth(scheme._landmark_pred)
+
+    def test_tree_depth_matches_on_power_law(self, power_law_scheme):
+        scheme, _ = power_law_scheme
+        assert scheme._tree_depth == _loop_tree_depth(scheme._landmark_pred)
+
+    def test_single_node_vicinities_are_empty(self):
+        metric = GraphMetric(grid_2d(3))
+        scheme = LandmarkNameIndependentScheme(metric, vicinity_size=1)
+        assert all(scheme.vicinity_entries(u) == [] for u in metric.nodes)
+        router = BatchRouter(scheme.compile_tables(), metric=metric)
+        for u in metric.nodes:
+            for v in metric.nodes:
+                result = scheme.route(u, v)
+                assert result.path[-1] == v
+                assert router.route(u, v) == result

@@ -11,19 +11,25 @@ mutation, double-sweep diameter bound, pickling of materialized rows).
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
 
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 
+from repro.chaos.audit import CorruptionInjector
 from repro.core.edits import EditKind, GraphEdit, apply_edit_to_graph
+from repro.core.types import RouteFailure
 from repro.graphs.generators import (
     exponential_path,
     grid_2d,
     grid_with_holes,
+    preferential_attachment,
     random_geometric,
+    uniform_random_weights,
 )
 from repro.metric.graph_metric import DISTANCE_SLACK, GraphMetric
 from repro.metric.substrate import (
@@ -145,6 +151,96 @@ def test_next_hops_and_paths_match(metric_pair):
         u = rng.randrange(dense.n)
         v = rng.randrange(dense.n)
         assert dense.shortest_path(u, v) == lazy.shortest_path(u, v)
+
+
+# ----------------------------------------------------------------------
+# Vectorized first hops and the directed search
+# ----------------------------------------------------------------------
+
+#: The fixtures plus random-weight and tie-heavy graphs for the
+#: first-hop and directed-search references.
+HOP_FAMILIES = {
+    **FAMILIES,
+    "weighted-grid": lambda: uniform_random_weights(grid_2d(7), seed=5),
+    "weighted-geometric": lambda: uniform_random_weights(
+        random_geometric(40, seed=4), seed=6
+    ),
+    "tie-grid": lambda: grid_2d(9, 4),
+    "power-law": lambda: preferential_attachment(60, m=2, seed=3),
+}
+
+
+def _chain_walk_hops(pred: np.ndarray, source: int) -> list:
+    """Reference first hops: walk each predecessor chain toward source."""
+    hops = []
+    for v in range(pred.shape[0]):
+        node = v
+        while node != source and int(pred[node]) != source:
+            node = int(pred[node])
+        hops.append(node)
+    return hops
+
+
+def test_next_hops_from_equals_chain_walk(metric_pair):
+    for metric in metric_pair:
+        for u in metric.nodes:
+            expected = _chain_walk_hops(metric.predecessors_from(u), u)
+            assert metric.next_hops_from(u).tolist() == expected
+
+
+@pytest.mark.parametrize("family", sorted(HOP_FAMILIES))
+def test_next_hop_on_partial_rows_equals_chain_walk(family):
+    graph = HOP_FAMILIES[family]()
+    reference = GraphMetric(graph, strategy="dense")
+    lazy = GraphMetric(graph.copy(), strategy="lazy")
+    near = math.isqrt(lazy.n - 1) + 1
+    expected = {
+        u: _chain_walk_hops(reference.predecessors_from(u), u)
+        for u in reference.nodes
+    }
+    # Near targets first: most of these are answered from partial rows.
+    for u in lazy.nodes:
+        for v in reference.size_ball(u, near):
+            assert lazy.next_hop(u, v) == expected[u][v]
+    assert lazy.substrate_stats()["rows_materialized"] < lazy.n // 2
+    for u in lazy.nodes:
+        for v in lazy.nodes:
+            assert lazy.next_hop(u, v) == expected[u][v]
+
+
+@pytest.mark.parametrize("strategy", ["dense", "lazy"])
+@pytest.mark.parametrize("family", sorted(HOP_FAMILIES))
+def test_size_ball_with_hops_matches_per_member_queries(family, strategy):
+    graph = HOP_FAMILIES[family]()
+    metric = GraphMetric(graph, strategy=strategy)
+    reference = GraphMetric(graph.copy(), strategy="dense")
+    n = metric.n
+    for size in sorted({1, math.isqrt(n - 1) + 1, n // 2, n}):
+        for u in metric.nodes:
+            ids, dists, hops = metric.size_ball_with_hops(u, size)
+            members = reference.size_ball(u, size)
+            assert ids.tolist() == members
+            assert dists.tolist() == [reference.distance(u, v) for v in members]
+            assert hops.tolist() == [reference.next_hop(u, v) for v in members]
+    with pytest.raises(ValueError):
+        metric.size_ball_with_hops(0, 0)
+
+
+@pytest.mark.parametrize("family", sorted(HOP_FAMILIES))
+def test_directed_search_on_symmetric_csr_matches_undirected(family):
+    # _csr() stores both directions of every edge, so the directed
+    # search relaxes exactly the edges the undirected one does, in the
+    # same order, without scipy's per-call transpose.
+    matrix = GraphMetric(HOP_FAMILIES[family](), strategy="lazy")._csr()
+    for limit in (np.inf, 3.0, 7.5):
+        undirected = dijkstra(
+            matrix, directed=False, return_predecessors=True, limit=limit
+        )
+        directed = dijkstra(
+            matrix, directed=True, return_predecessors=True, limit=limit
+        )
+        assert np.array_equal(undirected[0], directed[0])
+        assert np.array_equal(undirected[1], directed[1])
 
 
 def test_digests_diameter_and_scalars_match(metric_pair):
@@ -333,6 +429,18 @@ def test_mutable_row_feeds_derived_caches(strategy):
     assert 7 in metric.ball(3, reference.distances_from(3)[7] * 10.0)
     metric.splice_rows([3])
     assert metric.row_digest(3) == before
+
+
+@pytest.mark.parametrize("strategy", ["dense", "lazy"])
+def test_corrupted_predecessor_cycle_raises_route_failure(strategy):
+    # The injected predecessor write closes a cycle; the first-hop pass
+    # must stop and name the source instead of walking it forever.
+    metric = GraphMetric(grid_2d(6), strategy=strategy)
+    CorruptionInjector(seed=0).corrupt(metric, [7])
+    with pytest.raises(RouteFailure, match="source 7"):
+        metric.next_hop(7, 18)
+    metric.splice_rows([7])
+    assert metric.next_hop(7, 18) == GraphMetric(grid_2d(6)).next_hop(7, 18)
 
 
 def test_lazy_mutable_row_is_copy_on_write():
