@@ -271,6 +271,13 @@ class _TreeRouterPack:
         self.slot_vals: List[int] = []
 
     def add(self, router) -> int:
+        from repro.trees.tree_router import TreeRouter
+
+        if not isinstance(router, TreeRouter):
+            raise EngineUnsupported(
+                "the engine lowers only DFS-interval TreeRouter trees, "
+                f"not {type(router).__name__}"
+            )
         tid = len(self.roots)
         tree = router.tree
         slot_of: Dict[int, int] = {}

@@ -16,23 +16,24 @@ and provides:
   any target, with least-id tie-breaking so that every node's view of
   shortest paths is globally consistent.
 
-Since the substrate refactor, ``GraphMetric`` is a *facade* over two
-interchangeable distance strategies (see :mod:`repro.metric.substrate`):
+``GraphMetric`` is a *facade* over one per-source row store (see
+:mod:`repro.metric.substrate`), filled one of two ways:
 
-* ``strategy="dense"`` — the original eager O(n²) APSP matrix, selected
-  automatically for ``n <= DENSE_NODE_LIMIT``;
-* ``strategy="lazy"`` — a CSR adjacency core whose per-source rows are
-  materialized on demand into a budgeted LRU row store, with
-  radius-/size-bounded searches so ball and size-radius queries never
-  touch nodes beyond the queried ball.
+* ``strategy="dense"`` — every row solved up front by one batched
+  Dijkstra and kept resident, selected automatically for
+  ``n <= DENSE_NODE_LIMIT``;
+* ``strategy="lazy"`` — rows materialized on demand into a budgeted LRU
+  store, with radius-/size-bounded searches so ball and size-radius
+  queries never touch nodes beyond the queried ball.
 
-Both strategies answer every query byte-identically (a property suite in
-``tests/test_substrate.py`` enforces this on all fixtures); ``lazy``
-additionally scales to n = 10⁴ and beyond because nothing ever allocates
-an n×n matrix.  The only documented divergence is :attr:`diameter` above
-``EXACT_DIAMETER_LIMIT`` nodes, where the lazy strategy reports an
-iterated double-sweep *lower bound* (exact on trees, >= Δ/2 in general)
-instead of paying n full searches.
+Every query has one implementation, so both fillings answer
+byte-identically (``tests/test_substrate.py`` also holds them to an
+independent oracle on all fixtures); ``lazy`` scales to n = 10⁴ and
+beyond because nothing ever allocates an n×n matrix.  The only
+documented divergence is :attr:`diameter` above
+``EXACT_DIAMETER_LIMIT`` nodes when not every row is resident: the lazy
+filling then reports an iterated double-sweep *lower bound* (exact on
+trees, >= Δ/2 in general) instead of paying n full searches.
 
 Nodes must be (or are relabelled to) ``0 .. n-1`` integers.
 """
@@ -45,7 +46,6 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from repro.core.edits import EditKind, GraphEdit
 from repro.core.types import NodeId, PreprocessingError
@@ -54,7 +54,6 @@ from repro.metric.substrate import (
     DENSE_NODE_LIMIT,
     DISTANCE_SLACK,
     EXACT_DIAMETER_LIMIT,
-    DenseStrategy,
     LazyStrategy,
 )
 
@@ -65,8 +64,6 @@ __all__ = [
     "GraphMetric",
     "stretch_of",
 ]
-
-_ROW_CHUNK = 256
 
 
 class GraphMetric:
@@ -79,9 +76,9 @@ class GraphMetric:
         normalize: If ``True`` (default), divide all weights by the minimum
             edge weight so the smallest distance is 1, matching the paper's
             normalization (``Δ = max d(u, v)``).
-        strategy: ``"dense"`` (eager APSP), ``"lazy"`` (bounded-search
-            row store), or ``"auto"`` (default: dense iff
-            ``n <= DENSE_NODE_LIMIT``).
+        strategy: ``"dense"`` (every row solved up front), ``"lazy"``
+            (rows on demand, bounded searches), or ``"auto"`` (default:
+            dense iff ``n <= DENSE_NODE_LIMIT``).
         row_budget_bytes: LRU byte budget for lazily materialized rows
             (lazy strategy only; default ``DEFAULT_ROW_BUDGET_BYTES``).
 
@@ -115,13 +112,8 @@ class GraphMetric:
         self._n = graph.number_of_nodes()
         self._normalize = normalize
 
-        weights = [
-            float(data.get("weight", 1.0))
-            for _, _, data in graph.edges(data=True)
-        ]
-        if any(w <= 0 for w in weights):
-            raise PreprocessingError("edge weights must be positive")
-        self._scale = min(weights) if (normalize and weights) else 1.0
+        edges = _edge_array(graph)
+        self._scale = _scale_of(edges, normalize)
 
         self._row_budget = (
             DEFAULT_ROW_BUDGET_BYTES
@@ -130,36 +122,38 @@ class GraphMetric:
         )
         if strategy == "auto":
             strategy = "dense" if self._n <= DENSE_NODE_LIMIT else "lazy"
-        matrix = self._csr()
         if strategy == "dense":
-            self._strategy = DenseStrategy(matrix, self._n)
-            self._diameter: Optional[float] = (
-                float(self._strategy._dist.max()) if self._n > 1 else 1.0
-            )
-            self._diameter_exact = True
+            self._strategy = LazyStrategy.filled(self._csr(edges), self._n)
         else:
             self._strategy = LazyStrategy(
-                matrix, self._n, budget_bytes=self._row_budget
+                self._csr(edges), self._n, budget_bytes=self._row_budget
             )
-            # Computed on first access — a lazy metric that never needs
-            # the diameter never pays for it.
-            self._diameter = None
-            self._diameter_exact = self._n <= EXACT_DIAMETER_LIMIT
+        # Computed on first access — a metric that never needs the
+        # diameter never pays for it.
+        self._diameter: Optional[float] = None
+        self._diameter_exact = self._n <= EXACT_DIAMETER_LIMIT
 
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------
 
-    def _csr(self) -> csr_matrix:
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
-        for u, v, data in self._graph.edges(data=True):
-            w = float(data.get("weight", 1.0)) / self._scale
-            rows.extend((u, v))
-            cols.extend((v, u))
-            vals.extend((w, w))
-        return csr_matrix((vals, (rows, cols)), shape=(self._n, self._n))
+    def _csr(self, edges: Optional[np.ndarray] = None) -> csr_matrix:
+        """Normalized adjacency, both directions of every edge.
+
+        Entries go in ``graph.edges`` order, ``(u, v)`` before
+        ``(v, u)``: that order fixes Dijkstra's predecessor tie-breaking.
+        """
+        if edges is None:
+            edges = _edge_array(self._graph)
+        u = edges[:, 0].astype(np.int64)
+        v = edges[:, 1].astype(np.int64)
+        return csr_matrix(
+            (
+                np.repeat(edges[:, 2] / self._scale, 2),
+                (np.column_stack((u, v)).ravel(), np.column_stack((v, u)).ravel()),
+            ),
+            shape=(self._n, self._n),
+        )
 
     # ------------------------------------------------------------------
     # Strategy introspection
@@ -178,24 +172,12 @@ class GraphMetric:
     def substrate_stats(self) -> Dict[str, object]:
         """Row-store counters: rows materialized, hits/misses, bytes.
 
-        Dense metrics report ``rows_materialized = n`` (the eager APSP
-        materializes everything up front); lazy metrics report exactly
-        the full rows ever solved — the acceptance counter behind
+        ``rows_materialized`` counts the full rows this metric ever
+        solved: ``n`` for a freshly built dense metric (every row up
+        front), and for lazy metrics the acceptance counter behind
         "builds at n = 10⁴ with rows materialized ≪ n".
         """
         return self._strategy.stats()
-
-    # -- dense-only raw views (tests, chaos injector back-compat) ------
-
-    @property
-    def _dist(self) -> np.ndarray:
-        """Full distance matrix — dense strategy only."""
-        return self._strategy._dist
-
-    @property
-    def _pred(self) -> np.ndarray:
-        """Full predecessor matrix — dense strategy only."""
-        return self._strategy._pred
 
     # ------------------------------------------------------------------
     # Incremental maintenance (churn pipeline)
@@ -262,13 +244,13 @@ class GraphMetric:
         be this metric's own graph object (see :meth:`detach_graph`);
         this metric stays a coherent snapshot of the pre-edit network.
 
-        Only the dirty rows are re-run through Dijkstra; clean rows
-        (distances, predecessors, and their lazily built per-source
-        caches — for lazy metrics, the row-store entries themselves)
-        are spliced from this metric, and the result is bit-identical to
-        ``GraphMetric(post_graph)`` built cold.  Edits that change the
-        node set or the normalization scale dirty everything and fall
-        back to a cold build.
+        Only the candidate rows are re-run through Dijkstra; clean rows
+        (the row-store entries themselves, with their lazily built
+        sorted views and first hops) are shared with this metric, and
+        the result is bit-identical to ``GraphMetric(post_graph)``
+        built cold.  Edits that change the node set or the
+        normalization scale dirty everything and fall back to a cold
+        build.
         """
         if post_graph is self._graph:
             raise PreprocessingError(
@@ -283,122 +265,26 @@ class GraphMetric:
         if edit.changes_node_set:
             rebuilt = GraphMetric(post_graph, **rebuild_kwargs)
             return rebuilt, frozenset(range(rebuilt.n))
-        weights = [
-            float(data.get("weight", 1.0))
-            for _, _, data in post_graph.edges(data=True)
-        ]
-        if any(w <= 0 for w in weights):
-            raise PreprocessingError("edge weights must be positive")
-        new_scale = min(weights) if (self._normalize and weights) else 1.0
-        if new_scale != self._scale:
+        edges = _edge_array(post_graph)
+        if _scale_of(edges, self._normalize) != self._scale:
             # The normalization divisor changed: every normalized
             # distance in the matrix is scaled, so nothing is reusable.
             rebuilt = GraphMetric(post_graph, **rebuild_kwargs)
             return rebuilt, frozenset(range(rebuilt.n))
 
-        mask = self._dirty_sources(edit)
-        candidates = np.nonzero(mask)[0]
-
+        candidates = np.nonzero(self._dirty_sources(edit))[0]
         new = object.__new__(GraphMetric)
         new._graph = post_graph
         new._n = self._n
         new._normalize = self._normalize
         new._scale = self._scale
         new._row_budget = self._row_budget
-        new_matrix = new._csr()
-        if self._strategy.kind == "dense":
-            dirty_set = self._updated_dense(new, new_matrix, candidates)
-        else:
-            dirty_set = self._updated_lazy(new, new_matrix, candidates)
-        self._strategy.carry_into(new._strategy, dirty_set)
-        return new, dirty_set
-
-    def _updated_dense(
-        self,
-        new: "GraphMetric",
-        new_matrix: csr_matrix,
-        candidates: np.ndarray,
-    ) -> FrozenSet[NodeId]:
-        old = self._strategy
-        sub_dist, sub_pred = dijkstra(
-            new_matrix,
-            directed=True,
-            indices=candidates,
-            return_predecessors=True,
-        )
-        if not np.all(np.isfinite(sub_dist)):
-            raise PreprocessingError("edit disconnected the graph")
-        new_dist = old._dist.copy()
-        new_dist[candidates] = sub_dist
-        new_pred = old._pred.copy()
-        new_pred[candidates] = sub_pred
-        # The tie-inclusive mask is conservative; on tie-heavy graphs
-        # (unit-weight grids) it can flag nearly every source.  The
-        # recomputed rows are in hand, so the *exact* dirty set is
-        # cheap: a candidate whose new relaxation trace (distances and
-        # predecessors) is bit-identical to the old row never changed —
-        # every artifact keyed to it is still exact.
-        changed = (sub_dist != old._dist[candidates]).any(axis=1) | (
-            sub_pred != old._pred[candidates]
-        ).any(axis=1)
-        new._strategy = DenseStrategy.from_matrices(new_dist, new_pred)
-        new._diameter = float(new_dist.max()) if new._n > 1 else 1.0
-        new._diameter_exact = True
-        return frozenset(int(s) for s in candidates[changed])
-
-    def _updated_lazy(
-        self,
-        new: "GraphMetric",
-        new_matrix: csr_matrix,
-        candidates: np.ndarray,
-    ) -> FrozenSet[NodeId]:
-        old = self._strategy
-        new._strategy = LazyStrategy(
-            new_matrix, self._n, budget_bytes=self._row_budget
+        new._strategy, dirty = self._strategy.updated(
+            new._csr(edges), candidates
         )
         new._diameter = None
         new._diameter_exact = self._n <= EXACT_DIAMETER_LIMIT
-        dirty: List[int] = []
-        was_cached = {s for s, _ in old.store.items()}
-        for start in range(0, candidates.shape[0], _ROW_CHUNK):
-            chunk = candidates[start : start + _ROW_CHUNK]
-            new_dist, new_pred = dijkstra(
-                new_matrix,
-                directed=True,
-                indices=chunk,
-                return_predecessors=True,
-            )
-            if not np.all(np.isfinite(new_dist)):
-                raise PreprocessingError("edit disconnected the graph")
-            # Old rows: prefer the stored row (what this snapshot's
-            # readers actually see), recompute the rest in one batch.
-            cached_rows: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-            missing: List[int] = []
-            for s in chunk:
-                entry = old.store.get(int(s))
-                if entry is not None and entry.full:
-                    cached_rows[int(s)] = (entry.dist, entry.pred)
-                else:
-                    missing.append(int(s))
-            if missing:
-                miss_dist, miss_pred = dijkstra(
-                    old._matrix,
-                    directed=True,
-                    indices=np.asarray(missing, dtype=np.int64),
-                    return_predecessors=True,
-                )
-                for i, s in enumerate(missing):
-                    cached_rows[s] = (miss_dist[i], miss_pred[i])
-            for i, s in enumerate(chunk):
-                old_d, old_p = cached_rows[int(s)]
-                if (new_dist[i] != old_d).any() or (new_pred[i] != old_p).any():
-                    dirty.append(int(s))
-                    if int(s) in was_cached:
-                        # Hot source: keep it materialized post-edit.
-                        new._strategy.adopt_row(
-                            int(s), new_dist[i].copy(), new_pred[i].copy()
-                        )
-        return frozenset(dirty)
+        return new, dirty
 
     # ------------------------------------------------------------------
     # Table-integrity auditing (chaos subsystem)
@@ -421,9 +307,9 @@ class GraphMetric:
         The chaos fault injector's entry point: it mutates stored table
         state in place, deliberately bypassing the query API.  Call
         :meth:`invalidate_derived` afterwards so derived caches (sorted
-        views, next hops) are rebuilt from the corrupted values.  On the
-        lazy strategy the row is copied first (copy-on-write), so
-        snapshots sharing the entry never see the mutation.
+        views, next hops) are rebuilt from the corrupted values.  The
+        row is copied first (copy-on-write), so snapshots sharing the
+        entry never see the mutation.
         """
         return self._strategy.mutable_row(u)
 
@@ -451,9 +337,8 @@ class GraphMetric:
                 f"sources must be node ids in [0, {self._n})"
             )
         self._strategy.splice_rows(rows, self._csr())
-        if self._strategy.kind == "dense" and self._n > 1:
-            # Corrupted entries may have inflated the cached diameter.
-            self._diameter = float(self._strategy._dist.max())
+        # Corrupted rows may have inflated the cached diameter.
+        self._diameter = None
 
     # ------------------------------------------------------------------
     # Basic metric queries
@@ -488,8 +373,8 @@ class GraphMetric:
     def diameter(self) -> float:
         """Largest shortest-path distance (= normalized diameter Δ).
 
-        Dense metrics (and lazy ones up to ``EXACT_DIAMETER_LIMIT``
-        nodes) report the exact value; larger lazy metrics report the
+        Exact whenever every row is resident (dense metrics) or
+        ``n <= EXACT_DIAMETER_LIMIT``; larger lazy metrics report the
         iterated double-sweep lower bound (see
         ``LazyStrategy.diameter_estimate``) — check
         :attr:`diameter_is_exact`.
@@ -528,7 +413,7 @@ class GraphMetric:
     def distances_from(self, u: NodeId) -> np.ndarray:
         """Vector of distances from ``u`` to every node.
 
-        On the lazy strategy this materializes (and caches) the full
+        On a lazy metric this materializes (and caches) the full
         row; prefer the bounded queries (``ball_with_distances``,
         ``nearest_among``, ``max_distance_to``) when only part of the
         row is needed.
@@ -732,9 +617,9 @@ class GraphMetric:
     def __getstate__(self) -> Dict[str, object]:
         """Pickle the graph plus only *materialized* row state.
 
-        Dense strategies store their matrices; lazy strategies store
-        just the full rows currently in the LRU (partial searches and
-        derived views are recomputed on demand after unpickling).
+        The full rows currently in the store are kept (all of them on a
+        dense metric); partial searches and derived views are
+        recomputed on demand after unpickling.
         """
         return {
             "graph": self._graph,
@@ -744,7 +629,6 @@ class GraphMetric:
             "diameter": self._diameter,
             "diameter_exact": self._diameter_exact,
             "row_budget": self._row_budget,
-            "strategy_kind": self._strategy.kind,
             "strategy_state": self._strategy.state(),
         }
 
@@ -756,14 +640,9 @@ class GraphMetric:
         self._diameter = state["diameter"]
         self._diameter_exact = state["diameter_exact"]
         self._row_budget = state["row_budget"]
-        if state["strategy_kind"] == "dense":
-            self._strategy = DenseStrategy.restore(
-                state["strategy_state"], self._n
-            )
-        else:
-            self._strategy = LazyStrategy.restore(
-                state["strategy_state"], self._csr(), self._n
-            )
+        self._strategy = LazyStrategy.restore(
+            state["strategy_state"], self._csr(), self._n
+        )
 
     def __repr__(self) -> str:
         diameter = self._diameter
@@ -772,6 +651,26 @@ class GraphMetric:
             f"GraphMetric(n={self._n}, diameter={shown}, "
             f"edges={self._graph.number_of_edges()})"
         )
+
+
+def _edge_array(graph: nx.Graph) -> np.ndarray:
+    """``(m, 3)`` float rows ``u, v, weight`` in ``graph.edges`` order."""
+    flat = np.fromiter(
+        (
+            x
+            for u, v, data in graph.edges(data=True)
+            for x in (u, v, data.get("weight", 1.0))
+        ),
+        np.float64,
+    )
+    return flat.reshape(-1, 3)
+
+
+def _scale_of(edges: np.ndarray, normalize: bool) -> float:
+    """The normalization divisor: the least edge weight, or 1.0."""
+    if (edges[:, 2] <= 0).any():
+        raise PreprocessingError("edge weights must be positive")
+    return float(edges[:, 2].min()) if normalize and len(edges) else 1.0
 
 
 def stretch_of(metric: GraphMetric, path: Sequence[NodeId]) -> Tuple[float, float]:

@@ -1,33 +1,34 @@
-"""Two-tier distance substrate: dense eager APSP vs lazy bounded search.
+"""The distance substrate: one per-source row store behind ``GraphMetric``.
 
 :class:`~repro.metric.graph_metric.GraphMetric` used to *be* the dense
 eager APSP matrix — O(n²) memory and O(n · m log n) preprocessing before
 the first query, which caps every experiment at a few hundred nodes.
 The paper's constructions, however, only ever consult *balls*
 ``B_u(r)``, *size-radii* ``r_u(j)``, and next hops along canonical
-shortest paths — all answerable from bounded single-source searches.
+shortest paths — all answerable from single-source searches, so the
+eager APSP is just a row store with every row resident.
 
-This module provides the two interchangeable strategies behind the
-``GraphMetric`` facade:
+:class:`LazyStrategy` is that store: a CSR adjacency core plus a
+:class:`RowStore` of per-source rows, with one implementation of every
+query.  It comes in two fillings:
 
-* :class:`DenseStrategy` — the original eager APSP (scipy Dijkstra, full
-  distance + predecessor matrices).  Selected automatically for small
-  ``n``; every answer is byte-for-byte what the pre-refactor code
-  produced.
-* :class:`LazyStrategy` — a CSR adjacency core with per-source rows
-  materialized on demand into a budgeted LRU :class:`RowStore`.
-  Radius-bounded and size-bounded queries run *limit*-bounded Dijkstra
-  (``scipy.sparse.csgraph.dijkstra(limit=...)``) and never touch nodes
-  beyond the queried ball, so ``ball`` / ``ball_size`` / ``size_radius``
-  / ``r_u`` / ``nearest_in`` never materialize a full row.
+* ``"lazy"`` — rows are materialized on demand into a budgeted LRU
+  store.  Radius-bounded and size-bounded queries run *limit*-bounded
+  Dijkstra (``scipy.sparse.csgraph.dijkstra(limit=...)``) and never
+  touch nodes beyond the queried ball, so ``ball`` / ``ball_size`` /
+  ``size_radius`` / ``r_u`` / ``nearest_in`` never materialize a full
+  row.
+* ``"dense"`` — every row comes from one batched scipy Dijkstra at
+  construction into an unbounded store that never evicts (selected
+  automatically for small ``n``).  Every query then answers straight
+  from a resident full row.
 
-Bit-identity between the strategies rests on a property of Dijkstra
-with a radius cutoff: every node settled by a bounded run carries
-exactly the distance *and predecessor* the unbounded run assigns it,
-and a run with ``limit = L`` settles precisely the nodes with
-``d(u, v) <= L``.  The strategy-equivalence suite in
-``tests/test_substrate.py`` holds both strategies to byte equality on
-every fixture.
+Bit-identity between the fillings rests on a property of Dijkstra with
+a radius cutoff: every node settled by a bounded run carries exactly
+the distance *and predecessor* the unbounded run assigns it, and a run
+with ``limit = L`` settles precisely the nodes with ``d(u, v) <= L``.
+``tests/test_substrate.py`` holds both fillings to byte equality with
+each other and with an independent oracle on every fixture.
 
 Floating-point comparisons throughout use :data:`DISTANCE_SLACK`, the
 same absolute tolerance the dense code always used (re-exported from
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -50,9 +51,9 @@ from repro.core.types import NodeId, PreprocessingError, RouteFailure
 #: weights are >= 1 after normalization, so an absolute epsilon is safe.
 DISTANCE_SLACK = 1e-9
 
-#: ``strategy="auto"`` picks dense at or below this node count.  Small
-#: graphs are cheaper to solve eagerly than to manage a row store for,
-#: and every pre-refactor workload (n <= 256) stays byte-identical.
+#: ``strategy="auto"`` fills the store up front (dense) at or below
+#: this node count: small graphs are cheaper to solve in one batched
+#: search than to answer with many bounded ones.
 DENSE_NODE_LIMIT = 512
 
 #: Default LRU budget for lazily materialized rows (bytes of row-array
@@ -91,6 +92,11 @@ class _Row:
     memoizes this source's first hops (aligned with ``ids`` on partial
     rows), so one eviction or splice drops them together with the
     distances they came from.
+
+    ``order``/``sorted_dist`` (the ``(distance, id)`` view) and ``ecc``
+    (a full row's maximum) are derived on first use, so a row replaced
+    before anyone reads it never pays for its sort; ``nbytes`` charges
+    the sorted view from the start.
     """
 
     __slots__ = (
@@ -99,6 +105,7 @@ class _Row:
         "pred",
         "order",
         "sorted_dist",
+        "ecc",
         "limit",
         "full",
         "hops",
@@ -118,28 +125,31 @@ class _Row:
         self.pred = pred
         self.limit = limit
         self.full = full
-        self.hops: Optional[np.ndarray] = None
-        self.order, self.sorted_dist = _lexsorted_view(dist, ids)
+        self.hops = self.order = self.sorted_dist = self.ecc = None
+        # dist + pred + the sorted copy of dist + the int64 order, which
+        # is as large as the float64 distances (+ ids).
         self.nbytes = (
-            dist.nbytes
-            + pred.nbytes
-            + self.order.nbytes
-            + self.sorted_dist.nbytes
-            + (0 if ids is None else ids.nbytes)
+            3 * dist.nbytes + pred.nbytes + (0 if ids is None else ids.nbytes)
         )
+
+    def _sort(self) -> None:
+        self.order, self.sorted_dist = _lexsorted_view(self.dist, self.ids)
+
+    def eccentricity(self) -> float:
+        """Largest distance on a full row."""
+        if self.ecc is None:
+            self.ecc = float(self.dist.max())
+        return self.ecc
 
     @property
     def settled(self) -> int:
         return self.dist.shape[0]
 
-    def covers_radius(self, need: float) -> bool:
-        return self.full or self.limit >= need
-
     def lookup(self, v: NodeId) -> Tuple[float, int]:
         """``(distance, predecessor)`` of ``v`` or ``(inf, -1)``."""
         if self.full:
             return float(self.dist[v]), int(self.pred[v])
-        pos = int(np.searchsorted(self.ids, v))
+        pos = int(self.ids.searchsorted(v))
         if pos < self.ids.shape[0] and self.ids[pos] == v:
             return float(self.dist[pos]), int(self.pred[pos])
         return float("inf"), -1
@@ -148,7 +158,7 @@ class _Row:
         """Distances of ``targets`` (``inf`` where unsettled)."""
         if self.full:
             return self.dist[targets]
-        pos = np.searchsorted(self.ids, targets)
+        pos = self.ids.searchsorted(targets)
         pos_clipped = np.minimum(pos, self.ids.shape[0] - 1)
         valid = self.ids[pos_clipped] == targets
         out = np.full(targets.shape[0], np.inf)
@@ -157,31 +167,47 @@ class _Row:
 
     def prefix(self, count: int) -> Tuple[np.ndarray, np.ndarray]:
         """First ``count`` nodes by ``(distance, id)`` plus distances."""
+        if self.order is None:
+            self._sort()
         idx = self.order[:count]
         ids = idx if self.ids is None else self.ids[idx]
         return ids, self.sorted_dist[:count]
 
     def sorted_entry(self, rank: int) -> float:
+        if self.order is None:
+            self._sort()
         return float(self.sorted_dist[rank])
+
+    def count_within(self, radius: float) -> int:
+        """Number of settled nodes with distance ``<= radius``."""
+        if self.order is None:
+            self._sort()
+        # The array methods skip np.searchsorted's dispatch wrapper,
+        # which costs more than the search itself on a per-query path.
+        return int(self.sorted_dist.searchsorted(radius, "right"))
 
 
 class RowStore:
-    """Budgeted LRU cache of per-source :class:`_Row` entries.
+    """Per-source :class:`_Row` entries, LRU-evicted within a byte budget.
 
     Eviction is by least-recent *access*; the byte budget covers the
     entries' distance, predecessor and order arrays (first-hop memos
     ride along uncharged and die with the rows they annotate).  A single
     row is always admitted even when it alone exceeds the budget, so
-    queries never livelock.
+    queries never livelock.  ``budget_bytes=None`` makes the store
+    unbounded: nothing is ever evicted, so there is no recency order to
+    keep and lookups skip the LRU touch.
     """
 
-    def __init__(self, budget_bytes: int) -> None:
-        self.budget_bytes = int(budget_bytes)
+    def __init__(self, budget_bytes: Optional[int]) -> None:
+        self.budget_bytes = None if budget_bytes is None else int(budget_bytes)
         self._entries: "OrderedDict[NodeId, _Row]" = OrderedDict()
         self.stored_bytes = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        if budget_bytes is None:
+            self.get = self._entries.get
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -201,6 +227,8 @@ class RowStore:
             self.stored_bytes -= old.nbytes
         self._entries[u] = entry
         self.stored_bytes += entry.nbytes
+        if self.budget_bytes is None:
+            return entry
         while self.stored_bytes > self.budget_bytes and len(self._entries) > 1:
             victim, dropped = self._entries.popitem(last=False)
             if victim == u:  # never evict the entry just inserted
@@ -211,17 +239,8 @@ class RowStore:
             self.evictions += 1
         return entry
 
-    def pop(self, u: NodeId) -> None:
-        entry = self._entries.pop(u, None)
-        if entry is not None:
-            self.stored_bytes -= entry.nbytes
-
     def items(self) -> Iterable[Tuple[NodeId, _Row]]:
         return list(self._entries.items())
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self.stored_bytes = 0
 
 
 def _row_digest_bytes(dist: np.ndarray, pred: np.ndarray) -> str:
@@ -266,230 +285,78 @@ def first_hops(parent: np.ndarray, root: int, source: NodeId) -> np.ndarray:
     return jump
 
 
-class DenseStrategy:
-    """Eager full-matrix APSP — the pre-refactor behavior, verbatim.
+def _solve(
+    matrix: csr_matrix,
+    indices: Optional[np.ndarray] = None,
+    disconnected: str = "graph must be connected",
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Full ``(dist, pred)`` rows of ``indices`` (all sources if None)."""
+    dist, pred = dijkstra(
+        matrix, directed=True, indices=indices, return_predecessors=True
+    )
+    if not np.all(np.isfinite(dist)):
+        raise PreprocessingError(disconnected)
+    return dist, pred
 
-    Holds the complete distance and predecessor matrices plus the
-    original per-source derived caches (lexsort order, sorted distances,
-    first-hop dicts).  Every query path is the code that used to live on
-    ``GraphMetric`` itself, so dense answers are byte-identical to the
-    pre-refactor library by construction.
-    """
 
-    kind = "dense"
-
-    def __init__(self, matrix: csr_matrix, n: int) -> None:
-        self._n = n
-        dist, pred = dijkstra(matrix, directed=True, return_predecessors=True)
-        if not np.all(np.isfinite(dist)):
-            raise PreprocessingError("graph must be connected")
-        self._dist = dist
-        self._pred = pred
-        self._order_cache: Dict[NodeId, np.ndarray] = {}
-        self._sorted_dist_cache: Dict[NodeId, np.ndarray] = {}
-        self._next_hop_cache: Dict[NodeId, np.ndarray] = {}
-
-    # -- construction without solving (updated()/unpickle paths) -------
-
-    @classmethod
-    def from_matrices(
-        cls, dist: np.ndarray, pred: np.ndarray
-    ) -> "DenseStrategy":
-        strategy = object.__new__(cls)
-        strategy._n = dist.shape[0]
-        strategy._dist = dist
-        strategy._pred = pred
-        strategy._order_cache = {}
-        strategy._sorted_dist_cache = {}
-        strategy._next_hop_cache = {}
-        return strategy
-
-    # -- queries --------------------------------------------------------
-
-    def distance(self, u: NodeId, v: NodeId) -> float:
-        return float(self._dist[u, v])
-
-    def row(self, u: NodeId) -> np.ndarray:
-        return self._dist[u]
-
-    def pred_row(self, u: NodeId) -> np.ndarray:
-        return self._pred[u]
-
-    def eccentricity(self, u: NodeId) -> float:
-        return float(self._dist[u].max())
-
-    def _order_from(self, u: NodeId) -> np.ndarray:
-        order = self._order_cache.get(u)
-        if order is None:
-            d = self._dist[u]
-            order = np.lexsort((np.arange(self._n), d))
-            self._order_cache[u] = order
-            self._sorted_dist_cache[u] = d[order]
-        return order
-
-    def ball_with_distances(
-        self, u: NodeId, r: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        order = self._order_from(u)
-        sorted_d = self._sorted_dist_cache[u]
-        count = int(np.searchsorted(sorted_d, r + DISTANCE_SLACK, "right"))
-        return order[:count], sorted_d[:count]
-
-    def ball_size(self, u: NodeId, r: float) -> int:
-        self._order_from(u)
-        sorted_d = self._sorted_dist_cache[u]
-        return int(np.searchsorted(sorted_d, r + DISTANCE_SLACK, "right"))
-
-    def size_radius(self, u: NodeId, size: int) -> float:
-        self._order_from(u)
-        return float(self._sorted_dist_cache[u][size - 1])
-
-    def size_ball(self, u: NodeId, size: int) -> np.ndarray:
-        order = self._order_from(u)
-        return order[:size]
-
-    def nearest_among(
-        self,
-        u: NodeId,
-        candidates: Sequence[NodeId],
-        tol: float = 0.0,
-        hint: Optional[float] = None,
-    ) -> NodeId:
-        d = self._dist[u]
-        if len(candidates) <= 64:
-            # Candidate lists from the search trees are tiny; a python
-            # scan beats the numpy round-trip by an order of magnitude.
-            if tol == 0.0:
-                return int(min(candidates, key=lambda x: (d[x], x)))
-            best = min(d[x] for x in candidates)
-            return int(min(x for x in candidates if d[x] <= best + tol))
-        targets = np.asarray(candidates, dtype=np.int64)
-        dt = d[targets]
-        best = dt.min()
-        return int(targets[dt <= best + tol].min())
-
-    def max_distance_to(
-        self,
-        u: NodeId,
-        among: Iterable[NodeId],
-        hint: Optional[float] = None,
-    ) -> float:
-        d = self._dist[u]
-        return float(max(d[x] for x in among))
-
-    def next_hops_from(self, u: NodeId) -> np.ndarray:
-        hops = self._next_hop_cache.get(u)
-        if hops is None:
-            hops = first_hops(self._pred[u], u, u)
-            self._next_hop_cache[u] = hops
-        return hops
-
-    def next_hop(self, u: NodeId, v: NodeId) -> NodeId:
-        return int(self.next_hops_from(u)[v])
-
-    def size_ball_with_hops(
-        self, u: NodeId, size: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ids = self._order_from(u)[:size]
-        return (
-            ids,
-            self._sorted_dist_cache[u][:size],
-            self.next_hops_from(u)[ids],
-        )
-
-    # -- maintenance ----------------------------------------------------
-
-    def row_digest(self, u: NodeId) -> str:
-        return _row_digest_bytes(self._dist[u], self._pred[u])
-
-    def splice_rows(self, rows: List[int], matrix: csr_matrix) -> None:
-        index = np.asarray(rows, dtype=np.int64)
-        sub_dist, sub_pred = dijkstra(
-            matrix, directed=True, indices=index, return_predecessors=True
-        )
-        if not np.all(np.isfinite(sub_dist)):
-            raise PreprocessingError("graph must be connected")
-        self._dist[index] = sub_dist
-        self._pred[index] = sub_pred
-        for s in rows:
-            self.invalidate_derived(s)
-
-    def mutable_row(self, u: NodeId) -> Tuple[np.ndarray, np.ndarray]:
-        return self._dist[u], self._pred[u]
-
-    def invalidate_derived(self, u: NodeId) -> None:
-        self._order_cache.pop(u, None)
-        self._sorted_dist_cache.pop(u, None)
-        self._next_hop_cache.pop(u, None)
-
-    def carry_into(
-        self, new: "DenseStrategy", dirty: frozenset
-    ) -> None:
-        new._order_cache = {
-            s: o for s, o in self._order_cache.items() if s not in dirty
-        }
-        new._sorted_dist_cache = {
-            s: sd
-            for s, sd in self._sorted_dist_cache.items()
-            if s not in dirty
-        }
-        new._next_hop_cache = {
-            s: h for s, h in self._next_hop_cache.items() if s not in dirty
-        }
-
-    def diameter_estimate(self) -> Tuple[float, bool]:
-        return float(self._dist.max()), True
-
-    # -- accounting / persistence --------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        return {
-            "strategy": "dense",
-            "rows_materialized": self._n,
-            "row_hits": 0,
-            "row_misses": 0,
-            "bounded_searches": 0,
-            "evictions": 0,
-            "stored_bytes": int(self._dist.nbytes + self._pred.nbytes),
-            "budget_bytes": None,
-        }
-
-    def state(self) -> Dict[str, object]:
-        return {"dist": self._dist, "pred": self._pred}
-
-    @classmethod
-    def restore(cls, state: Dict[str, object], n: int) -> "DenseStrategy":
-        return cls.from_matrices(state["dist"], state["pred"])
+def _nearest_on_row(
+    d: np.ndarray, candidates: Sequence[NodeId], tol: float
+) -> NodeId:
+    """Least-id candidate within ``tol`` of the nearest on a full row."""
+    if len(candidates) <= 64:
+        # Candidate lists from the search trees are tiny; a python
+        # scan beats the numpy round-trip by an order of magnitude.
+        if tol == 0.0:
+            return int(min(candidates, key=lambda x: (d[x], x)))
+        best = min(d[x] for x in candidates)
+        return int(min(x for x in candidates if d[x] <= best + tol))
+    targets = np.asarray(candidates, dtype=np.int64)
+    dt = d[targets]
+    best = dt.min()
+    return int(targets[dt <= best + tol].min())
 
 
 class LazyStrategy:
-    """CSR core + budgeted LRU row store + bounded searches.
+    """CSR core + per-source row store + bounded searches.
 
-    Full rows are materialized only when a caller genuinely needs one
-    (``distances_from``, ``row_digest``); balls, size-radii, and nearest
-    queries run limit-bounded Dijkstra and cache the partial solution.
-    An expanding-limit loop (doubling from a caller hint) serves queries
+    In the ``"lazy"`` filling, full rows are materialized only when a
+    caller genuinely needs one (``distances_from``, ``row_digest``);
+    balls, size-radii, and nearest queries run limit-bounded Dijkstra
+    and cache the partial solution in a budgeted LRU store.  An
+    expanding-limit loop (doubling from a caller hint) serves queries
     whose reach is not known in advance; since every retry at least
     doubles the limit, total work is within a constant factor of the
     final search.
-    """
 
-    kind = "lazy"
+    :meth:`filled` builds the ``"dense"`` filling: every row solved in
+    one batched call into an unbounded store, so every query finds its
+    full row resident and no search ever runs again.  A filled store
+    stays filled through :meth:`updated`, :meth:`splice_rows` and
+    pickling.
+    """
 
     def __init__(
         self,
         matrix: csr_matrix,
         n: int,
-        budget_bytes: int = DEFAULT_ROW_BUDGET_BYTES,
+        budget_bytes: Optional[int] = DEFAULT_ROW_BUDGET_BYTES,
     ) -> None:
         self._matrix = matrix
         self._n = n
         self.store = RowStore(budget_bytes)
+        self.kind = "lazy" if budget_bytes is not None else "dense"
         self.rows_materialized = 0
         self.bounded_searches = 0
         # Radius hints per size class (log2 bucket), warmed by earlier
         # size queries so repeated r_u(j) sweeps start near the answer.
         self._size_hints: Dict[int, float] = {}
+
+    @classmethod
+    def filled(cls, matrix: csr_matrix, n: int) -> "LazyStrategy":
+        """Every row resident from one batched search; never evicts."""
+        strategy = cls(matrix, n, budget_bytes=None)
+        strategy._install_rows(np.arange(n), *_solve(matrix))
+        return strategy
 
     # -- search primitives ---------------------------------------------
 
@@ -517,6 +384,19 @@ class LazyStrategy:
             entry = _Row(dist[ids], pred[ids], float(limit), False, ids=ids)
         return self.store.put(u, entry)
 
+    def _install_rows(
+        self, sources: np.ndarray, dist: np.ndarray, pred: np.ndarray
+    ) -> None:
+        """Store full rows solved as one ``(len(sources), n)`` block."""
+        inf = float("inf")
+        for s, d, p, ecc in zip(
+            sources.tolist(), dist, pred, dist.max(axis=1).tolist()
+        ):
+            row = _Row(d, p, inf, True)
+            row.ecc = ecc  # one vectorized max for the whole block
+            self.store.put(s, row)
+        self.rows_materialized += len(sources)
+
     def ensure_full(self, u: NodeId) -> _Row:
         entry = self.store.get(u)
         if entry is not None and entry.full:
@@ -527,7 +407,7 @@ class LazyStrategy:
 
     def ensure_radius(self, u: NodeId, need: float) -> _Row:
         entry = self.store.get(u)
-        if entry is not None and entry.covers_radius(need):
+        if entry is not None and (entry.full or entry.limit >= need):
             self.store.hits += 1
             return entry
         self.store.misses += 1
@@ -576,6 +456,10 @@ class LazyStrategy:
     def distance(self, u: NodeId, v: NodeId) -> float:
         if u == v:
             return 0.0
+        entry = self.store.get(u)
+        if entry is not None and entry.full:
+            self.store.hits += 1
+            return float(entry.dist[v])
         # Either endpoint's cached row answers (d is symmetric); only
         # fall back to an expanding search when neither settles the pair.
         for a, b in ((u, v), (v, u)):
@@ -594,23 +478,19 @@ class LazyStrategy:
         return self.ensure_full(u).pred
 
     def eccentricity(self, u: NodeId) -> float:
-        # Satellite fix: one lazy row, never the full APSP matrix.
-        return float(self.ensure_full(u).dist.max())
+        # One row, never the full APSP matrix.
+        return self.ensure_full(u).eccentricity()
 
     def ball_with_distances(
         self, u: NodeId, r: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        entry = self.ensure_radius(u, r + DISTANCE_SLACK)
-        count = int(
-            np.searchsorted(entry.sorted_dist, r + DISTANCE_SLACK, "right")
-        )
-        return entry.prefix(count)
+        reach = r + DISTANCE_SLACK
+        entry = self.ensure_radius(u, reach)
+        return entry.prefix(entry.count_within(reach))
 
     def ball_size(self, u: NodeId, r: float) -> int:
-        entry = self.ensure_radius(u, r + DISTANCE_SLACK)
-        return int(
-            np.searchsorted(entry.sorted_dist, r + DISTANCE_SLACK, "right")
-        )
+        reach = r + DISTANCE_SLACK
+        return self.ensure_radius(u, reach).count_within(reach)
 
     def size_radius(self, u: NodeId, size: int) -> float:
         return self.ensure_size(u, size).sorted_entry(size - 1)
@@ -625,17 +505,18 @@ class LazyStrategy:
         tol: float = 0.0,
         hint: Optional[float] = None,
     ) -> NodeId:
-        targets = np.asarray(candidates, dtype=np.int64)
         entry = self.store.get(u)
+        if entry is not None and entry.full:
+            self.store.hits += 1
+            return _nearest_on_row(entry.dist, candidates, tol)
+        targets = np.asarray(candidates, dtype=np.int64)
         limit = hint if hint is not None else 1.0
         if entry is not None:
             limit = max(limit, entry.limit)
         while True:
             entry = self.ensure_radius(u, limit)
             if entry.full:
-                d = entry.dist[targets]
-                best = d.min()
-                return int(targets[d <= best + tol].min())
+                return _nearest_on_row(entry.dist, candidates, tol)
             d = entry.lookup_many(targets)
             best = d.min()
             # Every candidate with d <= best + tol is settled once the
@@ -689,7 +570,7 @@ class LazyStrategy:
         hops = self._row_hops(u, entry)
         if entry.full:
             return int(hops[v])
-        return int(hops[np.searchsorted(entry.ids, v)])
+        return int(hops[entry.ids.searchsorted(v)])
 
     def size_ball_with_hops(
         self, u: NodeId, size: int
@@ -714,19 +595,16 @@ class LazyStrategy:
         return _row_digest_bytes(entry.dist, entry.pred)
 
     def splice_rows(self, rows: List[int], matrix: csr_matrix) -> None:
-        self._matrix = matrix
-        for s in rows:
-            self.store.pop(s)
         # Re-materialize eagerly so post-splice digests read healed
         # rows without a burst of on-demand misses.
-        for s in rows:
-            self.store.misses += 1
-            self._install(s, np.inf)
+        self._matrix = matrix
+        index = np.asarray(rows, dtype=np.int64)
+        self._install_rows(index, *_solve(matrix, index))
 
     def mutable_row(self, u: NodeId) -> Tuple[np.ndarray, np.ndarray]:
         # Copy-on-write: entries can be shared with a pre-edit metric
-        # snapshot (see ``carry_into``), so in-place corruption (the
-        # chaos injector's model) must never leak across snapshots.
+        # snapshot (see ``updated``), so in-place corruption (the chaos
+        # injector's model) must never leak across snapshots.
         entry = self.ensure_full(u)
         fresh = _Row(
             entry.dist.copy(), entry.pred.copy(), float("inf"), True
@@ -735,9 +613,9 @@ class LazyStrategy:
         return fresh.dist, fresh.pred
 
     def invalidate_derived(self, u: NodeId) -> None:
-        # Derived views (lexsort order, first hops) live on the row
-        # entry; after an in-place mutation they must be rebuilt from
-        # the mutated arrays.
+        # Derived views (lexsort order, first hops, eccentricity) live
+        # on the row entry; after an in-place mutation they must be
+        # rebuilt from the mutated arrays.
         entry = self.store.get(u)
         if entry is None:
             return
@@ -752,29 +630,81 @@ class LazyStrategy:
             ),
         )
 
-    def adopt_row(
-        self, u: NodeId, dist: np.ndarray, pred: np.ndarray
-    ) -> None:
-        """Install a full row computed externally (``updated`` splice)."""
-        self.store.put(u, _Row(dist, pred, float("inf"), True))
-        self.rows_materialized += 1
+    def _full_rows(
+        self, sources: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Full rows of ``sources`` as one block: resident rows are read
+        from the store, the rest solved in one batch."""
+        rows: List[Optional[Tuple[np.ndarray, np.ndarray]]] = [
+            (entry.dist, entry.pred)
+            if entry is not None and entry.full
+            else None
+            for entry in map(self.store.get, sources.tolist())
+        ]
+        missing = [i for i, row in enumerate(rows) if row is None]
+        if missing:
+            dist, pred = _solve(self._matrix, sources[missing])
+            for k, i in enumerate(missing):
+                rows[i] = (dist[k], pred[k])
+        return (
+            np.array([dist for dist, _ in rows]),
+            np.array([pred for _, pred in rows]),
+        )
 
-    def carry_into(self, new: "LazyStrategy", dirty: frozenset) -> None:
+    def updated(
+        self, matrix: csr_matrix, candidates: np.ndarray
+    ) -> Tuple["LazyStrategy", FrozenSet[NodeId]]:
+        """This store over the edited ``matrix``, plus the dirty set.
+
+        ``candidates`` are the sources the edit may touch.  The
+        tie-inclusive candidate mask is conservative (on unit-weight
+        grids it can flag nearly every source), so they are re-solved
+        in chunks and compared with their old rows block by block: a
+        candidate whose distances and predecessors are both unchanged
+        is clean after all.  Dirty sources that were resident stay
+        resident with their new rows, and every clean entry is carried
+        over as is — so a filled store stays filled.
+        """
+        new = LazyStrategy(matrix, self._n, budget_bytes=self.store.budget_bytes)
+        dirty: List[int] = []
+        for start in range(0, candidates.shape[0], _ROW_CHUNK):
+            chunk = candidates[start : start + _ROW_CHUNK]
+            new_dist, new_pred = _solve(
+                matrix, chunk, "edit disconnected the graph"
+            )
+            old_dist, old_pred = self._full_rows(chunk)
+            changed = (new_dist != old_dist).any(axis=1) | (
+                new_pred != old_pred
+            ).any(axis=1)
+            dirty.extend(chunk[changed].tolist())
+            keep = changed & np.fromiter(
+                (s in self.store for s in chunk.tolist()),
+                dtype=bool,
+                count=chunk.shape[0],
+            )
+            new._install_rows(chunk[keep], new_dist[keep], new_pred[keep])
+        dirty_set = frozenset(dirty)
         for s, entry in self.store.items():
-            if s not in dirty:
+            if s not in dirty_set:
                 new.store.put(s, entry)
+        return new, dirty_set
 
     def diameter_estimate(self) -> Tuple[float, bool]:
         """``(estimate, exact)`` diameter without a dense matrix.
 
-        Up to :data:`EXACT_DIAMETER_LIMIT` nodes: stream row maxima in
-        chunks (exact, O(chunk · n) transient memory).  Beyond: the
-        iterated double sweep — repeatedly jump to the farthest node and
-        re-run — which lower-bounds Δ by at least Δ/2 on any graph and
-        is exact on trees.
+        When every row is resident (always, for a filled store), the
+        maximum of their eccentricities.  Otherwise, up to
+        :data:`EXACT_DIAMETER_LIMIT` nodes: stream row maxima in chunks
+        (exact, O(chunk · n) transient memory).  Beyond: the iterated
+        double sweep — repeatedly jump to the farthest node and re-run —
+        which lower-bounds Δ by at least Δ/2 on any graph and is exact
+        on trees.
         """
         if self._n <= 1:
             return 1.0, True
+        resident = [entry for _, entry in self.store.items() if entry.full]
+        if len(resident) == self._n:
+            return max(entry.eccentricity() for entry in resident), True
         if self._n <= EXACT_DIAMETER_LIMIT:
             best = 0.0
             for start in range(0, self._n, _ROW_CHUNK):
@@ -800,7 +730,7 @@ class LazyStrategy:
 
     def stats(self) -> Dict[str, object]:
         return {
-            "strategy": "lazy",
+            "strategy": self.kind,
             "rows_materialized": self.rows_materialized,
             "row_hits": self.store.hits,
             "row_misses": self.store.misses,
@@ -825,7 +755,11 @@ class LazyStrategy:
         cls, state: Dict[str, object], matrix: csr_matrix, n: int
     ) -> "LazyStrategy":
         strategy = cls(matrix, n, budget_bytes=state["budget_bytes"])
-        for s, (dist, pred) in state["rows"].items():
-            strategy.store.put(s, _Row(dist, pred, float("inf"), True))
-            strategy.rows_materialized += 1
+        rows = state["rows"]
+        if rows:
+            strategy._install_rows(
+                np.fromiter(rows, dtype=np.int64, count=len(rows)),
+                np.array([dist for dist, _ in rows.values()]),
+                np.array([pred for _, pred in rows.values()]),
+            )
         return strategy

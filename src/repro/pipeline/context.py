@@ -36,7 +36,6 @@ import weakref
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type
 
 import networkx as nx
-import numpy as np
 
 from repro.core.edits import EditKind, GraphEdit, apply_edit_to_graph
 from repro.core.params import SchemeParameters
@@ -55,7 +54,9 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: materialized rows (partial search state is recomputed on demand).
 #: v5: the landmark scheme holds its vicinities as a sorted-key CSR, and
 #: compiled-table keys digest that CSR's bytes.
-CACHE_FORMAT_VERSION = 5
+#: v6: dense metrics pickle as a filled row store, and compiled-table
+#: keys reuse the scheme's own cache key.
+CACHE_FORMAT_VERSION = 6
 
 
 @dataclasses.dataclass
@@ -388,6 +389,15 @@ class BuildContext:
         # Disjoint from _memory by construction (apply_edit moves
         # entries out; builders move them back in, possibly promoted).
         self._previous: Dict[Tuple, Tuple[Any, FrozenSet[NodeId]]] = {}
+        # Cache key of every scheme this context built (weakly, like
+        # _metric_keys); compiled() keys its tables off it.  Schemes it
+        # cannot key get their tables memoized per instance instead.
+        self._scheme_keys: "weakref.WeakKeyDictionary[Any, Tuple]" = (
+            weakref.WeakKeyDictionary()
+        )
+        self._instance_tables: "weakref.WeakKeyDictionary[Any, Any]" = (
+            weakref.WeakKeyDictionary()
+        )
         self._cache_dir = cache_dir
         self.stats = BuildStats()
         self.profile = BuildProfile()
@@ -620,45 +630,37 @@ class BuildContext:
                 )
             return scheme_cls.from_context(self, metric, params, **kwargs)
 
-        return self._get_or_build(
+        scheme = self._get_or_build(
             "scheme", key, build, previous=None if prev is None else prev[0]
         )
+        self._scheme_keys[scheme] = key
+        return scheme
 
     # -- compiled engine tables -----------------------------------------
 
     def compiled(self, scheme: Any) -> Any:
-        """Batch-engine tables for a built scheme, memoized per content.
+        """Batch-engine tables for a built scheme, memoized per scheme.
 
-        Keyed by the metric identity, scheme class, parameters, and a
-        digest of the scheme's instance-level identity (naming
-        permutation, landmark set, vicinity CSR keys) so two same-class
-        schemes with different namings or vicinity sizes never share
-        compiled artifacts.  Lives under the ``engine`` artifact kind
-        of the v5 key scheme, so disk caching and ``apply_edit``
-        invalidation come for free.
+        A scheme built by :meth:`scheme` shares the cache key that
+        method computed (metric identity, class, parameters and every
+        construction kwarg), so two schemes differ in their tables
+        exactly when they differ as artifacts, and ``apply_edit``
+        drops or stashes the tables with the scheme.  A scheme built
+        anywhere else has no such key; its tables are memoized on the
+        instance (in memory only).
         """
-        cls_name = (
-            f"{type(scheme).__module__}.{type(scheme).__qualname__}"
-        )
-        digest = hashlib.sha256()
-        name_of = getattr(scheme, "_name_of", None)
-        if name_of is not None:
-            digest.update(repr(list(name_of)).encode())
-        landmarks = getattr(scheme, "_landmarks", None)
-        if landmarks is not None:
-            digest.update(repr(sorted(landmarks)).encode())
-        vicinity_keys = getattr(scheme, "_vic_key", None)
-        if vicinity_keys is not None:
-            # Raw bytes: repr() of a numpy array elides past 1,000
-            # entries, which would let different vicinities collide.
-            digest.update(np.ascontiguousarray(vicinity_keys).tobytes())
-        key = (
-            self.metric_key(scheme.metric),
-            cls_name,
-            params_key(scheme.params),
-            digest.hexdigest(),
-        )
-        return self._get_or_build("engine", key, scheme.compile_tables)
+        key = self._scheme_keys.get(scheme)
+        if key is not None:
+            return self._get_or_build("engine", key, scheme.compile_tables)
+        tables = self._instance_tables.get(scheme)
+        if tables is None:
+            self.stats.record("engine", "misses")
+            with self.profile.timed("build", "engine"):
+                tables = scheme.compile_tables()
+            self._instance_tables[scheme] = tables
+        else:
+            self.stats.record("engine", "hits")
+        return tables
 
     # -- incremental maintenance (churn) --------------------------------
 
@@ -839,6 +841,8 @@ class BuildContext:
         self._memory.clear()
         self._previous.clear()
         self._metric_keys.clear()
+        self._scheme_keys.clear()
+        self._instance_tables.clear()
 
     def __repr__(self) -> str:
         kinds = sorted(

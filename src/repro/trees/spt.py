@@ -31,10 +31,8 @@ def voronoi_partition(
     if not centers:
         raise ValueError("need at least one center")
     cells: Dict[NodeId, List[NodeId]] = {c: [] for c in centers}
-    ordered = sorted(centers)
     for v in metric.nodes:
-        best = min(ordered, key=lambda c: (metric.distance(v, c), c))
-        cells[best].append(v)
+        cells[metric.nearest_in(v, centers)].append(v)
     return cells
 
 

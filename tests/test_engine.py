@@ -32,8 +32,11 @@ from repro.resilience.degraded import DegradedNetwork
 from repro.resilience.repair import surviving_graph
 from repro.schemes.base import RoutingScheme
 from repro.schemes.cowen_landmark import CowenLandmarkScheme
+from repro.schemes.labeled_scalefree import ScaleFreeLabeledScheme
 from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
 from repro.schemes.shortest_path import ShortestPathScheme
+from repro.trees.heavy_path import HeavyPathRouter
+from repro.trees.tree_router import TreeRouter
 
 
 def _all_pairs(metric, limit=None, seed=0):
@@ -318,3 +321,28 @@ class TestCompiler:
         assert np.array_equal(
             default_keys, default.compile_tables().arrays["VIC_KEY"]
         )
+
+    def test_context_keys_compiled_by_tree_router(self, params):
+        # Two Theorem 1.2 schemes that differ only in their tree router
+        # must never share compiled tables; the heavy-path router has no
+        # lowering, so its scheme must fail typed, not borrow tables.
+        context = BuildContext()
+        metric = context.metric(grid_2d(6))
+        interval = context.scheme(
+            ScaleFreeLabeledScheme, metric, params, tree_router_cls=TreeRouter
+        )
+        heavy = context.scheme(
+            ScaleFreeLabeledScheme,
+            metric,
+            params,
+            tree_router_cls=HeavyPathRouter,
+        )
+        router = BatchRouter(context.compiled(interval), metric=metric)
+        rng = random.Random(4)
+        for _ in range(40):
+            u, v = rng.randrange(metric.n), rng.randrange(metric.n)
+            assert router.route(u, v) == interval.route(u, v)
+        with pytest.raises(EngineUnsupported, match="HeavyPathRouter"):
+            context.compiled(heavy)
+        with pytest.raises(EngineUnsupported, match="HeavyPathRouter"):
+            heavy.compile_tables()

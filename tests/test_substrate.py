@@ -1,12 +1,14 @@
-"""Strategy-equivalence property suite: lazy must equal dense, bitwise.
+"""Substrate property suite: lazy must equal dense, bitwise.
 
-The substrate refactor (``repro.metric.substrate``) put two strategies
-behind the ``GraphMetric`` facade; the contract is that every query
-answers *byte-identically* on both — distances, balls, size-radii,
-next hops, digests, and the churn dirty-set machinery.  These tests hold
-that contract on every fixture family, plus exercise the lazy-only
-surfaces (row-store budget/eviction, partial-row reuse, copy-on-write
-mutation, double-sweep diameter bound, pickling of materialized rows).
+``GraphMetric`` sits on one row store (``repro.metric.substrate``),
+filled up front ("dense") or on demand ("lazy"); the contract is that
+every query answers *byte-identically* on both — distances, balls,
+size-radii, next hops, digests, and the churn dirty-set machinery.
+These tests hold that contract on every fixture family and across the
+n = 512 switch, hold both fillings to an independent scipy oracle, and
+exercise the lazy-only surfaces (row-store budget/eviction, partial-row
+reuse, copy-on-write mutation, double-sweep diameter bound, pickling of
+materialized rows).
 """
 
 from __future__ import annotations
@@ -265,6 +267,62 @@ def test_lazy_stats_track_materialization(metric_pair):
     assert dense_stats["rows_materialized"] == dense.n
 
 
+@pytest.mark.parametrize("strategy", ["dense", "lazy"])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_store_matches_independent_oracle(family, strategy):
+    # "dense" and "lazy" are two fillings of one row store, so their
+    # agreement alone proves little; hold both to answers computed here
+    # from one all-pairs scipy call.
+    metric = GraphMetric(FAMILIES[family](), strategy=strategy)
+    dist, pred = dijkstra(metric._csr(), directed=True, return_predecessors=True)
+    n = metric.n
+    ids = np.arange(n)
+    rng = random.Random(3)
+    for u in metric.nodes:
+        order = np.lexsort((ids, dist[u]))
+        ranked = dist[u][order]
+        # Bounded queries first, so the lazy filling answers them from
+        # partial rows before anything materializes u's full row.
+        for r in (0.0, 1.0, rng.uniform(0.0, ranked[-1]), ranked[n // 2]):
+            assert metric.ball(u, r) == order[ranked <= r + DISTANCE_SLACK].tolist()
+        for size in range(1, n + 1):
+            assert metric.size_radius(u, size) == ranked[size - 1]
+            assert metric.size_ball(u, size) == order[:size].tolist()
+        cands = rng.sample(range(n), rng.randrange(1, n))
+        assert metric.nearest_in(u, cands) == min(
+            cands, key=lambda c: (dist[u, c], c)
+        )
+        assert [metric.distance(u, v) for v in metric.nodes] == dist[u].tolist()
+        assert np.array_equal(metric.distances_from(u), dist[u])
+        assert np.array_equal(metric.predecessors_from(u), pred[u])
+        assert metric.next_hops_from(u).tolist() == _chain_walk_hops(pred[u], u)
+        assert metric.eccentricity(u) == dist[u].max()
+    assert metric.diameter == dist.max()
+
+
+@pytest.mark.parametrize(
+    "n, resolved", [(511, "dense"), (512, "dense"), (513, "lazy")]
+)
+def test_fillings_agree_across_the_dense_switch(n, resolved):
+    graph = preferential_attachment(n, m=2, seed=1)
+    auto = GraphMetric(graph)
+    assert auto.strategy == resolved
+    other = GraphMetric(
+        graph.copy(), strategy="lazy" if resolved == "dense" else "dense"
+    )
+    rng = random.Random(n)
+    for _ in range(40):
+        u, v = rng.randrange(n), rng.randrange(n)
+        r = rng.choice([0.0, 1.0, 2.0, 3.0])
+        size = rng.randrange(1, n + 1)
+        cands = rng.sample(range(n), rng.randrange(1, 100))
+        assert auto.distance(u, v) == other.distance(u, v)
+        assert auto.ball(u, r) == other.ball(u, r)
+        assert auto.size_radius(u, size) == other.size_radius(u, size)
+        assert auto.next_hop(u, v) == other.next_hop(u, v)
+        assert auto.nearest_in(u, cands) == other.nearest_in(u, cands)
+
+
 # ----------------------------------------------------------------------
 # Bounded searches really are bounded
 # ----------------------------------------------------------------------
@@ -344,6 +402,14 @@ def _random_edit(graph: nx.Graph, rng: random.Random) -> GraphEdit:
             return GraphEdit(kind=kind, edge=(u, v))
 
 
+def _stacked_rows(metric: GraphMetric):
+    """Every distance and predecessor row of ``metric``, stacked."""
+    return (
+        np.array([metric.distances_from(u) for u in metric.nodes]),
+        np.array([metric.predecessors_from(u) for u in metric.nodes]),
+    )
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_updated_matches_dense_and_cold(family):
     graph = FAMILIES[family]()
@@ -367,8 +433,10 @@ def test_updated_matches_dense_and_cold(family):
         lazy, dirty_lazy = lazy.updated(post_lazy, edit)
         assert dirty_dense == dirty_lazy
         cold = GraphMetric(post_dense.copy(), strategy="dense")
-        assert np.array_equal(dense._dist, cold._dist)
-        assert np.array_equal(dense._pred, cold._pred)
+        dense_dist, dense_pred = _stacked_rows(dense)
+        cold_dist, cold_pred = _stacked_rows(cold)
+        assert np.array_equal(dense_dist, cold_dist)
+        assert np.array_equal(dense_pred, cold_pred)
         for u in range(0, dense.n, 4):
             assert np.array_equal(
                 cold.distances_from(u), lazy.distances_from(u)

@@ -1,5 +1,7 @@
 """Tests for Voronoi partitions, shortest-path trees, and tree routing."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,22 @@ class TestVoronoiPartition:
     def test_empty_centers_rejected(self, grid_metric):
         with pytest.raises(ValueError):
             voronoi_partition(grid_metric, [])
+
+    @pytest.mark.parametrize("strategy", ["dense", "lazy"])
+    @pytest.mark.parametrize("family", ["grid", "holes", "geometric"])
+    def test_cells_equal_brute_force(self, request, family, strategy):
+        # The reference reads d(v, c) off v's own full row; a lazy
+        # metric answers each node from its bounded nearest_in search.
+        reference = request.getfixturevalue(f"{family}_metric")
+        metric = GraphMetric(reference.graph.copy(), strategy=strategy)
+        rng = random.Random(family)
+        for k in (1, 2, 5, reference.n // 4):
+            centers = rng.sample(list(reference.nodes), k)
+            expected = {c: [] for c in centers}
+            for v in reference.nodes:
+                best = min(centers, key=lambda c: (reference.distance(v, c), c))
+                expected[best].append(v)
+            assert voronoi_partition(metric, centers) == expected
 
 
 class TestShortestPathTree:
