@@ -4,7 +4,8 @@ Reproduces the numbers recorded in ``BENCH_substrate.json``: the
 n = 256 → 10⁴ build trajectory of the lazy substrate under the landmark
 name-independent scheme on a preferential-attachment graph — build
 seconds (graph / metric / scheme split), full Dijkstra rows
-materialized, ``tracemalloc`` peak and process RSS high water, average
+materialized, nodes settled by bounded searches (in total and per
+node), ``tracemalloc`` peak and process RSS high water, average
 stretch on a fixed pair sample — plus a dense-vs-lazy head-to-head at
 n = 256 where both strategies are buildable.  Each point builds twice:
 the timed build runs untraced (tracing every allocation slows a build
@@ -24,6 +25,9 @@ invariants only, no wall-clock assertions —
   vicinity entries equal ``(node, home landmark, next hop)`` from
   per-pair queries on a fresh metric — past the dense→lazy switch,
   where the unit tests do not reach;
+* that build's searches settle at most ``8 · size · n`` nodes (size
+  = the vicinity size): first size queries start at their size class's
+  median covering radius instead of the largest one seen;
 * a 4 MiB row budget is respected (evictions occur, stored bytes stay
   under budget) with answers unchanged.
 """
@@ -80,6 +84,7 @@ def measure_point(n: int, strategy: str = "lazy") -> dict:
     """One trajectory point: build + route at size ``n``."""
     metric, scheme, (t0, t1, t2, t3) = _build(n, strategy)
     build_stats = dict(metric.substrate_stats())
+    settled = int(build_stats["nodes_settled"])
     stretches = [
         scheme.route(u, v).stretch
         for u, v in sample_ordered_pairs(n, PAIRS, seed=0)
@@ -97,6 +102,8 @@ def measure_point(n: int, strategy: str = "lazy") -> dict:
             metric.substrate_stats()["rows_materialized"]
         ),
         "bounded_searches": int(build_stats["bounded_searches"]),
+        "nodes_settled": settled,
+        "nodes_settled_per_node": round(settled / n, 1),
         "stored_bytes": int(build_stats["stored_bytes"]),
         "traced_peak_bytes": _traced_peak(n, strategy),
         "rss_high_water_bytes": rss,
@@ -147,6 +154,8 @@ def measure() -> dict:
         "head_to_head_n256": head_to_head,
         "note": (
             "rows_materialized counts full Dijkstra rows ever solved; "
+            "nodes_settled sums the nodes every single-source search "
+            "of the build settled; "
             "dense_matrix_bytes_hypothetical is what the eager APSP "
             "(float64 dist + int32 pred) would allocate at that n; "
             "*_seconds come from an untraced build and traced_peak_bytes "
@@ -180,6 +189,14 @@ def check() -> None:
         preferential_attachment(n, m=2, seed=1), strategy="lazy"
     )
     scheme = LandmarkNameIndependentScheme(metric)
+    # One size query per node: starting each at the largest covering
+    # radius seen settles 13.2 x size per node here, the median start
+    # 6.4 x.
+    size = math.isqrt(n - 1) + 1
+    settled = int(metric.substrate_stats()["nodes_settled"])
+    assert settled <= 8 * size * n, (
+        f"vicinity build settled {settled / (size * n):.1f} x size per node"
+    )
     for u, v in sample_ordered_pairs(n, 50, seed=0):
         result = scheme.route(u, v)
         assert result.path[-1] == v
@@ -191,7 +208,6 @@ def check() -> None:
     # Vicinity tables come from one vectorized pass per size-bounded
     # search; hold sampled nodes to the per-pair definition.
     reference = GraphMetric(metric.graph.copy(), strategy="lazy")
-    size = math.isqrt(n - 1) + 1
     for u in map(int, rng.choice(n, size=50, replace=False)):
         expected = sorted(
             (scheme.name_of(v), v, scheme.home_landmark(v), reference.next_hop(u, v))

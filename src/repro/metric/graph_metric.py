@@ -450,8 +450,11 @@ class GraphMetric:
         """``B_u(r)``: nodes within distance ``r`` of ``u`` (inclusive).
 
         The result is sorted by ``(distance, id)``; it always contains
-        ``u`` itself for ``r >= 0``.
+        ``u`` itself for ``r >= 0`` and is empty for ``r < 0``.  A NaN
+        radius raises :class:`ValueError`.
         """
+        if _negative_radius(r):
+            return []
         ids, _ = self._strategy.ball_with_distances(u, r)
         return [int(x) for x in ids]
 
@@ -464,10 +467,14 @@ class GraphMetric:
         ``distances_from`` row (r-net construction, ring blocks, oracle
         labels) read exactly the ball they need instead.
         """
+        if _negative_radius(r):
+            return np.empty(0, dtype=np.int64), np.empty(0)
         return self._strategy.ball_with_distances(u, r)
 
     def ball_size(self, u: NodeId, r: float) -> int:
         """``|B_u(r)|`` without materializing the node list."""
+        if _negative_radius(r):
+            return 0
         return self._strategy.ball_size(u, r)
 
     def size_radius(self, u: NodeId, size: int) -> float:
@@ -542,10 +549,12 @@ class GraphMetric:
         the slack-tolerant parent selection the net hierarchy uses.
         ``hint`` bounds the first search radius on the lazy strategy
         (e.g. the net-covering radius ``2^i``, which guarantees a
-        candidate within reach); the answer never depends on it.
+        candidate within reach); the answer never depends on it.  A hint
+        that is not a positive number raises :class:`ValueError`.
         """
         if len(candidates) == 0:
             raise ValueError("candidates must be non-empty")
+        _check_hint(hint)
         return self._strategy.nearest_among(u, candidates, tol=tol, hint=hint)
 
     # ------------------------------------------------------------------
@@ -606,8 +615,10 @@ class GraphMetric:
 
         ``hint`` (lazy strategy) bounds the first search radius when the
         caller knows how far ``among`` can reach (e.g. a search tree's
-        member radius); the result never depends on it.
+        member radius); the result never depends on it.  A hint that is
+        not a positive number raises :class:`ValueError`.
         """
+        _check_hint(hint)
         return self._strategy.max_distance_to(u, among, hint=hint)
 
     # ------------------------------------------------------------------
@@ -651,6 +662,20 @@ class GraphMetric:
             f"GraphMetric(n={self._n}, diameter={shown}, "
             f"edges={self._graph.number_of_edges()})"
         )
+
+
+def _negative_radius(r: float) -> bool:
+    """Whether ``B_u(r)`` is empty (``r < 0``); a NaN radius is an error."""
+    if math.isnan(r):
+        raise ValueError("ball radius must not be NaN")
+    return r < 0.0
+
+
+def _check_hint(hint: Optional[float]) -> None:
+    """A search hint is a first radius, so it must be a positive number
+    (a zero or NaN hint would never grow)."""
+    if hint is not None and not hint > 0.0:
+        raise ValueError(f"hint must be a positive number, got {hint!r}")
 
 
 def _edge_array(graph: nx.Graph) -> np.ndarray:

@@ -38,7 +38,7 @@ same absolute tolerance the dense code always used (re-exported from
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -299,6 +299,37 @@ def _solve(
     return dist, pred
 
 
+class _SizeClass:
+    """Covering radii of one size class (sizes sharing a bit length).
+
+    ``largest`` is the largest radius any earlier query of the class
+    needed, a start that would have covered every one of them.
+    ``recent`` holds the last 64 covering radii, whose median is the
+    cheaper start for a source's first size query.  ``settled`` and
+    ``wanted`` sum the nodes settled by, and the sizes asked of, first
+    queries that searched from the largest start: the median start is
+    tried only while those settle at least twice what they keep.
+    """
+
+    __slots__ = ("largest", "recent", "settled", "wanted")
+
+    def __init__(self) -> None:
+        self.largest = 1.0
+        self.recent: "deque[float]" = deque(maxlen=64)
+        self.settled = 0
+        self.wanted = 0
+
+    def median_start(self) -> Optional[float]:
+        """The median start while the largest one overshoots, else None."""
+        if self.wanted == 0 or self.settled < 2 * self.wanted:
+            return None
+        return max(sorted(self.recent)[len(self.recent) // 2], 1.0)
+
+    def record(self, radius: float) -> None:
+        self.largest = max(self.largest, radius)
+        self.recent.append(radius)
+
+
 def _nearest_on_row(
     d: np.ndarray, candidates: Sequence[NodeId], tol: float
 ) -> NodeId:
@@ -326,7 +357,13 @@ class LazyStrategy:
     expanding-limit loop (doubling from a caller hint) serves queries
     whose reach is not known in advance; since every retry at least
     doubles the limit, total work is within a constant factor of the
-    final search.
+    final search.  Size queries start from covering radii that earlier
+    sources of the same size class needed: the largest one, or — for a
+    source's first size query, while the largest start settles at least
+    twice the size on average — the median of the last 64.  A miss
+    from the median start falls back to the largest start and its
+    doubling, so it adds one search that settled fewer than ``size``
+    nodes to what the largest start alone would have run.
 
     :meth:`filled` builds the ``"dense"`` filling: every row solved in
     one batched call into an unbounded store, so every query finds its
@@ -347,9 +384,10 @@ class LazyStrategy:
         self.kind = "lazy" if budget_bytes is not None else "dense"
         self.rows_materialized = 0
         self.bounded_searches = 0
-        # Radius hints per size class (log2 bucket), warmed by earlier
-        # size queries so repeated r_u(j) sweeps start near the answer.
-        self._size_hints: Dict[int, float] = {}
+        self.nodes_settled = 0
+        # Covering radii per size class (log2 bucket), warmed by earlier
+        # size queries so the next source's search starts near its answer.
+        self._size_classes: Dict[int, _SizeClass] = {}
 
     @classmethod
     def filled(cls, matrix: csr_matrix, n: int) -> "LazyStrategy":
@@ -382,6 +420,7 @@ class LazyStrategy:
         else:
             ids = np.nonzero(settled)[0]
             entry = _Row(dist[ids], pred[ids], float(limit), False, ids=ids)
+        self.nodes_settled += entry.settled
         return self.store.put(u, entry)
 
     def _install_rows(
@@ -421,20 +460,29 @@ class LazyStrategy:
             return entry
         self.store.misses += 1
         bucket = int(size).bit_length()
-        limit = max(self._size_hints.get(bucket, 1.0), 1.0)
-        if entry is not None:
+        sizes = self._size_classes.get(bucket)
+        if sizes is None:
+            sizes = self._size_classes[bucket] = _SizeClass()
+        limit = sizes.largest
+        first_query = entry is None
+        if not first_query:
+            # A re-query (BallPacking's level sweep, r_u columns) keeps
+            # the largest start: its overshoot pre-pays the next size.
             limit = max(limit, 2.0 * entry.limit)
-        while True:
+        else:
+            start = sizes.median_start()
+            if start is not None and start < limit:
+                entry = self._install(u, start)
+        # A miss from the median start falls back to the largest start
+        # and doubling, so it costs one search of fewer than size nodes.
+        while entry is None or not (entry.full or entry.settled >= size):
             entry = self._install(u, limit)
-            if entry.full or entry.settled >= size:
-                break
+            if first_query:
+                sizes.settled += entry.settled
+                sizes.wanted += size
+                first_query = False
             limit *= 2.0
-        # Remember the radius that actually covered this size class so
-        # the next node's query starts close (keeps greedy sweeps like
-        # BallPacking near one search per node).
-        self._size_hints[bucket] = max(
-            self._size_hints.get(bucket, 1.0), entry.sorted_entry(size - 1)
-        )
+        sizes.record(entry.sorted_entry(size - 1))
         return entry
 
     def ensure_target(self, u: NodeId, v: NodeId) -> _Row:
@@ -735,6 +783,7 @@ class LazyStrategy:
             "row_hits": self.store.hits,
             "row_misses": self.store.misses,
             "bounded_searches": self.bounded_searches,
+            "nodes_settled": self.nodes_settled,
             "evictions": self.store.evictions,
             "stored_bytes": self.store.stored_bytes,
             "budget_bytes": self.store.budget_bytes,

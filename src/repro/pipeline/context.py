@@ -821,6 +821,7 @@ class BuildContext:
             "row_hits": 0,
             "row_misses": 0,
             "bounded_searches": 0,
+            "nodes_settled": 0,
             "evictions": 0,
             "stored_bytes": 0,
         }

@@ -40,6 +40,7 @@ from repro.metric.substrate import (
     RowStore,
     _Row,
 )
+from repro.packing.ballpacking import BallPacking
 
 FAMILIES = {
     "grid": lambda: grid_2d(6),
@@ -323,6 +324,30 @@ def test_fillings_agree_across_the_dense_switch(n, resolved):
         assert auto.nearest_in(u, cands) == other.nearest_in(u, cands)
 
 
+@pytest.mark.parametrize("strategy", ["dense", "lazy"])
+def test_degenerate_radii_and_hints_answer_alike(strategy):
+    # A zero or NaN hint would keep the lazy doubling loop at 0 forever
+    # and a negative one would reach scipy, so both fillings reject
+    # them alike.  A NaN radius has no ball; a negative one has the
+    # empty ball.
+    metric = GraphMetric(grid_2d(10), strategy=strategy)
+    for hint in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="hint"):
+            metric.nearest_among(0, [50], hint=hint)
+        with pytest.raises(ValueError, match="hint"):
+            metric.max_distance_to(0, [50], hint=hint)
+    for query in (metric.ball, metric.ball_size, metric.ball_with_distances):
+        with pytest.raises(ValueError, match="NaN"):
+            query(0, math.nan)
+    assert metric.ball(0, -1.0) == []
+    assert metric.ball_size(0, -1.0) == 0
+    ids, dists = metric.ball_with_distances(0, -1.0)
+    assert ids.shape == dists.shape == (0,)
+    assert metric.ball(0, 0.0) == [0]
+    assert metric.nearest_among(0, [50], hint=math.inf) == 50
+    assert metric.max_distance_to(0, [50], hint=0.5) == 5.0
+
+
 # ----------------------------------------------------------------------
 # Bounded searches really are bounded
 # ----------------------------------------------------------------------
@@ -340,6 +365,56 @@ def test_small_balls_do_not_materialize_full_rows():
     searches = stats["bounded_searches"]
     metric.ball(0, 1.0)
     assert metric.substrate_stats()["bounded_searches"] == searches
+
+
+def test_first_size_queries_settle_a_few_times_size():
+    # The landmark vicinity pattern: one size query per source, none of
+    # whose rows is resident.  Starting each search at the largest
+    # covering radius seen so far settles 10.9 x size per node here,
+    # the median start 5.6 x.
+    metric = GraphMetric(
+        preferential_attachment(1024, m=2, seed=1), strategy="lazy"
+    )
+    for u in metric.nodes:
+        metric.size_ball_with_hops(u, 32)
+    assert metric.substrate_stats()["nodes_settled"] <= 8 * 32 * metric.n
+
+
+#: ``BallPacking``'s ``(bounded_searches, nodes_settled)`` on a lazy
+#: metric.  Its level sweep re-queries resident partial rows, which keep
+#: the largest-radius start, so the median start must not move these.
+SWEEP_WORK = {
+    "grid": (lambda: grid_2d(12), 672, 43_444),
+    "holes": (lambda: grid_with_holes(7, hole_fraction=0.25, seed=3), 137, 2_793),
+    "geometric": (lambda: random_geometric(200, seed=2), 1_161, 85_724),
+    "power-law": (
+        lambda: preferential_attachment(256, m=2, seed=1), 990, 127_520
+    ),
+    "exponential": (lambda: exponential_path(14), 79, 466),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SWEEP_WORK))
+def test_ball_packing_sweep_work_is_pinned(family):
+    build, searches, settled = SWEEP_WORK[family]
+    metric = GraphMetric(build(), strategy="lazy")
+    BallPacking(metric)
+    stats = metric.substrate_stats()
+    assert (stats["bounded_searches"], stats["nodes_settled"]) == (
+        searches,
+        settled,
+    )
+
+
+def test_evicting_sweep_settles_no_more_than_the_largest_start():
+    # A 16 KiB budget evicts the sweep's rows between levels, so its
+    # re-queries arrive as first queries.  Their balls overshoot little
+    # from the largest start, which keeps the median start off: the
+    # largest start alone settles 157,808 nodes here, and trying the
+    # median start regardless settles 188,613.
+    metric = GraphMetric(grid_2d(12), strategy="lazy", row_budget_bytes=2**14)
+    BallPacking(metric)
+    assert metric.substrate_stats()["nodes_settled"] <= 157_808
 
 
 def test_row_store_budget_evicts_but_answers_stay_exact():
