@@ -56,7 +56,8 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: compiled-table keys digest that CSR's bytes.
 #: v6: dense metrics pickle as a filled row store, and compiled-table
 #: keys reuse the scheme's own cache key.
-CACHE_FORMAT_VERSION = 6
+#: v7: schemes hold their search trees as one flat slot forest.
+CACHE_FORMAT_VERSION = 7
 
 
 @dataclasses.dataclass

@@ -53,9 +53,9 @@ class CowenLandmarkScheme(LabeledScheme):
                 f"landmark_count must be in [1, {metric.n}]"
             )
         self._landmarks = self._greedy_landmarks(landmark_count)
-        self._home: List[NodeId] = [
-            metric.nearest_in(v, self._landmarks) for v in metric.nodes
-        ]
+        self._home: List[NodeId] = metric.nearest_many(
+            metric.nodes, self._landmarks
+        ).tolist()
         self._clusters: List[Set[NodeId]] = [
             self._cluster_of(u) for u in metric.nodes
         ]

@@ -31,8 +31,8 @@ def voronoi_partition(
     if not centers:
         raise ValueError("need at least one center")
     cells: Dict[NodeId, List[NodeId]] = {c: [] for c in centers}
-    for v in metric.nodes:
-        cells[metric.nearest_in(v, centers)].append(v)
+    for v, c in enumerate(metric.nearest_many(metric.nodes, centers).tolist()):
+        cells[c].append(v)
     return cells
 
 

@@ -23,7 +23,8 @@ from repro.engine import (
     EngineUnsupported,
     compile_scheme,
 )
-from repro.graphs.generators import grid_2d
+from repro.engine.compiler import DENSE_LIMIT
+from repro.graphs.generators import grid_2d, preferential_attachment
 from repro.metric.graph_metric import GraphMetric
 from repro.observability.trace import replay
 from repro.pipeline.context import BuildContext
@@ -252,6 +253,32 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 # Compiler edges and caching
 # ----------------------------------------------------------------------
+
+
+class TestDenseTables:
+    """The dense next-hop table at the ``DENSE_LIMIT`` switch, on lazy
+    power-law graphs whose rows outgrow the row store's budget."""
+
+    def test_fill_solves_each_row_once_at_the_limit(self):
+        n = DENSE_LIMIT
+        metric = GraphMetric(
+            preferential_attachment(n, m=2, seed=1), strategy="lazy"
+        )
+        before = metric.substrate_stats()["rows_materialized"]
+        tables = compile_scheme(ShortestPathScheme(metric))
+        assert metric.substrate_stats()["rows_materialized"] - before == n
+        for u in random.Random(7).sample(range(n), 32):
+            assert np.array_equal(tables.arrays["NH"][u], metric.next_hops_from(u))
+
+    def test_fill_refused_past_the_limit(self):
+        metric = GraphMetric(
+            preferential_attachment(DENSE_LIMIT + 1, m=2, seed=1),
+            strategy="lazy",
+        )
+        with pytest.raises(EngineUnsupported, match="dense LUT"):
+            compile_scheme(ShortestPathScheme(metric))
+        stats = metric.substrate_stats()
+        assert (stats["rows_materialized"], stats["bounded_searches"]) == (0, 0)
 
 
 class TestCompiler:

@@ -35,12 +35,12 @@ class TestMisdeliveryDetection:
         wrong = metric.n - 2
         wrong_label = scheme.underlying.routing_label(wrong)
         name = scheme.name_of(target)
-        # Corrupt every copy of (name -> label) in every search tree.
-        for level_trees in scheme._trees:
-            for tree in level_trees.values():
-                for held in tree._pairs_at.values():
-                    if name in held:
-                        held[name] = wrong_label
+        # Corrupt every copy of (name -> label) in the forest holding
+        # every search tree: the data the lookups return.
+        forest = scheme.forest
+        for keys, data in zip(forest.keys, forest.data):
+            if name in keys:
+                data[keys.index(name)] = wrong_label
         with pytest.raises(RouteFailure, match="misdelivery"):
             scheme.route(0, target)
 
@@ -55,10 +55,12 @@ class TestMissingState:
         must raise rather than loop: the top level reports a miss."""
         scheme = fresh_scheme
         name = scheme.name_of(3)
-        for level_trees in scheme._trees:
-            for tree in level_trees.values():
-                for held in tree._pairs_at.values():
-                    held.pop(name, None)
+        forest = scheme.forest
+        for t, keys in enumerate(forest.keys):
+            if name in keys:
+                at = keys.index(name)
+                forest.keys[t] = keys[:at] + keys[at + 1 :]
+                forest.data[t] = forest.data[t][:at] + forest.data[t][at + 1 :]
         with pytest.raises(RouteFailure):
             scheme.route(0, 3)
 
@@ -69,9 +71,11 @@ class TestMissingState:
         tree = SearchTree(metric, 0, metric.diameter, 0.5)
         tree.store({v: v for v in tree.nodes})
         victim = tree.nodes[-1]
-        tree._subtree_range = {
-            node: (10**6, 10**6 + 1) for node in tree._subtree_range
-        }
+        # Subtree ranges are read off the sorted keys (Algorithm 1's
+        # closed form): push every key the descend compares past the
+        # victim, so no child range can contain it.
+        keys = tree.forest.keys[tree.index]
+        tree.forest.keys[tree.index] = [10**6 + i for i in range(len(keys))]
         outcome = tree.search(victim)
         assert not outcome.found
         assert outcome.trail[0] == tree.root
