@@ -498,15 +498,9 @@ class LazyStrategy:
         if entry is not None and entry.full:
             self.store.hits += 1
             return float(entry.dist[v])
-        # Either endpoint's cached row answers (d is symmetric); only
-        # fall back to an expanding search when neither settles the pair.
-        for a, b in ((u, v), (v, u)):
-            entry = self.store.get(a)
-            if entry is not None:
-                d = entry.lookup(b)[0]
-                if d != float("inf"):
-                    self.store.hits += 1
-                    return d
+        # Only u's own row answers: on weighted graphs d(v, u) can differ
+        # from d(u, v) in the last bit, so reading v's row would make the
+        # answer depend on which rows happen to be resident.
         return self.ensure_target(u, v).lookup(v)[0]
 
     def row(self, u: NodeId) -> np.ndarray:

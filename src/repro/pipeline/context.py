@@ -57,7 +57,8 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: v6: dense metrics pickle as a filled row store, and compiled-table
 #: keys reuse the scheme's own cache key.
 #: v7: schemes hold their search trees as one flat slot forest.
-CACHE_FORMAT_VERSION = 7
+#: v8: schemes keep their header codec once built.
+CACHE_FORMAT_VERSION = 8
 
 
 @dataclasses.dataclass

@@ -3,7 +3,11 @@
 A :class:`HeaderCodec` is an ordered list of fixed-width fields; encoding
 a header produces a real bit string whose length *is* the header size,
 so the ``header_bits()`` reported by a scheme equals the serialized size
-of the worst-case header by construction.
+of the worst-case header by construction.  The layout is fixed per
+built scheme: ``RoutingScheme.header_codec()`` builds it once from the
+scheme's ``_header_layout()`` and keeps it, and every scheme with a
+codec reports its ``total_bits``.  The landmark scheme has a formula and
+no codec.
 
 The three shipped codecs mirror the paper's schemes:
 
@@ -80,6 +84,7 @@ class HeaderCodec:
         if len(set(names)) != len(names):
             raise ValueError("duplicate field names")
         self._fields = list(fields)
+        self._total_bits = sum(f.width for f in self._fields)
 
     @property
     def fields(self) -> List[FieldSpec]:
@@ -88,7 +93,7 @@ class HeaderCodec:
     @property
     def total_bits(self) -> int:
         """Serialized size of every header under this codec."""
-        return sum(f.width for f in self._fields)
+        return self._total_bits
 
     def encode(self, values: Dict[str, int]) -> Tuple[bytes, int]:
         """Serialize ``values`` (missing fields default to 0)."""

@@ -104,6 +104,7 @@ class RoutingScheme(abc.ABC):
         self._metric = metric
         self._params = params
         self._table_bits_cache: Optional[List[int]] = None
+        self._header_codec = None
         #: Route-decision recorder; the shared no-op singleton unless a
         #: trace_route() call is in flight (see repro.observability).
         self._tracer: Tracer = NULL_TRACER
@@ -199,9 +200,24 @@ class RoutingScheme(abc.ABC):
     def table_bits(self, v: NodeId) -> int:
         """Total routing-table size at node ``v``, in bits."""
 
-    @abc.abstractmethod
+    def header_codec(self):
+        """The bit-exact header layout, built on first use and kept.
+
+        Edits build new schemes, and partial rebuilds and in-place
+        promotions start without one, so it fits the scheme's own metric.
+        """
+        if self._header_codec is None:
+            self._header_codec = self._header_layout()
+        return self._header_codec
+
+    def _header_layout(self):
+        """Build this scheme's codec (see :mod:`repro.runtime.headers`)."""
+        raise NotImplementedError(f"scheme {self.name!r} has no header codec")
+
     def header_bits(self) -> int:
         """Maximum packet-header size used by the scheme, in bits."""
+        # The base method, so an instance hiding its codec still routes.
+        return RoutingScheme.header_codec(self).total_bits
 
     def table_bits_vector(self) -> List[int]:
         """Per-node table sizes, computed once and cached.

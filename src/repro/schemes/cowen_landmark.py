@@ -202,11 +202,8 @@ class CowenLandmarkScheme(LabeledScheme):
         entries = len(self._landmarks) + len(self._clusters[v])
         return entries * 2 * unit
 
-    def header_codec(self):
+    def _header_layout(self):
         """Bit-exact codec: the ``(v, L(v))`` label + via-landmark flag."""
         from repro.runtime.headers import cowen_landmark_codec
 
         return cowen_landmark_codec(self._metric)
-
-    def header_bits(self) -> int:
-        return self.label_bits() + 1  # label + via-landmark flag

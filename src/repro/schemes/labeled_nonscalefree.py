@@ -121,6 +121,7 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
         fresh._metric = metric
         fresh._params = previous._params
         fresh._table_bits_cache = None
+        fresh._header_codec = None
         fresh._tracer = NULL_TRACER
         fresh._hierarchy = hierarchy
         fresh._rings = [{} for _ in metric.nodes]
@@ -237,12 +238,8 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
         entries = sum(len(ring) for ring in self._rings[v].values())
         return entries * 3 * unit
 
-    def header_codec(self):
+    def _header_layout(self):
         """Bit-exact codec: the packet carries only the label."""
         from repro.runtime.headers import labeled_simple_codec
 
         return labeled_simple_codec(self._metric)
-
-    def header_bits(self) -> int:
-        """Serialized header size (see runtime.headers)."""
-        return self.header_codec().total_bits

@@ -466,7 +466,7 @@ class ScaleFreeLabeledScheme(LabeledScheme):
     def table_bits(self, v: NodeId) -> int:
         return self.table_breakdown(v).total()
 
-    def header_codec(self):
+    def _header_layout(self):
         """Bit-exact codec for this scheme's packet headers."""
         from repro.runtime.headers import labeled_scalefree_codec
 
@@ -478,7 +478,3 @@ class ScaleFreeLabeledScheme(LabeledScheme):
         return labeled_scalefree_codec(
             self._metric, tree_label_bits=tree_label_bits
         )
-
-    def header_bits(self) -> int:
-        """Serialized worst-case header size (see runtime.headers)."""
-        return self.header_codec().total_bits

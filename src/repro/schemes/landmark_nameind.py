@@ -60,6 +60,8 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
     """KFY-style name-independent landmark routing (√n tables)."""
 
     name = "Landmark name-independent (Internet-scale)"
+    #: Headers are sized by the :meth:`header_bits` formula: no codec.
+    header_codec = None
 
     def __init__(
         self,

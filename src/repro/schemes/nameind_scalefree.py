@@ -398,14 +398,10 @@ class ScaleFreeNameIndependentScheme(NameIndependentScheme):
             + self._tree_bits[v]
         )
 
-    def header_codec(self):
+    def _header_layout(self):
         """Bit-exact codec: name + level + the labeled sub-header."""
         from repro.runtime.headers import name_independent_codec
 
         return name_independent_codec(
             self._metric, self._underlying.header_codec()
         )
-
-    def header_bits(self) -> int:
-        """Serialized worst-case header size (see runtime.headers)."""
-        return self.header_codec().total_bits

@@ -149,6 +149,7 @@ class SimpleNameIndependentScheme(NameIndependentScheme):
         fresh._metric = metric
         fresh._params = previous._params
         fresh._table_bits_cache = None
+        fresh._header_codec = None
         fresh._tracer = NULL_TRACER
         fresh._name_of = previous._name_of
         fresh._node_with_name = previous._node_with_name
@@ -302,14 +303,10 @@ class SimpleNameIndependentScheme(NameIndependentScheme):
             + self._tree_bits[v]
         )
 
-    def header_codec(self):
+    def _header_layout(self):
         """Bit-exact codec: name + level + the labeled sub-header."""
         from repro.runtime.headers import name_independent_codec
 
         return name_independent_codec(
             self._metric, self._underlying.header_codec()
         )
-
-    def header_bits(self) -> int:
-        """Serialized worst-case header size (see runtime.headers)."""
-        return self.header_codec().total_bits

@@ -49,6 +49,7 @@ class ShortestPathScheme(NameIndependentScheme):
             and not kwargs.get("naming")
         ):
             _previous._metric = metric
+            _previous._header_codec = None
             return _previous
         return cls(metric, params, **kwargs)
 
@@ -86,11 +87,8 @@ class ShortestPathScheme(NameIndependentScheme):
         unit = bits_for_id(self._metric.n)
         return (self._metric.n - 1) * 2 * unit  # (name, next hop) entries
 
-    def header_codec(self):
+    def _header_layout(self):
         """Bit-exact codec: the packet carries only the destination name."""
         from repro.runtime.headers import shortest_path_codec
 
         return shortest_path_codec(self._metric)
-
-    def header_bits(self) -> int:
-        return bits_for_id(self._metric.n)

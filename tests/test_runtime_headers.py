@@ -1,11 +1,17 @@
 """Tests for bit streams and header codecs (repro.runtime)."""
 
+import pickle
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.edits import EditKind, GraphEdit
+from repro.graphs.generators import grid_2d
+from repro.metric.graph_metric import GraphMetric
+from repro.pipeline.context import BuildContext
 from repro.runtime.bitstream import BitReader, BitWriter, flip_bits
 from repro.runtime.headers import (
     CHECKSUM_FIELD,
@@ -27,6 +33,7 @@ from repro.schemes.labeled_scalefree import ScaleFreeLabeledScheme
 from repro.schemes.nameind_scalefree import ScaleFreeNameIndependentScheme
 from repro.schemes.nameind_simple import SimpleNameIndependentScheme
 from repro.schemes.shortest_path import ShortestPathScheme
+from repro.trees.heavy_path import HeavyPathRouter
 
 
 class TestBitStream:
@@ -179,6 +186,117 @@ class TestSchemeCodecs:
         # FG-style labels are log^2-ish, interval labels log n: the
         # header codec reflects the substrate choice.
         assert heavy.header_bits() >= interval.header_bits()
+
+
+#: Every scheme with a codec; the landmark scheme sizes its headers by
+#: formula and has none.
+CODEC_SCHEMES = {
+    "shortest-path": (ShortestPathScheme, {}),
+    "cowen": (CowenLandmarkScheme, {}),
+    "labeled-nsf": (NonScaleFreeLabeledScheme, {}),
+    "labeled-sf": (ScaleFreeLabeledScheme, {}),
+    "labeled-sf-heavy": (
+        ScaleFreeLabeledScheme,
+        {"tree_router_cls": HeavyPathRouter},
+    ),
+    "thm14": (SimpleNameIndependentScheme, {}),
+    "thm11": (ScaleFreeNameIndependentScheme, {}),
+}
+
+
+def _built(key, metric, params, context=None):
+    cls, kwargs = CODEC_SCHEMES[key]
+    context = BuildContext() if context is None else context
+    return context.scheme(cls, metric, params, **kwargs)
+
+
+def _widths(codec):
+    return {f.name: f.width for f in codec.fields}
+
+
+@pytest.mark.parametrize("key", sorted(CODEC_SCHEMES))
+class TestCodecBuiltOnce:
+    def test_repeated_calls_share_one_codec(self, key, grid_metric, params):
+        scheme = _built(key, grid_metric, params)
+        codec = scheme.header_codec()
+        assert scheme.header_codec() is codec
+        assert scheme.header_bits() == codec.total_bits
+        assert scheme._header_layout().fields == codec.fields
+        route = scheme.route(0, grid_metric.n - 1)
+        assert route.header_bits == codec.total_bits
+
+    def test_metric_repairs_leave_the_codec(self, key, params):
+        # Corrupt one row, then splice another: the splice drops the
+        # cached diameter, which is re-read with the corrupted row in
+        # it.  The built scheme's layout must not follow.
+        metric = GraphMetric(grid_2d(6))
+        scheme = _built(key, metric, params)
+        codec = scheme.header_codec()
+        fields = codec.fields
+        log_diameter = metric.log_diameter
+        dist, _ = metric.mutable_row(0)
+        dist *= 40.0
+        metric.invalidate_derived(0)
+        metric.splice_rows([1])
+        assert metric.log_diameter > log_diameter
+        assert scheme.header_codec() is codec
+        assert codec.fields == fields
+        assert scheme.header_bits() == codec.total_bits
+
+    def test_cache_dir_round_trip(self, key, tmp_path, params):
+        graph = grid_2d(6)
+        first = BuildContext(cache_dir=str(tmp_path))
+        built = _built(key, first.metric(graph), params, first)
+        fields = built.header_codec().fields
+        second = BuildContext(cache_dir=str(tmp_path))
+        loaded = _built(key, second.metric(graph), params, second)
+        assert second.stats.disk_hits["scheme"] == 1
+        assert loaded.header_codec().fields == fields
+        assert loaded.header_bits() == built.header_bits()
+        # A scheme pickled after its codec was built keeps it.
+        assert pickle.loads(pickle.dumps(built)).header_codec().fields == fields
+
+
+class TestCodecAfterEdits:
+    def test_partial_rebuild_builds_from_the_edited_metric(self, params):
+        # Removing an edge of a unit clique takes log Δ from 0 to 1,
+        # while the hierarchy (top level 1 either way) is promoted, so
+        # Theorem 1.4 and its labeled scheme rebuild partially.  The
+        # search-level field must widen with the edited metric.
+        graph = nx.complete_graph(6)
+        context = BuildContext()
+        before = context.scheme(
+            SimpleNameIndependentScheme, context.metric(graph), params
+        )
+        assert _widths(before.header_codec())["search_level"] == 1
+        context.apply_edit(graph, GraphEdit(EditKind.EDGE_REMOVE, edge=(1, 2)))
+        metric = context.metric(graph)
+        after = context.scheme(SimpleNameIndependentScheme, metric, params)
+        assert after is not before
+        assert after.hierarchy is before.hierarchy
+        assert after.underlying.build_report["ring_block"][0] > 0
+        assert metric.log_diameter == 1
+        for scheme in (after, after.underlying):
+            assert scheme.header_codec().fields == scheme._header_layout().fields
+        assert _widths(after.header_codec())["search_level"] == 2
+
+    def test_shortest_path_promotion_rebuilds_its_codec(self, params):
+        graph = grid_2d(4)
+        context = BuildContext()
+        stashed = context.scheme(
+            ShortestPathScheme, context.metric(graph), params
+        )
+        old_codec = stashed.header_codec()
+        context.apply_edit(
+            graph, GraphEdit(EditKind.WEIGHT, edge=(0, 1), weight=3.0)
+        )
+        metric = context.metric(graph)
+        promoted = context.scheme(ShortestPathScheme, metric, params)
+        assert promoted is stashed
+        assert promoted.metric is metric
+        codec = promoted.header_codec()
+        assert codec is not old_codec
+        assert codec.fields == shortest_path_codec(metric).fields
 
 
 def _all_scheme_codecs(metric):

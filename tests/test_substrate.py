@@ -324,6 +324,21 @@ def test_fillings_agree_across_the_dense_switch(n, resolved):
         assert auto.nearest_in(u, cands) == other.nearest_in(u, cands)
 
 
+def test_lazy_distance_reads_only_the_source_row():
+    # Weighted Dijkstra sums edges in path order, so d(u, v) and d(v, u)
+    # can differ in the last bit.  With only v's row resident, the lazy
+    # answer must still be u's own row, as the dense filling reads it.
+    graph = random_geometric(64, seed=11)
+    dense = GraphMetric(graph.copy(), strategy="dense")
+    rows = np.array([dense.distances_from(u) for u in dense.nodes])
+    asymmetric = np.argwhere(rows != rows.T)[:50].tolist()
+    assert asymmetric
+    for u, v in asymmetric:
+        lazy = GraphMetric(graph.copy(), strategy="lazy")
+        lazy.distances_from(v)
+        assert lazy.distance(u, v) == rows[u, v]
+
+
 @pytest.mark.parametrize("strategy", ["dense", "lazy"])
 def test_degenerate_radii_and_hints_answer_alike(strategy):
     # A zero or NaN hint would keep the lazy doubling loop at 0 forever
@@ -615,6 +630,24 @@ def test_lazy_diameter_exact_below_limit(metric_pair):
     assert lazy.n <= EXACT_DIAMETER_LIMIT
     assert lazy.diameter == dense.diameter
     assert lazy.diameter_is_exact
+
+
+@pytest.mark.parametrize("n, exact", [(2047, True), (2048, True), (2049, False)])
+def test_diameter_exactness_switches_at_the_limit(n, exact):
+    # The real switch, not a patched limit: up to EXACT_DIAMETER_LIMIT
+    # nodes a lazy metric streams every row maximum; beyond it, the
+    # double sweep bounds Δ from below.
+    assert EXACT_DIAMETER_LIMIT == 2048
+    graph = preferential_attachment(n, m=2, seed=1)
+    lazy = GraphMetric(graph, strategy="lazy")
+    assert lazy.diameter_is_exact is exact
+    oracle = float(
+        dijkstra(nx.to_scipy_sparse_array(graph, nodelist=range(n))).max()
+    )
+    if exact:
+        assert lazy.diameter == oracle
+    else:
+        assert oracle / 2 <= lazy.diameter <= oracle
 
 
 def test_double_sweep_bound_on_large_graph(monkeypatch):
