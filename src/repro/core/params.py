@@ -16,31 +16,24 @@ import math
 class SchemeParameters:
     """Parameters controlling accuracy/space trade-offs of all schemes.
 
+    Paper §2 requires a globally consistent tie-breaking rule for
+    nearest-net-point selection ("e.g., the least node id"); every
+    nearest choice in this repo takes the least id, so there is nothing
+    to configure.
+
     Attributes:
         epsilon: The paper's ``ε``.  Smaller values mean better stretch
             (``9 + O(ε)`` name-independent, ``1 + O(ε)`` labeled) but larger
             ring radii ``2^i/ε`` and hence larger routing tables.
-        tie_break_by_id: Paper §2 requires a globally consistent
-            tie-breaking rule for nearest-net-point selection ("e.g., the
-            least node id"); this flag exists only to document that choice
-            and must stay ``True`` for reproducibility.
     """
 
     epsilon: float = 0.5
-    tie_break_by_id: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(
                 f"epsilon must be in (0, 1), got {self.epsilon}"
             )
-        if not self.tie_break_by_id:
-            raise ValueError("least-node-id tie-breaking is required")
-
-    @property
-    def ring_radius_factor(self) -> float:
-        """Multiplier ``1/ε`` applied to net radii for ring/ball lookups."""
-        return 1.0 / self.epsilon
 
     def search_tree_levels(self, radius: float) -> int:
         """Number of net levels ``⌊log(εr)⌋`` in a search tree of radius r."""

@@ -1,7 +1,7 @@
 """Table compiler: lower built schemes into flat numpy arrays.
 
-Each ``compile_*`` function reads one scheme's tables (dicts of ring
-entries, the search-tree forest, Voronoi trees, vicinity maps) and
+Each ``compile_*`` function reads one scheme's tables (the ring table,
+the search-tree forest, Voronoi trees, vicinity maps) and
 emits a :class:`CompiledTables` — a named bundle of numpy arrays the
 batch router can gather from without touching python objects.
 
@@ -22,10 +22,11 @@ Layouts (see DESIGN.md, "engine" section, for the full picture):
   ``n`` rows still solves every row once.  The landmark scheme
   compiles *without* dense LUTs so the lazy substrate's
   rows-materialized invariant survives compilation;
-* **ring matrices** — per-node ring entries padded to a rectangle, in
-  the exact iteration order of the interpreted scan (ascending level,
-  then dict insertion order); padding rows use ``lo=1 > hi=0`` so they
-  can never cover a label and first-match is a plain ``argmax``;
+* **ring matrices** — ``Rings.arrays`` (:mod:`repro.nets.rings`):
+  per-node ring entries padded to a rectangle, in the exact order of
+  the interpreted scan (ascending level, then net order); padding uses
+  ``lo=1 > hi=0`` so it can never cover a label and first-match is a
+  plain ``argmax``;
 * **search-tree slots** — the scheme's ``SearchForest`` handed over:
   its trees already live in one slot space (each a preorder run, per
   slot its graph node and parent slot), so ``S_NODE``/``S_PARENT``/
@@ -158,43 +159,6 @@ def _naming_tables(scheme) -> Dict[str, np.ndarray]:
     node_of = np.empty(n, dtype=np.int64)
     node_of[name_of] = np.arange(n, dtype=np.int64)
     return {"NAMEOF": name_of, "NODEOF": node_of}
-
-
-def _pack_rings(rings: List[Dict], n: int, prefix: str) -> Dict[str, np.ndarray]:
-    """Padded ring matrices in exact interpreted scan order.
-
-    ``rings[u][i]`` is a dict ``x -> (lo, hi, dist)``; the interpreted
-    scan iterates ``sorted(rings[u])`` then dict insertion order, so
-    rows are emitted in that order and first-match is argmax over the
-    cover mask.
-    """
-    rows: List[List[Tuple[int, int, int, int, float]]] = []
-    for u in range(n):
-        entries = []
-        for i in sorted(rings[u]):
-            for x, (lo, hi, dist) in rings[u][i].items():
-                entries.append((i, x, lo, hi, dist))
-        rows.append(entries)
-    width = max(1, max((len(r) for r in rows), default=1))
-    lo = np.ones((n, width), dtype=np.int64)
-    hi = np.zeros((n, width), dtype=np.int64)
-    xs = np.zeros((n, width), dtype=np.int64)
-    lvl = np.zeros((n, width), dtype=np.int64)
-    dist = np.zeros((n, width), dtype=np.float64)
-    for u, entries in enumerate(rows):
-        for col, (i, x, elo, ehi, edist) in enumerate(entries):
-            lvl[u, col] = i
-            xs[u, col] = x
-            lo[u, col] = elo
-            hi[u, col] = ehi
-            dist[u, col] = edist
-    return {
-        prefix + "LO": lo,
-        prefix + "HI": hi,
-        prefix + "X": xs,
-        prefix + "LVL": lvl,
-        prefix + "D": dist,
-    }
 
 
 def _search_arrays(forests) -> Dict[str, np.ndarray]:
@@ -409,7 +373,7 @@ def _compile_lns_core(scheme, distances: bool = False) -> Dict[str, np.ndarray]:
     return {
         **_edge_tables(metric),
         **_dense_tables(metric, distances),
-        **_pack_rings(scheme._rings, metric.n, "R_"),
+        **scheme._rings.arrays(),
         **_hierarchy_tables(scheme._hierarchy, metric.n),
     }
 
@@ -480,7 +444,7 @@ def _compile_lsf_core(scheme) -> Tuple[Dict[str, np.ndarray], Dict[str, float]]:
     arrays = {
         **_edge_tables(metric),
         **_dense_tables(metric, distances=True),
-        **_pack_rings(scheme._rings, n, "R_"),
+        **scheme._rings.arrays(),
         **_hierarchy_tables(scheme._hierarchy, n),
     }
     # r_u(u, j) columns with an +inf sentinel at j = log_n + 1 so the

@@ -8,7 +8,7 @@ substrate could never ask:
 1. **How far does compact routing scale** when the metric is queried
    lazily?  The :class:`LandmarkNameIndependentScheme` builds from
    ``k ≈ √n`` full Dijkstra rows plus one size-bounded search per node,
-   so its build cost — time, rows materialized, peak memory — should
+   so its build cost — time, rows materialized, row-store memory — should
    grow near-linearly while an eager APSP pays ``Θ(n²)`` memory before
    the first query.
 2. **What breaks on non-doubling graphs?**  Power-law graphs
@@ -19,11 +19,11 @@ substrate could never ask:
    price of the worst-case stretch guarantee.
 
 ``run`` measures (1): build seconds, full rows materialized (the
-substrate's acceptance counter), ``tracemalloc`` peak, average stretch,
-and mean table bits per node, for each family and size.  ``run_doubling``
-measures (2): Theorem 1.4 versus the landmark scheme on a doubling and a
-power-law family at equal (small) sizes, where the doubling scheme is
-still buildable.
+substrate's acceptance counter), the row store's bytes after the build,
+average stretch, and mean table bits per node, for each family and
+size.  ``run_doubling`` measures (2): Theorem 1.4 versus the landmark
+scheme on a doubling and a power-law family at equal (small) sizes,
+where the doubling scheme is still buildable.
 
 CLI: ``python -m repro scale [--sizes 256,2048,10000] [--pairs N]``.
 """
@@ -31,7 +31,6 @@ CLI: ``python -m repro scale [--sizes 256,2048,10000] [--pairs N]``.
 from __future__ import annotations
 
 import time
-import tracemalloc
 from typing import List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -43,7 +42,6 @@ from repro.graphs.generators import (
     preferential_attachment,
     random_geometric,
 )
-from repro.metric.graph_metric import GraphMetric
 from repro.pipeline.context import BuildContext
 from repro.pipeline.sampling import sample_ordered_pairs
 from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
@@ -72,21 +70,6 @@ def _mean_stretch(scheme, metric, pair_count: int, seed: int = 0) -> float:
     return total / len(pairs) if pairs else 1.0
 
 
-def _traced_build_peak(graph: "nx.Graph") -> int:
-    """``tracemalloc`` high water of one more lazy metric + scheme build.
-
-    Tracing every allocation slows a build several-fold, so the timed
-    build runs untraced and memory comes from this second, identical
-    build.
-    """
-    tracemalloc.start()
-    try:
-        LandmarkNameIndependentScheme(GraphMetric(graph, strategy="lazy"))
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def run(
     pair_count: int = 300,
     context: Optional[BuildContext] = None,
@@ -96,9 +79,9 @@ def run(
 
     Every metric is forced onto the lazy strategy (even below the
     auto-selection threshold) so the rows-materialized column is the
-    same counter at every size.  Build time is measured untraced; peak
-    memory is the ``tracemalloc`` high water of a second metric +
-    scheme build.
+    same counter at every size.  Each point is built once: memory is
+    the row store's bytes (``substrate_stats()["stored_bytes"]``) right
+    after the build.
     """
     if context is None:
         context = BuildContext()
@@ -111,7 +94,6 @@ def run(
             metric = context.metric(graph, strategy="lazy")
             scheme = LandmarkNameIndependentScheme(metric)
             build_seconds = time.perf_counter() - start
-            peak = _traced_build_peak(graph)
             stats = metric.substrate_stats()
             stretch = _mean_stretch(
                 scheme, metric, min(pair_count, 200)
@@ -122,7 +104,7 @@ def run(
                     metric.n,
                     round(build_seconds, 3),
                     int(stats["rows_materialized"]),
-                    round(peak / 2**20, 1),
+                    round(int(stats["stored_bytes"]) / 2**20, 3),
                     round(stretch, 3),
                     int(scheme.total_table_bits() / metric.n),
                 ]
@@ -134,7 +116,7 @@ def run(
             "n",
             "build s",
             "rows materialized",
-            "peak MiB",
+            "row store MiB",
             "avg stretch",
             "avg table bits",
         ],
@@ -142,9 +124,9 @@ def run(
         notes=[
             "rows materialized counts full Dijkstra rows ever solved; "
             "an eager APSP would pay n rows before the first query",
-            "build s is timed untraced; peak MiB is the tracemalloc high "
-            "water of a second, traced metric + scheme build (routing "
-            "excluded)",
+            "row store MiB is the lazy metric's stored row bytes "
+            "(substrate_stats stored_bytes) right after the one timed "
+            "build, before routing; it is bounded by the row budget",
             "the exponential-weight backbone is the landmark scheme's "
             "worst case (directory detours cross the backbone while "
             "d(u,v) is intra-cluster) — the regime the paper's doubling "

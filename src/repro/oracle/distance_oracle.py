@@ -4,8 +4,10 @@ The paper's introduction places compact routing among the problems that
 "become easier" in doubling metrics alongside *distance estimation*
 (Slivkins [24]; Kleinberg–Slivkins–Wexler [19]).  The same ring data the
 labeled schemes store — ``X_i(u) = B_u(2^i/ε) ∩ Y_i`` with exact
-distances — doubles as a distance *labeling*: two labels alone determine
-an estimate
+distances — doubles as a distance *labeling*: u's label is the
+``(x, d)`` pairs of its entries in the ring table
+(:class:`~repro.nets.rings.Rings`, every level), and two labels alone
+determine an estimate
 
     ``est(u, v) = min over shared ring points x of d(u,x) + d(x,v)``,
 
@@ -30,6 +32,7 @@ from repro.core.params import SchemeParameters
 from repro.core.types import NodeId, PreprocessingError
 from repro.metric.graph_metric import GraphMetric
 from repro.nets.hierarchy import NetHierarchy
+from repro.nets.rings import Rings
 
 #: A node's distance label: level -> {net point -> exact distance}.
 DistanceLabel = Dict[int, Dict[NodeId, float]]
@@ -55,19 +58,13 @@ class DistanceOracle:
         self._hierarchy = (
             hierarchy if hierarchy is not None else NetHierarchy(metric)
         )
-        self._labels: List[DistanceLabel] = [
-            {} for _ in metric.nodes
-        ]
-        self._build_labels()
-
-    def _build_labels(self) -> None:
-        metric = self._metric
-        for i in self._hierarchy.levels:
-            radius = (2.0**i) / self._params.epsilon
-            for x in self._hierarchy.net(i):
-                ids, d = metric.ball_with_distances(x, radius)
-                for u, du in zip(ids, d):
-                    self._labels[int(u)].setdefault(i, {})[x] = float(du)
+        # Labels are read once from the table, so estimates look up
+        # dicts instead of regrouping entries per query.
+        rings = Rings(metric, self._hierarchy, params.epsilon)
+        self._labels: List[DistanceLabel] = [{} for _ in metric.nodes]
+        for u, label in enumerate(self._labels):
+            for i, x, _, _, d in rings.entries(u):
+                label.setdefault(i, {})[x] = d
 
     # ------------------------------------------------------------------
 

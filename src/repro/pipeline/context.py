@@ -58,7 +58,9 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: keys reuse the scheme's own cache key.
 #: v7: schemes hold their search trees as one flat slot forest.
 #: v8: schemes keep their header codec once built.
-CACHE_FORMAT_VERSION = 8
+#: v9: ring schemes and the oracle hold one flat ring table; parameter
+#: keys drop the tie-breaking flag.
+CACHE_FORMAT_VERSION = 9
 
 
 @dataclasses.dataclass
@@ -257,9 +259,9 @@ def _mentions(obj: Any, key: str) -> bool:
     return False
 
 
-def params_key(params: SchemeParameters) -> Tuple[float, bool]:
+def params_key(params: SchemeParameters) -> Tuple[float]:
     """Canonical cache key of a :class:`SchemeParameters`."""
-    return (params.epsilon, params.tie_break_by_id)
+    return (params.epsilon,)
 
 
 def _canonical_kwarg(value: Any) -> Any:

@@ -25,20 +25,16 @@ are bounded by the zooming-sequence geometry (Eqn. 2), giving stretch
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.core.bitcount import bits_for_id
 from repro.core.params import SchemeParameters
 from repro.core.types import NodeId, PreprocessingError, RouteFailure, RouteResult
 from repro.metric.graph_metric import GraphMetric
 from repro.nets.hierarchy import NetHierarchy
+from repro.nets.rings import Rings
 from repro.observability.trace import NULL_TRACER
 from repro.schemes.base import LabeledScheme
-
-#: A ring entry: (range_lo, range_hi, distance to the net point).  The
-#: next hop toward the net point is resolved through the metric's
-#: canonical next-hop map (conceptually stored; charged in table_bits).
-RingEntry = Tuple[int, int, float]
 
 
 class NonScaleFreeLabeledScheme(LabeledScheme):
@@ -59,11 +55,14 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
                 "labeled schemes require epsilon <= 1/2 (Lemma 3.1)"
             )
         self._hierarchy = hierarchy if hierarchy is not None else NetHierarchy(metric)
-        # _rings[u][i] = {x: RingEntry} for x in X_i(u).
-        self._rings: List[Dict[int, Dict[NodeId, RingEntry]]] = [
-            {} for _ in metric.nodes
-        ]
-        self._build_rings()
+        # X_i(u) at every level; the next hop toward a ring point is
+        # the metric's canonical one (conceptually stored; charged in
+        # table_bits).
+        self._rings = Rings(metric, self._hierarchy, self._params.epsilon)
+        #: Partition accounting for BuildStats.fold (see BuildContext).
+        self.build_report: Dict[str, Tuple[int, int]] = {
+            "ring_block": self._rings.blocks
+        }
 
     @classmethod
     def from_context(
@@ -75,27 +74,6 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
                 metric, kwargs["hierarchy"], _previous, _dirty
             )
         return cls(metric, params, **kwargs)
-
-    def _build_ring_block(self, i: int, radius: float, x: NodeId) -> None:
-        """Materialize the ``(i, x)`` partition: x's entry in every ring
-        it appears in.  Reads only the hierarchy and x's distance row,
-        so the partition's dependency set is ``{x}``."""
-        lo, hi = self._hierarchy.range_of(x, i)
-        ids, d = self._metric.ball_with_distances(x, radius)
-        for u, du in zip(ids, d):
-            self._rings[int(u)].setdefault(i, {})[x] = (lo, hi, float(du))
-
-    def _build_rings(self) -> None:
-        blocks = 0
-        for i in self._hierarchy.levels:
-            radius = (2.0**i) * self._params.ring_radius_factor
-            for x in self._hierarchy.net(i):
-                self._build_ring_block(i, radius, x)
-                blocks += 1
-        #: Partition accounting for BuildStats.fold (see BuildContext).
-        self.build_report: Dict[str, Tuple[int, int]] = {
-            "ring_block": (0, blocks)
-        }
 
     @classmethod
     def _rebuilt(
@@ -124,23 +102,11 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
         fresh._header_codec = None
         fresh._tracer = NULL_TRACER
         fresh._hierarchy = hierarchy
-        fresh._rings = [{} for _ in metric.nodes]
-        reused = built = 0
-        for i in hierarchy.levels:
-            radius = (2.0**i) * previous._params.ring_radius_factor
-            for x in hierarchy.net(i):
-                if x in dirty:
-                    fresh._build_ring_block(i, radius, x)
-                    built += 1
-                else:
-                    # Row x is clean: membership (ball of x) and stored
-                    # distances are unchanged; copy the block's entries.
-                    for u in metric.ball(x, radius):
-                        fresh._rings[u].setdefault(i, {})[x] = (
-                            previous._rings[u][i][x]
-                        )
-                    reused += 1
-        fresh.build_report = {"ring_block": (reused, built)}
+        # A clean row x leaves block (i, x) — ball membership and stored
+        # distances — unchanged, so the table copies it.
+        eps, old = fresh._params.epsilon, previous._rings
+        fresh._rings = Rings(metric, hierarchy, eps, previous=old, dirty=dirty)
+        fresh.build_report = {"ring_block": fresh._rings.blocks}
         return fresh
 
     # ------------------------------------------------------------------
@@ -155,26 +121,24 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
     def label_bits(self) -> int:
         return bits_for_id(self._metric.n)
 
-    def ring_entries(self, u: NodeId, i: int) -> Dict[NodeId, RingEntry]:
-        """Stored ring ``X_i(u)`` (read-only view for tests)."""
-        return dict(self._rings[u].get(i, {}))
+    def ring_entries(self, u: NodeId, i: int) -> Dict[NodeId, Tuple[int, int, float]]:
+        """Stored ring ``X_i(u)`` as ``x -> (lo, hi, d)``."""
+        return self._rings.ring(u, i)
 
     def min_level_hit(
         self, u: NodeId, target_label: int
     ) -> Tuple[int, NodeId, float]:
         """Minimal level whose ring at ``u`` covers ``target_label``.
 
-        Returns ``(i, x, d(u, x))`` — ``x`` is the destination's
+        Returns ``(i, x, d(x, u))`` — ``x`` is the destination's
         zooming-sequence ancestor ``v(i)``.  Always succeeds: the top
         ring contains the netting-tree root, whose range is everything.
         """
-        for i in sorted(self._rings[u]):
-            for x, (lo, hi, dist) in self._rings[u][i].items():
-                if lo <= target_label <= hi:
-                    return i, x, dist
-        raise RouteFailure(  # pragma: no cover - top ring always hits
-            f"no ring at node {u} covers label {target_label}"
-        )
+        hit = self._rings.hit(u, target_label)
+        if hit is None:  # pragma: no cover - top ring always hits
+            raise RouteFailure(f"no ring at node {u} covers label {target_label}")
+        i, x, _, _, dist = hit
+        return i, x, dist
 
     def route_to_label(self, source: NodeId, label: int) -> RouteResult:
         if not 0 <= label < self._metric.n:
@@ -234,9 +198,7 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
 
     def table_bits(self, v: NodeId) -> int:
         """Ring storage: per entry a range (2 labels) plus a next hop."""
-        unit = bits_for_id(self._metric.n)
-        entries = sum(len(ring) for ring in self._rings[v].values())
-        return entries * 3 * unit
+        return self._rings.count(v) * 3 * bits_for_id(self._metric.n)
 
     def _header_layout(self):
         """Bit-exact codec: the packet carries only the label."""

@@ -40,13 +40,12 @@ from repro.core.params import SchemeParameters
 from repro.core.types import NodeId, PreprocessingError, RouteFailure, RouteResult
 from repro.metric.graph_metric import DISTANCE_SLACK, GraphMetric
 from repro.nets.hierarchy import NetHierarchy
+from repro.nets.rings import Rings
 from repro.packing.ballpacking import BallPacking
 from repro.searchtree.tree import SearchForest, SearchTree
 from repro.schemes.base import LabeledScheme
 from repro.trees.spt import ShortestPathTree, voronoi_partition
 from repro.trees.tree_router import TreeRouter
-
-RingEntry = Tuple[int, int, float]
 
 
 class ScaleFreeLabeledScheme(LabeledScheme):
@@ -78,10 +77,9 @@ class ScaleFreeLabeledScheme(LabeledScheme):
         self._stored_levels: List[List[int]] = [
             self._levels_R(u) for u in metric.nodes
         ]
-        self._rings: List[Dict[int, Dict[NodeId, RingEntry]]] = [
-            {} for _ in metric.nodes
-        ]
-        self._build_rings()
+        self._rings = Rings(
+            metric, self._hierarchy, self._params.epsilon, self._stored_levels
+        )
 
         # Per packing level j: voronoi center of each node, the trees,
         # their routers, and the search trees II.
@@ -118,27 +116,6 @@ class ScaleFreeLabeledScheme(LabeledScheme):
             for i in range(max(0, lo), min(top, hi) + 1):
                 levels.add(i)
         return sorted(levels)
-
-    def _build_rings(self) -> None:
-        metric = self._metric
-        hierarchy = self._hierarchy
-        wanted: Dict[int, List[NodeId]] = {}
-        for u in metric.nodes:
-            for i in self._stored_levels[u]:
-                wanted.setdefault(i, []).append(u)
-        for i, users in wanted.items():
-            radius = (2.0**i) * self._params.ring_radius_factor
-            users_set = set(users)
-            for x in hierarchy.net(i):
-                lo, hi = hierarchy.range_of(x, i)
-                ids, d = metric.ball_with_distances(x, radius)
-                for u, du in zip(ids, d):
-                    if int(u) in users_set:
-                        self._rings[int(u)].setdefault(i, {})[x] = (
-                            lo,
-                            hi,
-                            float(du),
-                        )
 
     def _build_voronoi_layers(self) -> None:
         metric = self._metric
@@ -210,8 +187,9 @@ class ScaleFreeLabeledScheme(LabeledScheme):
         """Every search tree II of the scheme, in one slot space."""
         return self._forest
 
-    def ring_entries(self, u: NodeId, i: int) -> Dict[NodeId, RingEntry]:
-        return dict(self._rings[u].get(i, {}))
+    def ring_entries(self, u: NodeId, i: int) -> Dict[NodeId, Tuple[int, int, float]]:
+        """Stored ring ``X_i(u)`` as ``x -> (lo, hi, d)`` (empty off R(u))."""
+        return self._rings.ring(u, i)
 
     def stretch_guarantee(self) -> float:
         return 1.0
@@ -219,21 +197,6 @@ class ScaleFreeLabeledScheme(LabeledScheme):
     # ------------------------------------------------------------------
     # Algorithm 5
     # ------------------------------------------------------------------
-
-    def _ring_hit(
-        self, u: NodeId, target_label: int
-    ) -> Optional[Tuple[int, NodeId, float, bool]]:
-        """Minimal stored level whose ring covers ``target_label``.
-
-        The final flag reports whether the covering range is the
-        singleton ``{target_label}`` — in that case the ring member *is*
-        the destination itself and ``u`` holds its next hop directly.
-        """
-        for i in sorted(self._rings[u]):
-            for x, (lo, hi, dist) in self._rings[u][i].items():
-                if lo <= target_label <= hi:
-                    return i, x, dist, lo == hi
-        return None
 
     def _size_level_for(self, u: NodeId, power: float) -> int:
         """``j`` with ``r_u(j) <= power < r_u(j+1)`` (clamped at log n)."""
@@ -262,10 +225,11 @@ class ScaleFreeLabeledScheme(LabeledScheme):
 
         # Phase 1 (lines 1-6): greedy ring walk.
         while self._hierarchy.label(current) != label:
-            hit = self._ring_hit(current, label)
+            hit = self._rings.hit(current, label)
             if hit is None:
                 break  # defensive: go to the Voronoi phase at top level
-            i, x, dist, is_destination = hit
+            i, x, lo, hi, dist = hit
+            is_destination = lo == hi
             threshold = (2.0 ** (i - 1)) / eps - (2.0**i)
             # When the covering range is a singleton, x is the
             # destination itself and its next hop is stored — deliver
@@ -304,7 +268,7 @@ class ScaleFreeLabeledScheme(LabeledScheme):
             return self._finish(source, current, path, legs)
 
         # Phase 2 (lines 7-10): Voronoi tree + search tree II.
-        hit = self._ring_hit(current, label)
+        hit = self._rings.hit(current, label)
         if hit is None:
             start_j = metric.log_n
             self.fallback_count += 1
@@ -458,8 +422,7 @@ class ScaleFreeLabeledScheme(LabeledScheme):
         """Per-category storage ledger for node ``v``."""
         unit = bits_for_id(self._metric.n)
         ledger = BitCounter()
-        entries = sum(len(ring) for ring in self._rings[v].values())
-        ledger.charge("rings R(u)", entries * 4 * unit)
+        ledger.charge("rings R(u)", self._rings.count(v) * 4 * unit)
         ledger.charge("voronoi + trees + search", self._struct_bits[v])
         return ledger
 

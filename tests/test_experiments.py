@@ -284,6 +284,24 @@ class TestScaleExperiment:
             assert rows_materialized < n
             assert stretch >= 1.0
 
+    def test_builds_each_point_once(self, monkeypatch):
+        from repro.experiments import scale
+        from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
+
+        built = []
+        init = LandmarkNameIndependentScheme.__init__
+
+        def counted(self, metric, *args, **kwargs):
+            built.append(metric)
+            init(self, metric, *args, **kwargs)
+
+        monkeypatch.setattr(LandmarkNameIndependentScheme, "__init__", counted)
+        result = scale.run(pair_count=20, sizes=(48, 64))
+        assert len(built) == len(result.rows)
+        column = result.columns.index("row store MiB")
+        for metric, row in zip(built, result.rows):
+            assert 0 < row[column] * 2**20 <= metric.row_budget_bytes
+
     def test_doubling_degradation_table(self):
         from repro.experiments import scale
 

@@ -54,17 +54,10 @@ class TestSchemeParameters:
         with pytest.raises(ValueError):
             SchemeParameters(epsilon=bad)
 
-    def test_ring_radius_factor(self):
-        assert SchemeParameters(epsilon=0.25).ring_radius_factor == 4.0
-
     def test_frozen(self):
         params = SchemeParameters()
         with pytest.raises(Exception):
             params.epsilon = 0.1
-
-    def test_tie_break_flag_must_stay_true(self):
-        with pytest.raises(ValueError):
-            SchemeParameters(tie_break_by_id=False)
 
     @pytest.mark.parametrize(
         "epsilon,radius,expected",
