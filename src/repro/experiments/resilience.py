@@ -240,7 +240,6 @@ def run_repair(
             "incr s",
             "incr built",
             "incr reused",
-            "speedup",
         ],
         rows=rows,
         notes=[
@@ -264,11 +263,6 @@ def _repair_row(
     cold,
     incremental,
 ) -> List[object]:
-    speedup = (
-        cold.seconds / incremental.seconds
-        if incremental.seconds > 0
-        else float("inf")
-    )
     return [
         graph_name,
         event,
@@ -278,7 +272,6 @@ def _repair_row(
         round(incremental.seconds, 4),
         incremental.built_total,
         incremental.reused_total,
-        round(speedup, 1),
     ]
 
 

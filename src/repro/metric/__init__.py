@@ -10,14 +10,12 @@ from repro.metric.substrate import (
     DEFAULT_ROW_BUDGET_BYTES,
     DENSE_NODE_LIMIT,
     DISTANCE_SLACK,
-    EXACT_DIAMETER_LIMIT,
 )
 
 __all__ = [
     "DEFAULT_ROW_BUDGET_BYTES",
     "DENSE_NODE_LIMIT",
     "DISTANCE_SLACK",
-    "EXACT_DIAMETER_LIMIT",
     "GraphMetric",
     "doubling_dimension",
     "growth_bound_constant",

@@ -29,11 +29,7 @@ and provides:
 Every query has one implementation, so both fillings answer
 byte-identically (``tests/test_substrate.py`` also holds them to an
 independent oracle on all fixtures); ``lazy`` scales to n = 10⁴ and
-beyond because nothing ever allocates an n×n matrix.  The only
-documented divergence is :attr:`diameter` above
-``EXACT_DIAMETER_LIMIT`` nodes when not every row is resident: the lazy
-filling then reports an iterated double-sweep *lower bound* (exact on
-trees, >= Δ/2 in general) instead of paying n full searches.
+beyond because nothing ever allocates an n×n matrix.
 
 Nodes must be (or are relabelled to) ``0 .. n-1`` integers.
 """
@@ -53,14 +49,12 @@ from repro.metric.substrate import (
     DEFAULT_ROW_BUDGET_BYTES,
     DENSE_NODE_LIMIT,
     DISTANCE_SLACK,
-    EXACT_DIAMETER_LIMIT,
     LazyStrategy,
 )
 
 __all__ = [
     "DISTANCE_SLACK",
     "DENSE_NODE_LIMIT",
-    "EXACT_DIAMETER_LIMIT",
     "GraphMetric",
     "stretch_of",
 ]
@@ -131,7 +125,6 @@ class GraphMetric:
         # Computed on first access — a metric that never needs the
         # diameter never pays for it.
         self._diameter: Optional[float] = None
-        self._diameter_exact = self._n <= EXACT_DIAMETER_LIMIT
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -283,7 +276,6 @@ class GraphMetric:
             new._csr(edges), candidates
         )
         new._diameter = None
-        new._diameter_exact = self._n <= EXACT_DIAMETER_LIMIT
         return new, dirty
 
     # ------------------------------------------------------------------
@@ -373,24 +365,15 @@ class GraphMetric:
     def diameter(self) -> float:
         """Largest shortest-path distance (= normalized diameter Δ).
 
-        Exact whenever every row is resident (dense metrics) or
-        ``n <= EXACT_DIAMETER_LIMIT``; larger lazy metrics report the
-        iterated double-sweep lower bound (see
-        ``LazyStrategy.diameter_estimate``) — check
-        :attr:`diameter_is_exact`.
+        Exact at every ``n`` on both fillings: the largest entry of any
+        row, found by ``LazyStrategy.diameter`` (weighted iFUB), which
+        reads a few dozen rows on doubling graphs (about half of them on
+        plain grids) and installs none.  Computed on first read and
+        clamped to at least 1.
         """
         if self._diameter is None:
-            estimate, exact = self._strategy.diameter_estimate()
-            self._diameter = max(estimate, 1.0) if self._n > 1 else 1.0
-            self._diameter_exact = exact
+            self._diameter = max(self._strategy.diameter(), 1.0)
         return self._diameter
-
-    @property
-    def diameter_is_exact(self) -> bool:
-        """Whether :attr:`diameter` is exact (vs a double-sweep bound)."""
-        if self._diameter is None:
-            self.diameter
-        return self._diameter_exact
 
     @property
     def log_diameter(self) -> int:
@@ -667,7 +650,6 @@ class GraphMetric:
             "normalize": self._normalize,
             "scale": self._scale,
             "diameter": self._diameter,
-            "diameter_exact": self._diameter_exact,
             "row_budget": self._row_budget,
             "strategy_state": self._strategy.state(),
         }
@@ -678,7 +660,6 @@ class GraphMetric:
         self._normalize = state["normalize"]
         self._scale = state["scale"]
         self._diameter = state["diameter"]
-        self._diameter_exact = state["diameter_exact"]
         self._row_budget = state["row_budget"]
         self._strategy = LazyStrategy.restore(
             state["strategy_state"], self._csr(), self._n

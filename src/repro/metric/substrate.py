@@ -60,14 +60,13 @@ DENSE_NODE_LIMIT = 512
 #: storage; ~64 MiB holds ≈ 550 full rows at n = 10⁴).
 DEFAULT_ROW_BUDGET_BYTES = 64 * 2**20
 
-#: ``diameter`` is computed exactly (streamed row maxima, no matrix)
-#: up to this size; beyond it the lazy strategy reports an iterated
-#: double-sweep lower bound (exact on trees, >= Δ/2 in general).
-EXACT_DIAMETER_LIMIT = 2048
-
 #: Sources per scipy call when streaming many rows (bounds transient
 #: memory to ``chunk * n`` floats instead of ``n * n``).
 _ROW_CHUNK = 256
+
+#: Rows per read in :meth:`LazyStrategy.diameter`: small, because the
+#: stopping test runs between reads.
+_DIAMETER_BLOCK = 32
 
 
 def _lexsorted_view(
@@ -93,10 +92,9 @@ class _Row:
     rows), so one eviction or splice drops them together with the
     distances they came from.
 
-    ``order``/``sorted_dist`` (the ``(distance, id)`` view) and ``ecc``
-    (a full row's maximum) are derived on first use, so a row replaced
-    before anyone reads it never pays for its sort; ``nbytes`` charges
-    the sorted view from the start.
+    ``order``/``sorted_dist`` (the ``(distance, id)`` view) are derived
+    on first use, so a row replaced before anyone reads it never pays
+    for its sort; ``nbytes`` charges the sorted view from the start.
     """
 
     __slots__ = (
@@ -105,7 +103,6 @@ class _Row:
         "pred",
         "order",
         "sorted_dist",
-        "ecc",
         "limit",
         "full",
         "hops",
@@ -125,7 +122,7 @@ class _Row:
         self.pred = pred
         self.limit = limit
         self.full = full
-        self.hops = self.order = self.sorted_dist = self.ecc = None
+        self.hops = self.order = self.sorted_dist = None
         # dist + pred + the sorted copy of dist + the int64 order, which
         # is as large as the float64 distances (+ ids).
         self.nbytes = (
@@ -134,12 +131,6 @@ class _Row:
 
     def _sort(self) -> None:
         self.order, self.sorted_dist = _lexsorted_view(self.dist, self.ids)
-
-    def eccentricity(self) -> float:
-        """Largest distance on a full row."""
-        if self.ecc is None:
-            self.ecc = float(self.dist.max())
-        return self.ecc
 
     @property
     def settled(self) -> int:
@@ -416,11 +407,8 @@ class LazyStrategy:
         """Store full rows solved as one ``(len(sources), n)`` block,
         with their first hops when the caller already has them."""
         inf = float("inf")
-        for k, (s, ecc) in enumerate(
-            zip(sources.tolist(), dist.max(axis=1).tolist())
-        ):
+        for k, s in enumerate(sources.tolist()):
             row = _Row(dist[k], pred[k], inf, True)
-            row.ecc = ecc  # one vectorized max for the whole block
             if hops is not None:
                 row.hops = hops[k]
             self.store.put(s, row)
@@ -511,7 +499,7 @@ class LazyStrategy:
 
     def eccentricity(self, u: NodeId) -> float:
         # One row, never the full APSP matrix.
-        return self.ensure_full(u).eccentricity()
+        return float(self.ensure_full(u).dist.max())
 
     def ball_with_distances(
         self, u: NodeId, r: float
@@ -699,9 +687,9 @@ class LazyStrategy:
         return fresh.dist, fresh.pred
 
     def invalidate_derived(self, u: NodeId) -> None:
-        # Derived views (lexsort order, first hops, eccentricity) live
-        # on the row entry; after an in-place mutation they must be
-        # rebuilt from the mutated arrays.
+        # Derived views (lexsort order, first hops) live on the row
+        # entry; after an in-place mutation they must be rebuilt from
+        # the mutated arrays.
         entry = self.store.get(u)
         if entry is None:
             return
@@ -777,42 +765,63 @@ class LazyStrategy:
                 new.store.put(s, entry)
         return new, dirty_set
 
-    def diameter_estimate(self) -> Tuple[float, bool]:
-        """``(estimate, exact)`` diameter without a dense matrix.
+    def diameter(self) -> float:
+        """The largest entry of any full row, by weighted iFUB.
 
-        When every row is resident (always, for a filled store), the
-        maximum of their eccentricities.  Otherwise, up to
-        :data:`EXACT_DIAMETER_LIMIT` nodes: stream row maxima in chunks
-        (exact, O(chunk · n) transient memory).  Beyond: the iterated
-        double sweep — repeatedly jump to the farthest node and re-run —
-        which lower-bounds Δ by at least Δ/2 on any graph and is exact
-        on trees.
+        iFUB (Crescenzi, Grossi, Habib, Lanzi and Marino, TCS 2013):
+        a double sweep from node 0 to ``a``, the farthest node from 0,
+        and ``b``, the farthest from ``a``; then the row of ``c``, the
+        least-id node minimizing ``max(d(a, ·), d(b, ·))``; then the
+        other rows in decreasing ``d(c, ·)`` (ties by id), in blocks of
+        :data:`_DIAMETER_BLOCK`.  Once the best row maximum exceeds
+        ``2t`` (with relative slack), where ``t`` is ``d(c, ·)`` of the
+        next unread node, no two unread nodes can be farther apart than
+        that maximum.  An unread ``x`` can then beat it only through a
+        read row ``y`` whose ``d(y, x)`` is within the slack of it,
+        because ``d(x, y)`` and ``d(y, x)`` may differ in the last bit;
+        those rows are read too, until there are none.  The result is
+        therefore the maximum over all ``n`` rows, bit for bit.
+
+        Rows come from :meth:`_full_rows`: resident rows are read, the
+        rest are solved and dropped, so residency and the store's
+        counters are unchanged and a filled store runs no search.
         """
-        if self._n <= 1:
-            return 1.0, True
-        resident = [entry for _, entry in self.store.items() if entry.full]
-        if len(resident) == self._n:
-            return max(entry.eccentricity() for entry in resident), True
-        if self._n <= EXACT_DIAMETER_LIMIT:
-            best = 0.0
-            for start in range(0, self._n, _ROW_CHUNK):
-                indices = np.arange(start, min(start + _ROW_CHUNK, self._n))
-                dist = dijkstra(self._matrix, directed=True, indices=indices)
-                if not np.all(np.isfinite(dist)):
-                    raise PreprocessingError("graph must be connected")
-                best = max(best, float(dist.max()))
-            return best, True
-        source = 0
-        best = 0.0
-        for _ in range(4):
-            dist = dijkstra(self._matrix, directed=True, indices=[source])[0]
-            far = int(dist.argmax())
-            ecc = float(dist[far])
-            if ecc <= best:
+        n = self._n
+        read = np.zeros(n, dtype=bool)
+        # Per node x, the largest d(y, x) over the rows y read so far.
+        reach = np.zeros(n)
+
+        def scan(sources: np.ndarray) -> np.ndarray:
+            dist = self._full_rows(sources)[0]
+            read[sources] = True
+            np.maximum(reach, dist.max(axis=0), out=reach)
+            return dist
+
+        rows: Dict[int, np.ndarray] = {}
+
+        def row(u: int) -> np.ndarray:
+            if u not in rows:
+                rows[u] = scan(np.array([u]))[0]
+            return rows[u]
+
+        a = int(row(0).argmax())
+        b = int(row(a).argmax())
+        c = int(np.maximum(row(a), row(b)).argmin())
+        around = row(c)
+        order = np.lexsort((np.arange(n), -around))
+        order = order[~read[order]]
+        margin = 1.0 + DISTANCE_SLACK
+        for start in range(0, order.shape[0], _DIAMETER_BLOCK):
+            if reach.max() > 2.0 * around[order[start]] * margin:
                 break
-            best = ecc
-            source = far
-        return best, False
+            scan(order[start : start + _DIAMETER_BLOCK])
+        while True:
+            best = reach.max()
+            late = np.nonzero(~read & (reach >= best / margin))[0]
+            if late.shape[0] == 0:
+                return float(best)
+            for start in range(0, late.shape[0], _DIAMETER_BLOCK):
+                scan(late[start : start + _DIAMETER_BLOCK])
 
     # -- accounting / persistence --------------------------------------
 

@@ -60,7 +60,8 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: v8: schemes keep their header codec once built.
 #: v9: ring schemes and the oracle hold one flat ring table; parameter
 #: keys drop the tie-breaking flag.
-CACHE_FORMAT_VERSION = 9
+#: v10: metrics no longer pickle a diameter-exactness flag.
+CACHE_FORMAT_VERSION = 10
 
 
 @dataclasses.dataclass

@@ -77,6 +77,8 @@ _SPECS = [
         "construction cost, net counting, and adversarial lower-bound trees",
         "repro.experiments.fig3",
         funcs=("run_construction", "run_counting", "run_adversary"),
+        # run_adversary's own ``epsilon`` is the lower-bound tree's.
+        rename=(("epsilon", "scheme_epsilon"),),
     ),
     ExperimentSpec(
         "scalefree",

@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.bitcount import bits_for_id
 from repro.core.params import SchemeParameters
 from repro.core.types import NodeId, PreprocessingError, RouteFailure, RouteResult
@@ -56,8 +58,12 @@ class CowenLandmarkScheme(LabeledScheme):
         self._home: List[NodeId] = metric.nearest_many(
             metric.nodes, self._landmarks
         ).tolist()
+        # d(v, L(v)) once per v, from v's own row.
+        home_dist = np.array(
+            [metric.distance(v, home) for v, home in enumerate(self._home)]
+        )
         self._clusters: List[Set[NodeId]] = [
-            self._cluster_of(u) for u in metric.nodes
+            self._cluster_of(u, home_dist) for u in metric.nodes
         ]
 
     # ------------------------------------------------------------------
@@ -72,8 +78,6 @@ class CowenLandmarkScheme(LabeledScheme):
         """
         metric = self._metric
         landmarks = [0]
-        import numpy as np
-
         mindist = np.array(metric.distances_from(0), dtype=float)
         while len(landmarks) < count:
             far = int(mindist.argmax())
@@ -85,14 +89,9 @@ class CowenLandmarkScheme(LabeledScheme):
             )
         return sorted(landmarks)
 
-    def _cluster_of(self, u: NodeId) -> Set[NodeId]:
-        metric = self._metric
-        du = metric.distances_from(u)
-        return {
-            v
-            for v in metric.nodes
-            if du[v] < metric.distance(v, self._home[v]) - 1e-12
-        }
+    def _cluster_of(self, u: NodeId, home_dist: np.ndarray) -> Set[NodeId]:
+        du = self._metric.distances_from(u)
+        return set(np.nonzero(du < home_dist - 1e-12)[0].tolist())
 
     # ------------------------------------------------------------------
 

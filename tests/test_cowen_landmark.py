@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core.params import SchemeParameters
 from repro.core.types import PreprocessingError
+from repro.graphs.generators import random_geometric
 from repro.metric.graph_metric import GraphMetric
 from repro.schemes.cowen_landmark import CowenLandmarkScheme
 
@@ -143,3 +144,21 @@ class TestStorage:
     def test_stretch_guarantee(self, grid_metric):
         scheme = CowenLandmarkScheme(grid_metric, SchemeParameters())
         assert scheme.stretch_guarantee() == 3.0
+
+
+class TestBuildCost:
+    def test_home_distances_read_once_under_a_small_row_budget(self):
+        # An LRU of 8 full rows: asking d(v, L(v)) anew for every
+        # cluster would search from v once per (u, v) pair.
+        graph = random_geometric(128, seed=5)
+        lazy = GraphMetric(
+            graph.copy(), strategy="lazy", row_budget_bytes=8 * 128 * 32
+        )
+        scheme = CowenLandmarkScheme(lazy, SchemeParameters())
+        assert lazy.substrate_stats()["bounded_searches"] <= 32 * lazy.n
+        dense = CowenLandmarkScheme(
+            GraphMetric(graph.copy(), strategy="dense"), SchemeParameters()
+        )
+        assert scheme.landmarks == dense.landmarks
+        for u in lazy.nodes:
+            assert scheme.cluster(u) == dense.cluster(u)

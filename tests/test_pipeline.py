@@ -215,6 +215,16 @@ def test_run_experiment_shares_context_across_calls():
     assert tables and all(t.rows for t in tables)
 
 
+def test_run_experiment_fig3_keeps_the_tree_epsilon():
+    # The scheme epsilon must reach run_adversary as scheme_epsilon: as
+    # its ``epsilon`` it would ask for the tree of eps = 0.5, which
+    # needs n >= 13801 nodes.
+    tables = run_experiment(
+        "fig3", epsilon=0.5, pair_count=10, n=96, namings=1, routes_per_naming=4
+    )
+    assert len(tables) == 3 and all(t.rows for t in tables)
+
+
 # -- metric cache identity (normalization and object lifetime) --------------
 
 

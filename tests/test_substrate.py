@@ -7,8 +7,8 @@ size-radii, next hops, digests, and the churn dirty-set machinery.
 These tests hold that contract on every fixture family and across the
 n = 512 switch, hold both fillings to an independent scipy oracle, and
 exercise the lazy-only surfaces (row-store budget/eviction, partial-row
-reuse, copy-on-write mutation, double-sweep diameter bound, pickling of
-materialized rows).
+reuse, copy-on-write mutation, the iFUB diameter's exactness and row
+count, pickling of materialized rows).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.graphs.generators import (
 from repro.metric.graph_metric import DISTANCE_SLACK, GraphMetric
 from repro.metric.substrate import (
     DENSE_NODE_LIMIT,
-    EXACT_DIAMETER_LIMIT,
     RowStore,
     _Row,
 )
@@ -249,7 +248,6 @@ def test_directed_search_on_symmetric_csr_matches_undirected(family):
 def test_digests_diameter_and_scalars_match(metric_pair):
     dense, lazy = metric_pair
     assert dense.diameter == lazy.diameter
-    assert lazy.diameter_is_exact
     assert dense.log_diameter == lazy.log_diameter
     assert dense.log_n == lazy.log_n
     assert dense.scale == lazy.scale
@@ -621,51 +619,68 @@ def test_lazy_mutable_row_is_copy_on_write():
 
 
 # ----------------------------------------------------------------------
-# Diameter: exact fallback and double-sweep bound
+# Diameter: iFUB, exact at every n
 # ----------------------------------------------------------------------
+
+
+def _all_pairs_maximum(metric: GraphMetric) -> float:
+    return float(dijkstra(metric._csr(), directed=True).max())
 
 
 def test_lazy_diameter_exact_below_limit(metric_pair):
     dense, lazy = metric_pair
-    assert lazy.n <= EXACT_DIAMETER_LIMIT
     assert lazy.diameter == dense.diameter
-    assert lazy.diameter_is_exact
 
 
-@pytest.mark.parametrize("n, exact", [(2047, True), (2048, True), (2049, False)])
-def test_diameter_exactness_switches_at_the_limit(n, exact):
-    # The real switch, not a patched limit: up to EXACT_DIAMETER_LIMIT
-    # nodes a lazy metric streams every row maximum; beyond it, the
-    # double sweep bounds Δ from below.
-    assert EXACT_DIAMETER_LIMIT == 2048
-    graph = preferential_attachment(n, m=2, seed=1)
-    lazy = GraphMetric(graph, strategy="lazy")
-    assert lazy.diameter_is_exact is exact
-    oracle = float(
-        dijkstra(nx.to_scipy_sparse_array(graph, nodelist=range(n))).max()
+@pytest.mark.parametrize("n", [2047, 2048, 2049])
+def test_diameter_is_the_all_pairs_maximum_around_2048(n):
+    # n = 2048 used to switch the lazy diameter from exact to a
+    # double-sweep bound; there is no switch left to cross.
+    lazy = GraphMetric(preferential_attachment(n, m=2, seed=1), strategy="lazy")
+    assert lazy.diameter == _all_pairs_maximum(lazy)
+
+
+def test_diameter_is_the_all_pairs_maximum_on_hard_graphs():
+    # A plain grid makes iFUB read about half the rows (many nodes tie
+    # for the eccentricity); the weighted tree sums each path in two
+    # orders, so d(x, y) and d(y, x) can differ in the last bit; the
+    # exponential path has a normalized diameter of 2^23 - 1.  On the
+    # last two graphs an unread row tops the read rows' maximum by one
+    # bit, which only the certification pass finds.
+    tree = uniform_random_weights(
+        nx.random_labeled_tree(300, seed=4), low=1.0, high=9.0, seed=4
     )
-    if exact:
-        assert lazy.diameter == oracle
-    else:
-        assert oracle / 2 <= lazy.diameter <= oracle
+    last_bit = (
+        uniform_random_weights(grid_2d(12), low=1.0, high=9.0, seed=16),
+        uniform_random_weights(
+            random_geometric(150, seed=21), low=1.0, high=9.0, seed=21
+        ),
+    )
+    for graph in (grid_2d(32), tree, exponential_path(24), *last_bit):
+        for strategy in ("dense", "lazy"):
+            metric = GraphMetric(graph.copy(), strategy=strategy)
+            assert metric.diameter == _all_pairs_maximum(metric)
 
 
-def test_double_sweep_bound_on_large_graph(monkeypatch):
+def test_diameter_reads_few_rows_and_installs_none(monkeypatch):
     import repro.metric.substrate as substrate
 
-    # Force the bound path on a graph small enough to verify exactly.
-    monkeypatch.setattr(substrate, "EXACT_DIAMETER_LIMIT", 8)
-    graph = random_geometric(64, seed=5)
-    exact = GraphMetric(graph.copy(), strategy="dense").diameter
-    lazy = GraphMetric(graph.copy(), strategy="lazy")
-    assert not lazy.diameter_is_exact
-    assert exact / 2 - DISTANCE_SLACK <= lazy.diameter <= exact + DISTANCE_SLACK
-    # Trees: the double sweep is exact.
-    tree = nx.random_labeled_tree(64, seed=4)
-    nx.set_edge_attributes(tree, 1.0, "weight")
-    exact_tree = GraphMetric(tree.copy(), strategy="dense").diameter
-    lazy_tree = GraphMetric(tree.copy(), strategy="lazy")
-    assert lazy_tree.diameter == exact_tree
+    solved = []
+
+    def counting_dijkstra(matrix, *args, indices=None, **kwargs):
+        solved.append(matrix.shape[0] if indices is None else len(indices))
+        return dijkstra(matrix, *args, indices=indices, **kwargs)
+
+    monkeypatch.setattr(substrate, "dijkstra", counting_dijkstra)
+    lazy = GraphMetric(random_geometric(1024, seed=11), strategy="lazy")
+    before = lazy.substrate_stats()
+    assert lazy.diameter == _all_pairs_maximum(lazy)
+    assert sum(solved) <= 64
+    assert lazy.substrate_stats() == before
+    dense = GraphMetric(grid_2d(8), strategy="dense")
+    solved.clear()
+    assert dense.diameter == 14.0
+    assert solved == []
 
 
 # ----------------------------------------------------------------------
