@@ -13,8 +13,11 @@ Run with ``PYTHONPATH=src python benchmarks/bench_throughput.py``
 variant: on a smoke fixture (n = 256) the compiled engine must be
 bit-identical to the interpreter on a pair sample (path, cost, legs,
 header bits — exact equality, no tolerance), and the compiled loop
-must be at least as fast as the interpreted one; no wall-clock
-numbers are committed.
+must be at least as fast as the interpreted one.  Past the dense-table
+limit, Theorem 1.4 on ``GraphMetric(random_geometric(4096, seed=1),
+strategy="lazy")`` must build, compile from its own per-node tables
+and route bit-identically on 200 pairs.  No wall-clock numbers are
+committed.
 """
 
 from __future__ import annotations
@@ -31,10 +34,12 @@ from repro.experiments.throughput import (
     compiled_rate,
     interpreted_rate,
 )
-from repro.graphs.generators import preferential_attachment
+from repro.engine.compiler import DENSE_LIMIT
+from repro.graphs.generators import preferential_attachment, random_geometric
 from repro.metric.graph_metric import GraphMetric
 from repro.pipeline.sampling import sample_ordered_pairs
 from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
+from repro.schemes.nameind_simple import SimpleNameIndependentScheme
 
 SIZES = (256, 2048, 10_000)
 BATCH_SIZES = (256, 2048, 8192)
@@ -101,12 +106,8 @@ def measure() -> dict:
     }
 
 
-def check() -> None:
-    """CI invariants: bit-identity, and compiled at least as fast."""
-    n = 256
-    metric, scheme, tables = _build(n)
+def _assert_bit_identical(scheme, tables, metric, pairs) -> None:
     router = BatchRouter(tables, metric=metric)
-    pairs = sample_ordered_pairs(n, 300, seed=0)
     compiled = router.route_batch(
         [u for u, _ in pairs], [v for _, v in pairs]
     )
@@ -116,6 +117,29 @@ def check() -> None:
         assert got.cost == want.cost, (u, v)
         assert got.legs == want.legs, (u, v)
         assert got.header_bits == want.header_bits, (u, v)
+
+
+def check_past_dense_limit() -> None:
+    """Theorem 1.4 served at n = 4096 from its own per-node tables."""
+    n = 4096
+    metric = GraphMetric(random_geometric(n, seed=1), strategy="lazy")
+    scheme = SimpleNameIndependentScheme(metric)
+    tables = scheme.compile_tables()
+    assert n > DENSE_LIMIT and not {"NH", "D"} & set(tables.arrays)
+    _assert_bit_identical(scheme, tables, metric, sample_ordered_pairs(n, 200, seed=0))
+    print(
+        f"bench_throughput --check: Theorem 1.4 at n={n} compiled to "
+        f"{tables.nbytes() / 2**20:.1f} MB and routes bit-identically"
+    )
+
+
+def check() -> None:
+    """CI invariants: bit-identity, and compiled at least as fast."""
+    n = 256
+    metric, scheme, tables = _build(n)
+    router = BatchRouter(tables, metric=metric)
+    pairs = sample_ordered_pairs(n, 300, seed=0)
+    _assert_bit_identical(scheme, tables, metric, pairs)
 
     src = np.asarray([u for u, _ in pairs], dtype=np.int64)
     tgt = np.asarray([v for _, v in pairs], dtype=np.int64)
@@ -129,6 +153,7 @@ def check() -> None:
         "bench_throughput --check: bit-identity holds; compiled "
         f"{int(rate)}/s >= interpreted {int(interpreted)}/s"
     )
+    check_past_dense_limit()
 
 
 if __name__ == "__main__":

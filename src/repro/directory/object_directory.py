@@ -196,20 +196,20 @@ class ObjectDirectory:
                 break
             parent = self._hierarchy.parent(current, i + 1)
             if parent != current:
-                leg = self._labeled.route_to_label(
+                leg, leg_cost = self._labeled.walk_to_label(
                     current, self._labeled.routing_label(parent)
                 )
-                cost += leg.cost
-                path.extend(leg.path[1:])
+                cost += leg_cost
+                path.extend(leg[1:])
                 current = parent
         if found_label is None:  # pragma: no cover - root ball covers V
             raise RouteFailure(
                 f"published object {object_id!r} not found at the root"
             )
-        final = self._labeled.route_to_label(current, found_label)
-        cost += final.cost
-        path.extend(final.path[1:])
-        holder = final.target
+        final, final_cost = self._labeled.walk_to_label(current, found_label)
+        cost += final_cost
+        path.extend(final[1:])
+        holder = final[-1]
         if holder not in holders:  # pragma: no cover - defensive
             raise RouteFailure(
                 f"directory delivered to non-holder {holder}"

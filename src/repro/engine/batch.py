@@ -152,21 +152,24 @@ def _start_search(A, st, idx: np.ndarray, tree_ids: np.ndarray, key) -> None:
 
 
 def _search_desc(A, st, m: np.ndarray, asc_phase: int) -> None:
-    """One descent move per packet; leaves switch to the ascent phase."""
+    """One descent move per packet; leaves switch to the ascent phase.
+
+    Sibling ranges are disjoint and ascending, so the only child that
+    can cover the key is the last one at or below it in the
+    ``(parent slot, lo)``-sorted child column."""
     if not m.size:
         return
     slot = st["s_slot"][m]
-    has, first = _first_cover(
-        A["S_CH_LO"][slot], A["S_CH_HI"][slot], st["s_key"][m]
-    )
+    key = st["s_key"][m]
+    last = np.searchsorted(A["S_CH_KEY"], slot * A["S_SPAN"][0] + key, "right") - 1
+    pos = np.maximum(last, 0)
+    has = (last >= 0) & (A["S_CH_PARENT"][pos] == slot) & (key <= A["S_CH_HI"][pos])
     down = m[has]
     if down.size:
-        new_slot = A["S_CH_SLOT"][slot[has], first[has]]
-        a = A["S_NODE"][slot[has]]
-        b = A["S_NODE"][new_slot]
-        st["call"][down] += A["D"][a, b]
+        new_slot = A["S_CH_SLOT"][pos[has]]
+        st["call"][down] += A["S_DOWN"][new_slot]
         st["s_slot"][down] = new_slot
-        st["cur"][down] = b
+        st["cur"][down] = A["S_NODE"][new_slot]
     deepest = m[~has]
     if deepest.size:
         dslot = slot[~has]
@@ -185,11 +188,9 @@ def _search_asc(A, st, m: np.ndarray) -> np.ndarray:
     if climb.size:
         slot = st["s_slot"][climb]
         parent = A["S_PARENT"][slot]
-        a = A["S_NODE"][slot]
-        b = A["S_NODE"][parent]
-        st["call"][climb] += A["D"][a, b]
+        st["call"][climb] += A["S_UP"][slot]
         st["s_slot"][climb] = parent
-        st["cur"][climb] = b
+        st["cur"][climb] = A["S_NODE"][parent]
     return m[at_root]
 
 
@@ -253,10 +254,9 @@ def _lns_walk(A, n: int, st, m: np.ndarray) -> np.ndarray:
         )
         if not has.all():
             raise EngineError("no ring entry covers the walk label")
-        x = A["R_X"][cur, first]
-        if (x == cur).any():
+        if (A["R_X"][cur, first] == cur).any():
             raise EngineError("ring walk stalled (epsilon too large?)")
-        nxt = A["NH"][cur, x]
+        nxt = A["R_NH"][cur, first]
         st["call"][move] += _edge_w(A, n, cur, nxt)
         st["cur"][move] = nxt
     return m[arrived]
@@ -505,7 +505,7 @@ def _lsf_phases(T, A, st, ph, legs) -> None:
             )
             adv = move[advance]
             if adv.size:
-                nxt = A["NH"][cur[advance], x[advance]]
+                nxt = A["R_NH"][cur[advance], first[advance]]
                 st[legs][adv, 0] += _edge_w(A, n, cur[advance], nxt)
                 st["cur"][adv] = nxt
                 st["prev_lvl"][adv] = lvl[advance]

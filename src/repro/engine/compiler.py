@@ -8,38 +8,37 @@ batch router can gather from without touching python objects.
 Layouts (see DESIGN.md, "engine" section, for the full picture):
 
 * **edge weights** — directed edges as a sorted int64 key array
-  ``EKEY = u*n + v`` with a parallel float64 ``EW`` (the exact
-  ``edge_weight`` values, including the normalization divide, computed
-  once at compile time so runtime additions are bit-identical);
-* **dense LUTs** — canonical next hops ``NH[n, n]`` and distances
-  ``D[n, n]`` for the doubling-metric schemes (which only exist at
-  small ``n``; :data:`DENSE_LIMIT` guards the allocation), filled in
+  ``EKEY = u*n + v`` with a parallel float64 ``EW``
+  (``GraphMetric.edge_table``: the exact ``edge_weight`` values, from
+  the edge array the metric's searches run on, so runtime additions are
+  bit-identical);
+* **dense LUTs** — canonical next hops ``NH[n, n]`` for the
+  shortest-path and Cowen baselines only, whose tables are Θ(n) per
+  node anyway (:data:`DENSE_LIMIT` guards the allocation), filled in
   one pass over ``GraphMetric.row_blocks``: 256-source blocks whose
   resident full rows are read as they are and whose other rows are
-  solved in one batched search and installed.  ``NH`` (first hops of
-  the block's predecessor rows) and ``D`` come from the block itself,
-  never read back from the row store, so a lazy store smaller than
-  ``n`` rows still solves every row once.  The landmark scheme
-  compiles *without* dense LUTs so the lazy substrate's
-  rows-materialized invariant survives compilation;
+  solved in one batched search and installed.  The compact schemes
+  compile from their own per-node state and never allocate n × n;
 * **ring matrices** — ``Rings.arrays`` (:mod:`repro.nets.rings`):
   per-node ring entries padded to a rectangle, in the exact order of
-  the interpreted scan (ascending level, then net order); padding uses
-  ``lo=1 > hi=0`` so it can never cover a label and first-match is a
-  plain ``argmax``;
+  the interpreted scan (ascending level, then net order), each with
+  its stored next hop ``R_NH`` (u's first hop toward the ring point,
+  from u's own row); padding uses ``lo=1 > hi=0`` so it can never cover
+  a label and first-match is a plain ``argmax``;
 * **search-tree slots** — the scheme's ``SearchForest`` handed over:
   its trees already live in one slot space (each a preorder run, per
-  slot its graph node and parent slot), so ``S_NODE``/``S_PARENT``/
-  ``S_ROOT`` are its columns concatenated (Theorem 1.1 appends its
-  trees after its underlying scheme's).  The padded
-  ``(child slot, range lo, range hi)`` and ``(key, data)`` columns are
-  gathers through Algorithm 1's closed form: with ``k`` keys on ``m``
-  nodes and ``c = ⌈k/m⌉``, preorder position ``p`` holds sorted keys
-  ``[p·c, min((p+1)·c, k))`` and a subtree of ``s`` slots covers
-  ``keys[p·c] … keys[min((p+s)·c, k) − 1]``.  Every nearest choice
-  behind the tree shapes read the choosing node's own row (``d(u, v)``
-  and ``d(v, u)`` may differ in the last bit), the orientation
-  ``D[u]`` holds;
+  slot its graph node, parent slot and the two costs of its tree edge,
+  ``S_DOWN`` from the parent's row and ``S_UP`` from its own), so
+  ``S_NODE``/``S_PARENT``/``S_ROOT``/``S_DOWN``/``S_UP`` are its columns
+  concatenated (Theorem 1.1 appends its trees after its underlying
+  scheme's).  The key columns are gathers through Algorithm 1's closed
+  form: with ``k`` keys on ``m`` nodes and ``c = ⌈k/m⌉``, preorder
+  position ``p`` holds sorted keys ``[p·c, min((p+1)·c, k))`` and a
+  subtree of ``s`` slots covers ``keys[p·c] … keys[min((p+s)·c, k) −
+  1]``.  The children that own a range are one flat column sorted by
+  ``parent slot · S_SPAN + lo`` (``S_CH_*``): sibling ranges are
+  disjoint and ascending, so the child covering a key is the last entry
+  at or below ``slot · S_SPAN + key``, found by one ``searchsorted``;
 * **Voronoi tree slots** — every ``T_c(j)`` tree-router flattened the
   same way with DFS ``tin/tout`` intervals per slot, plus a sorted
   ``(tree, node) -> slot`` key table for phase entry;
@@ -63,9 +62,9 @@ import numpy as np
 
 from repro.core.types import PreprocessingError
 
-#: Largest n for which the compiler will allocate dense n×n LUTs.  The
-#: doubling-metric schemes are only buildable far below this; the
-#: landmark scheme never requests dense tables.
+#: Largest n for which the compiler will allocate dense n×n LUTs: the
+#: shortest-path and Cowen baselines.  Every other scheme compiles from
+#: its own per-node tables at any n.
 DENSE_LIMIT = 2048
 
 
@@ -105,21 +104,8 @@ class CompiledTables:
 
 def _edge_tables(metric) -> Dict[str, np.ndarray]:
     """Sorted directed-edge keys and exact per-hop weights."""
-    n = metric.n
-    scale = metric.scale
-    keys: List[int] = []
-    weights: List[float] = []
-    for u, v, data in metric.graph.edges(data=True):
-        w = float(data.get("weight", 1.0)) / scale
-        keys.append(u * n + v)
-        weights.append(w)
-        keys.append(v * n + u)
-        weights.append(w)
-    order = np.argsort(np.asarray(keys, dtype=np.int64))
-    return {
-        "EKEY": np.asarray(keys, dtype=np.int64)[order],
-        "EW": np.asarray(weights, dtype=np.float64)[order],
-    }
+    keys, weights = metric.edge_table()
+    return {"EKEY": keys, "EW": weights}
 
 
 def _nonempty(column: np.ndarray, fill: int) -> np.ndarray:
@@ -127,30 +113,20 @@ def _nonempty(column: np.ndarray, fill: int) -> np.ndarray:
     return column if column.size else np.asarray([fill], dtype=np.int64)
 
 
-def _require_dense(metric) -> None:
+def _dense_tables(metric) -> Dict[str, np.ndarray]:
+    """Canonical next hops ``NH[u, v]`` (``NH[u, u] = u``): one pass over
+    the metric's row blocks, each row solved at most once (see
+    ``GraphMetric.row_blocks``)."""
     if metric.n > DENSE_LIMIT:
         raise EngineUnsupported(
             f"dense LUT compilation capped at n={DENSE_LIMIT} "
-            f"(got n={metric.n}); only the landmark scheme compiles "
-            "without dense tables"
+            f"(got n={metric.n}); only the shortest-path and Cowen "
+            "baselines compile dense tables"
         )
-
-
-def _dense_tables(metric, distances: bool = False) -> Dict[str, np.ndarray]:
-    """Canonical next hops ``NH[u, v]`` (``NH[u, u] = u``) and, with
-    ``distances``, ``D[u, v]``: one pass over the metric's row blocks,
-    each row solved at most once (see ``GraphMetric.row_blocks``)."""
-    _require_dense(metric)
-    n = metric.n
-    tables = {"NH": np.empty((n, n), dtype=np.int64)}
-    if distances:
-        tables["D"] = np.empty((n, n), dtype=np.float64)
-    for sources, dist, hops in metric.row_blocks():
-        rows = slice(int(sources[0]), int(sources[-1]) + 1)
-        tables["NH"][rows] = hops
-        if distances:
-            tables["D"][rows] = dist
-    return tables
+    nh = np.empty((metric.n, metric.n), dtype=np.int64)
+    for sources, _, hops in metric.row_blocks():
+        nh[sources] = hops
+    return {"NH": nh}
 
 
 def _naming_tables(scheme) -> Dict[str, np.ndarray]:
@@ -167,18 +143,19 @@ def _search_arrays(forests) -> Dict[str, np.ndarray]:
     The forests' slot columns are concatenated as they are (each tree
     is already a preorder run of slots); the range and key columns are
     gathers through Algorithm 1's closed form (``searchtree`` module
-    docstring).  A child gets a column only if its subtree holds a key —
-    the interpreted descend never enters the others — and those
-    children are a prefix of each child list.
+    docstring).  A child gets an entry only if its subtree holds a key —
+    the interpreted descend never enters the others.
     """
-    node, parent, root, first, held, stop, keys, data = (
-        [] for _ in range(8)
+    node, parent, down, up, root, first, held, stop, keys, data = (
+        [] for _ in range(10)
     )
     slot_base = key_base = 0
     for forest in forests:
         col = forest.slot_columns()
         node.append(col["node"])
         parent.append(np.where(col["parent"] >= 0, col["parent"] + slot_base, -1))
+        down.append(np.asarray(forest.down, dtype=np.float64))
+        up.append(np.asarray(forest.up, dtype=np.float64))
         root.append(np.asarray(forest.root, dtype=np.int64) + slot_base)
         first.append(col["first"] + key_base)
         held.append(col["held"])
@@ -187,30 +164,20 @@ def _search_arrays(forests) -> Dict[str, np.ndarray]:
         data.extend(datum for stored in forest.data for datum in stored)
         slot_base += col["node"].shape[0]
         key_base = len(keys)
-    node, parent, root, first, held, stop = map(
-        np.concatenate, (node, parent, root, first, held, stop)
+    node, parent, down, up, root, first, held, stop = map(
+        np.concatenate, (node, parent, down, up, root, first, held, stop)
     )
     key = np.asarray(keys or [-1], dtype=np.int64)
     datum = np.asarray(data or [0], dtype=np.int64)
 
-    # Children that own a range, each in its column: the rank among
-    # its siblings (slots ascend in child order within a parent).
+    # Children that own a range, sorted by (parent slot, range lo).
     child = np.nonzero((parent >= 0) & (held > 0))[0]
-    above = parent[child]
-    by_parent = np.argsort(above, kind="stable")
-    rank = np.empty_like(child)
-    rank[by_parent] = np.arange(child.shape[0]) - np.searchsorted(
-        above[by_parent], above[by_parent]
-    )
-    slots = max(1, node.shape[0])
-    width = int(rank.max()) + 1 if child.size else 1
-    ch_slot = np.zeros((slots, width), dtype=np.int64)
-    ch_lo = np.ones((slots, width), dtype=np.int64)
-    ch_hi = np.zeros((slots, width), dtype=np.int64)
-    ch_slot[above, rank] = child
-    ch_lo[above, rank] = key[first[child]]
-    ch_hi[above, rank] = key[stop[child] - 1]
+    span = int(key.max()) + 1 if keys else 1
+    ch_key = parent[child] * span + key[first[child]]
+    order = np.argsort(ch_key, kind="stable")
+    child = child[order]
 
+    slots = max(1, node.shape[0])
     kwidth = max(1, int(held.max()) if held.size else 1)
     column = np.arange(kwidth)
     mask = column < held[:, None]
@@ -222,9 +189,13 @@ def _search_arrays(forests) -> Dict[str, np.ndarray]:
     return {
         "S_NODE": node if node.size else np.zeros(1, dtype=np.int64),
         "S_PARENT": parent if parent.size else np.full(1, -1, dtype=np.int64),
-        "S_CH_SLOT": ch_slot,
-        "S_CH_LO": ch_lo,
-        "S_CH_HI": ch_hi,
+        "S_DOWN": down if down.size else np.zeros(1),
+        "S_UP": up if up.size else np.zeros(1),
+        "S_SPAN": np.asarray([span], dtype=np.int64),
+        "S_CH_KEY": _nonempty(ch_key[order], -1),
+        "S_CH_PARENT": _nonempty(parent[child], -1),
+        "S_CH_SLOT": _nonempty(child, 0),
+        "S_CH_HI": _nonempty(key[stop[child] - 1], -1),
         "S_K_KEY": k_key,
         "S_K_DATA": k_data,
         "S_ROOT": root if root.size else np.zeros(1, dtype=np.int64),
@@ -366,13 +337,11 @@ def _compile_cowen(scheme) -> CompiledTables:
     )
 
 
-def _compile_lns_core(scheme, distances: bool = False) -> Dict[str, np.ndarray]:
-    """Ring walk tables shared by Lemma 3.1 and Theorem 1.4 (plus ``D``
-    with ``distances``)."""
+def _compile_lns_core(scheme) -> Dict[str, np.ndarray]:
+    """Ring walk tables shared by Lemma 3.1 and Theorem 1.4."""
     metric = scheme.metric
     return {
         **_edge_tables(metric),
-        **_dense_tables(metric, distances),
         **scheme._rings.arrays(),
         **_hierarchy_tables(scheme._hierarchy, metric.n),
     }
@@ -409,13 +378,10 @@ def _compile_nameind_simple(scheme) -> CompiledTables:
     for i in hierarchy.levels:
         for x, tree in scheme._trees[i].items():
             tree_of[i, x] = tree.index
-    core = _compile_lns_core(scheme._underlying, distances=True)
-    dist = core.pop("D")
     arrays = {
-        **core,
+        **_compile_lns_core(scheme._underlying),
         **_naming_tables(scheme),
         **_search_arrays([scheme.forest]),
-        "D": dist,
         "NS_TREE": tree_of,
     }
     return CompiledTables(
@@ -443,7 +409,6 @@ def _compile_lsf_core(scheme) -> Tuple[Dict[str, np.ndarray], Dict[str, float]]:
     log_n = metric.log_n
     arrays = {
         **_edge_tables(metric),
-        **_dense_tables(metric, distances=True),
         **scheme._rings.arrays(),
         **_hierarchy_tables(scheme._hierarchy, n),
     }

@@ -60,10 +60,10 @@ class DistanceOracle:
         )
         # Labels are read once from the table, so estimates look up
         # dicts instead of regrouping entries per query.
-        rings = Rings(metric, self._hierarchy, params.epsilon)
+        rings = Rings(metric, self._hierarchy, params.epsilon, next_hops=False)
         self._labels: List[DistanceLabel] = [{} for _ in metric.nodes]
         for u, label in enumerate(self._labels):
-            for i, x, _, _, d in rings.entries(u):
+            for i, x, _, _, d, _ in rings.entries(u):
                 label.setdefault(i, {})[x] = d
 
     # ------------------------------------------------------------------

@@ -61,7 +61,9 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: v9: ring schemes and the oracle hold one flat ring table; parameter
 #: keys drop the tie-breaking flag.
 #: v10: metrics no longer pickle a diameter-exactness flag.
-CACHE_FORMAT_VERSION = 10
+#: v11: ring entries carry their next hop, search forests their edge
+#: costs, and compact schemes compile without dense LUTs.
+CACHE_FORMAT_VERSION = 11
 
 
 @dataclasses.dataclass

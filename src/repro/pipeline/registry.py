@@ -37,6 +37,8 @@ class ExperimentSpec:
         rename: Keyword-argument renames applied before dispatch, e.g.
             ``(("pair_count", "packet_count"),)`` for the congestion
             simulator.
+        owners: ``(keyword, runner)`` pairs: a keyword that means
+            something else to the other runners reaches only its owner.
     """
 
     name: str
@@ -44,6 +46,7 @@ class ExperimentSpec:
     module: str
     funcs: Tuple[str, ...] = ("run",)
     rename: Tuple[Tuple[str, str], ...] = ()
+    owners: Tuple[Tuple[str, str], ...] = ()
 
     def runners(self) -> List[Any]:
         mod = importlib.import_module(self.module)
@@ -79,6 +82,9 @@ _SPECS = [
         funcs=("run_construction", "run_counting", "run_adversary"),
         # run_adversary's own ``epsilon`` is the lower-bound tree's.
         rename=(("epsilon", "scheme_epsilon"),),
+        # ``n`` sizes the adversary tree; the construction audit and the
+        # counting argument keep their own sizes.
+        owners=(("n", "run_adversary"),),
     ),
     ExperimentSpec(
         "scalefree",
@@ -151,6 +157,9 @@ _SPECS = [
         "lazy-substrate scaling and power-law degradation (E19)",
         "repro.experiments.scale",
         funcs=("run", "run_doubling", "run_landmark_sweep"),
+        # ``sizes`` is the landmark scaling study's; E19b keeps the sizes
+        # where Theorem 1.4 is still buildable.
+        owners=(("sizes", "run"),),
     ),
     ExperimentSpec(
         "throughput",
@@ -186,7 +195,8 @@ def run_experiment(
     ``context`` defaults to a fresh in-memory :class:`BuildContext`;
     pass a shared one to reuse substrates across experiments.  Extra
     keyword arguments are forwarded to runners that accept them (e.g.
-    ``edits`` for the churn experiment) and silently dropped otherwise.
+    ``edits`` for the churn experiment) and silently dropped otherwise;
+    a keyword the spec gives an owner reaches that runner alone.
     """
     spec = REGISTRY.get(name)
     if spec is None:
@@ -203,9 +213,11 @@ def run_experiment(
     }
     for old, new in spec.rename:
         kwargs[new] = kwargs.pop(old)
+    owners = dict(spec.owners)
     tables: List[Any] = []
-    for runner in spec.runners():
-        result = _call_with_accepted(runner, kwargs)
+    for func, runner in zip(spec.funcs, spec.runners()):
+        mine = {k: v for k, v in kwargs.items() if owners.get(k, func) == func}
+        result = _call_with_accepted(runner, mine)
         if isinstance(result, list):
             tables.extend(result)
         else:

@@ -13,7 +13,6 @@ from repro.runtime.headers import (
     shortest_path_codec,
     with_checksum,
 )
-from repro.runtime.stepwise import LocalLabeledNode, StepwiseLabeledRouter
 from repro.runtime.simulator import (
     Demand,
     DeliveredPacket,
@@ -32,10 +31,8 @@ __all__ = [
     "FieldSpec",
     "HeaderCodec",
     "HeaderCorruptionError",
-    "LocalLabeledNode",
     "PacketOutcome",
     "SimulationReport",
-    "StepwiseLabeledRouter",
     "TrafficSimulator",
     "cowen_landmark_codec",
     "flip_bits",

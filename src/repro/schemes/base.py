@@ -350,6 +350,13 @@ class LabeledScheme(RoutingScheme):
     def route_to_label(self, source: NodeId, label: int) -> RouteResult:
         """Route given only the destination's label (the model's API)."""
 
+    def walk_to_label(self, source: NodeId, label: int) -> Tuple[List[NodeId], float]:
+        """``route_to_label`` as a bare ``(path, cost)``: one leg of a
+        scheme layered on this one, which needs no result of its own.
+        The path ends at the node that took delivery."""
+        result = self.route_to_label(source, label)
+        return result.path, result.cost
+
     def route(self, source: NodeId, target: NodeId) -> RouteResult:
         return self.route_to_label(source, self.routing_label(target))
 

@@ -25,7 +25,7 @@ are bounded by the zooming-sequence geometry (Eqn. 2), giving stretch
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.bitcount import bits_for_id
 from repro.core.params import SchemeParameters
@@ -55,9 +55,8 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
                 "labeled schemes require epsilon <= 1/2 (Lemma 3.1)"
             )
         self._hierarchy = hierarchy if hierarchy is not None else NetHierarchy(metric)
-        # X_i(u) at every level; the next hop toward a ring point is
-        # the metric's canonical one (conceptually stored; charged in
-        # table_bits).
+        # X_i(u) at every level, each entry with u's next hop toward
+        # its ring point (charged in table_bits).
         self._rings = Rings(metric, self._hierarchy, self._params.epsilon)
         #: Partition accounting for BuildStats.fold (see BuildContext).
         self.build_report: Dict[str, Tuple[int, int]] = {
@@ -103,7 +102,8 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
         fresh._tracer = NULL_TRACER
         fresh._hierarchy = hierarchy
         # A clean row x leaves block (i, x) — ball membership and stored
-        # distances — unchanged, so the table copies it.
+        # distances — unchanged, so the table copies it; a clean owner
+        # row keeps its hops.
         eps, old = fresh._params.epsilon, previous._rings
         fresh._rings = Rings(metric, hierarchy, eps, previous=old, dirty=dirty)
         fresh.build_report = {"ring_block": fresh._rings.blocks}
@@ -137,24 +137,30 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
         hit = self._rings.hit(u, target_label)
         if hit is None:  # pragma: no cover - top ring always hits
             raise RouteFailure(f"no ring at node {u} covers label {target_label}")
-        i, x, _, _, dist = hit
+        i, x, _, _, dist, _ = hit
         return i, x, dist
 
-    def route_to_label(self, source: NodeId, label: int) -> RouteResult:
+    def walk_to_label(self, source: NodeId, label: int) -> Tuple[List[NodeId], float]:
+        """The ring walk to ``label``: each hop is the stored next hop of
+        the first entry covering it at the current node."""
         if not 0 <= label < self._metric.n:
             raise RouteFailure(f"label {label} out of range")
         metric = self._metric
         tracer = self._tracer
+        node_label = self._hierarchy.label
+        hit = self._rings.hit
         path = [source]
         current = source
         guard = 4 * metric.n * (self._hierarchy.top_level + 2)
-        while self._hierarchy.label(current) != label:
-            i, x, _ = self.min_level_hit(current, label)
+        while node_label(current) != label:
+            entry = hit(current, label)
+            if entry is None:  # pragma: no cover - top ring always hits
+                raise RouteFailure(f"no ring at node {current} covers label {label}")
+            i, x, _, _, _, nxt = entry
             if x == current:  # pragma: no cover - impossible for eps<=1/2
                 raise RouteFailure(
                     f"walk stalled at {current} (epsilon too large?)"
                 )
-            nxt = metric.next_hop(current, x)
             if tracer.enabled:
                 tracer.event(
                     node=current,
@@ -170,15 +176,17 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
             path.append(current)
             if len(path) > guard:  # pragma: no cover - defensive
                 raise RouteFailure("labeled walk failed to converge")
-        cost = sum(
-            metric.edge_weight(a, b) for a, b in zip(path, path[1:])
-        )
+        weight = metric.edge_weight
+        return path, sum(weight(a, b) for a, b in zip(path, path[1:]))
+
+    def route_to_label(self, source: NodeId, label: int) -> RouteResult:
+        path, cost = self.walk_to_label(source, label)
         return RouteResult(
             source=source,
-            target=current,
+            target=path[-1],
             path=path,
             cost=cost,
-            optimal=metric.distance(source, current),
+            optimal=self._metric.distance(source, path[-1]),
             header_bits=self.header_bits(),
             legs={"walk": cost},
         )

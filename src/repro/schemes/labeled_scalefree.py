@@ -155,6 +155,7 @@ class ScaleFreeLabeledScheme(LabeledScheme):
             self._voronoi_center.append(center_of)
             self._routers.append(routers)
             self._searchers.append(searchers)
+        self._forest.fill_costs()
 
     def _packing_ball_members(self, c: NodeId, j: int) -> List[NodeId]:
         size = min(self._metric.n, 1 << j)
@@ -212,6 +213,27 @@ class ScaleFreeLabeledScheme(LabeledScheme):
         return metric.log_n  # pragma: no cover - loop always returns
 
     def route_to_label(self, source: NodeId, label: int) -> RouteResult:
+        path, legs = self._route(source, label)
+        cost = sum(legs.values())
+        return RouteResult(
+            source=source,
+            target=path[-1],
+            path=path,
+            cost=cost,
+            optimal=self._metric.distance(source, path[-1]),
+            header_bits=self.header_bits(),
+            legs=legs,
+        )
+
+    def walk_to_label(self, source: NodeId, label: int) -> Tuple[List[NodeId], float]:
+        path, legs = self._route(source, label)
+        return path, sum(legs.values())
+
+    def _route(
+        self, source: NodeId, label: int
+    ) -> Tuple[List[NodeId], Dict[str, float]]:
+        """Algorithm 5: the path (ending at the destination) and the
+        cost of each leg."""
         if not 0 <= label < self._metric.n:
             raise RouteFailure(f"label {label} out of range")
         metric = self._metric
@@ -228,7 +250,7 @@ class ScaleFreeLabeledScheme(LabeledScheme):
             hit = self._rings.hit(current, label)
             if hit is None:
                 break  # defensive: go to the Voronoi phase at top level
-            i, x, lo, hi, dist = hit
+            i, x, lo, hi, dist, nxt = hit
             is_destination = lo == hi
             threshold = (2.0 ** (i - 1)) / eps - (2.0**i)
             # When the covering range is a singleton, x is the
@@ -239,7 +261,7 @@ class ScaleFreeLabeledScheme(LabeledScheme):
                 is_destination
                 or (i <= previous_level and dist >= threshold - DISTANCE_SLACK)
             ):
-                nxt = metric.next_hop(current, x)
+                weight = metric.edge_weight(current, nxt)
                 if tracer.enabled:
                     what = "destination" if is_destination else "proxy"
                     before = {"target_label": label}
@@ -249,13 +271,13 @@ class ScaleFreeLabeledScheme(LabeledScheme):
                         node=current,
                         phase="walk",
                         nodes=(nxt,),
-                        cost=metric.edge_weight(current, nxt),
+                        cost=weight,
                         level=i,
                         entry=f"ring R(u) level {i} hit x={x} ({what})",
                         header_before=before,
                         header_after={"target_label": label, "prev_level": i},
                     )
-                legs["walk"] += metric.edge_weight(current, nxt)
+                legs["walk"] += weight
                 current = nxt
                 path.append(current)
                 previous_level = i
@@ -265,7 +287,7 @@ class ScaleFreeLabeledScheme(LabeledScheme):
             break
 
         if self._hierarchy.label(current) == label:
-            return self._finish(source, current, path, legs)
+            return path, legs
 
         # Phase 2 (lines 7-10): Voronoi tree + search tree II.
         hit = self._rings.hit(current, label)
@@ -284,7 +306,7 @@ class ScaleFreeLabeledScheme(LabeledScheme):
         for j in range(start_j, metric.log_n + 1):
             done, current = self._voronoi_phase(current, label, j, path, legs)
             if done:
-                return self._finish(source, current, path, legs)
+                return path, legs
             self.fallback_count += 1
             if tracer.enabled and j < metric.log_n:
                 tracer.event(
@@ -377,24 +399,6 @@ class ScaleFreeLabeledScheme(LabeledScheme):
                 header_after=header,
             )
         return True, final_path[-1]
-
-    def _finish(
-        self,
-        source: NodeId,
-        target: NodeId,
-        path: List[NodeId],
-        legs: Dict[str, float],
-    ) -> RouteResult:
-        cost = sum(legs.values())
-        return RouteResult(
-            source=source,
-            target=target,
-            path=path,
-            cost=cost,
-            optimal=self._metric.distance(source, target),
-            header_bits=self.header_bits(),
-            legs=legs,
-        )
 
     # ------------------------------------------------------------------
     # Storage accounting

@@ -72,6 +72,7 @@ class ScaleFreeNameIndependentScheme(NameIndependentScheme):
 
         self._assign_levels()
         self._build_packed_trees()
+        self._forest.fill_costs()
         self._tree_bits: List[int] = self._account_trees()
 
     @classmethod
@@ -252,17 +253,17 @@ class ScaleFreeNameIndependentScheme(NameIndependentScheme):
             return int(outcome.data) if outcome.found else None
         j, c = self._h_links[(i, u)]
         # Detour: u -> c (labeled), search T on the packed ball, c -> u.
-        to_center = self._underlying.route_to_label(
+        out, out_cost = self._underlying.walk_to_label(
             u, self._underlying.routing_label(c)
         )
-        legs["search"] += to_center.cost
-        path.extend(to_center.path[1:])
+        legs["search"] += out_cost
+        path.extend(out[1:])
         if tracer.enabled:
             tracer.event(
                 node=u,
                 phase="search",
-                nodes=tuple(to_center.path[1:]),
-                cost=to_center.cost,
+                nodes=tuple(out[1:]),
+                cost=out_cost,
                 level=i,
                 entry=f"H({u},{i}) link -> ball(j={j}, c={c}): detour out",
                 header_before={"target_name": name, "search_level": i},
@@ -282,17 +283,17 @@ class ScaleFreeNameIndependentScheme(NameIndependentScheme):
                 entry=f"packed-ball tree T(B in B_{j}, c={c}): {verdict}",
                 header_after={"target_name": name, "search_level": i},
             )
-        back = self._underlying.route_to_label(
+        back, back_cost = self._underlying.walk_to_label(
             c, self._underlying.routing_label(u)
         )
-        legs["search"] += back.cost
-        path.extend(back.path[1:])
+        legs["search"] += back_cost
+        path.extend(back[1:])
         if tracer.enabled:
             tracer.event(
                 node=c,
                 phase="search",
-                nodes=tuple(back.path[1:]),
-                cost=back.cost,
+                nodes=tuple(back[1:]),
+                cost=back_cost,
                 level=i,
                 entry=f"H({u},{i}) detour back to u={u}",
                 header_after={"target_name": name, "search_level": i},
@@ -318,17 +319,17 @@ class ScaleFreeNameIndependentScheme(NameIndependentScheme):
                 break
             parent = self._hierarchy.parent(current, i + 1)
             if parent != current:
-                leg = self._underlying.route_to_label(
+                leg, leg_cost = self._underlying.walk_to_label(
                     current, self._underlying.routing_label(parent)
                 )
-                legs["zoom"] += leg.cost
-                path.extend(leg.path[1:])
+                legs["zoom"] += leg_cost
+                path.extend(leg[1:])
                 if self._tracer.enabled:
                     self._tracer.event(
                         node=current,
                         phase="zoom",
-                        nodes=tuple(leg.path[1:]),
-                        cost=leg.cost,
+                        nodes=tuple(leg[1:]),
+                        cost=leg_cost,
                         level=i + 1,
                         entry=(
                             f"stored parent label l(u({i + 1}))="
@@ -342,19 +343,19 @@ class ScaleFreeNameIndependentScheme(NameIndependentScheme):
                 current = parent
         if found_label is None:  # pragma: no cover - top level covers V
             raise RouteFailure(f"name {name} not found at the top level")
-        final = self._underlying.route_to_label(current, found_label)
-        legs["final"] += final.cost
-        path.extend(final.path[1:])
+        final, final_cost = self._underlying.walk_to_label(current, found_label)
+        legs["final"] += final_cost
+        path.extend(final[1:])
         if self._tracer.enabled:
             self._tracer.event(
                 node=current,
                 phase="final",
-                nodes=tuple(final.path[1:]),
-                cost=final.cost,
+                nodes=tuple(final[1:]),
+                cost=final_cost,
                 entry=f"retrieved label l={found_label}",
                 header_after={"target_name": name},
             )
-        target = final.target
+        target = final[-1]
         if self.name_of(target) != name:
             # The delivered node checks the packet's destination name
             # against its own; a mismatch means corrupted routing state.

@@ -114,6 +114,7 @@ class SimpleNameIndependentScheme(NameIndependentScheme):
                     built += 1
                 level_trees[x] = tree
             self._trees.append(level_trees)
+        forest.fill_costs()
         self._forest = forest
         unit = bits_for_id(self._metric.n)
         self._tree_bits: List[int] = forest.storage_bits(unit, unit).tolist()
@@ -220,22 +221,18 @@ class SimpleNameIndependentScheme(NameIndependentScheme):
             parent = self._hierarchy.parent(current, i + 1)
             if parent != current:
                 # u(i) stores l(u(i+1)); climb with the labeled scheme.
-                leg = self._underlying.route_to_label(
-                    current, self._underlying.routing_label(parent)
-                )
-                legs["zoom"] += leg.cost
-                path.extend(leg.path[1:])
+                parent_label = self._underlying.routing_label(parent)
+                leg, leg_cost = self._underlying.walk_to_label(current, parent_label)
+                legs["zoom"] += leg_cost
+                path.extend(leg[1:])
                 if tracer.enabled:
                     tracer.event(
                         node=current,
                         phase="zoom",
-                        nodes=tuple(leg.path[1:]),
-                        cost=leg.cost,
+                        nodes=tuple(leg[1:]),
+                        cost=leg_cost,
                         level=i + 1,
-                        entry=(
-                            f"stored parent label l(u({i + 1}))="
-                            f"{self._underlying.routing_label(parent)}"
-                        ),
+                        entry=f"stored parent label l(u({i + 1}))={parent_label}",
                         header_before={
                             "target_name": name,
                             "search_level": i + 1,
@@ -250,19 +247,19 @@ class SimpleNameIndependentScheme(NameIndependentScheme):
             raise RouteFailure(
                 f"name {name} not found at the top level"
             )
-        final = self._underlying.route_to_label(current, found_label)
-        legs["final"] += final.cost
-        path.extend(final.path[1:])
+        final, final_cost = self._underlying.walk_to_label(current, found_label)
+        legs["final"] += final_cost
+        path.extend(final[1:])
         if tracer.enabled:
             tracer.event(
                 node=current,
                 phase="final",
-                nodes=tuple(final.path[1:]),
-                cost=final.cost,
+                nodes=tuple(final[1:]),
+                cost=final_cost,
                 entry=f"retrieved label l={found_label}",
                 header_after={"target_name": name},
             )
-        target = final.target
+        target = final[-1]
         if self.name_of(target) != name:
             # The delivered node checks the packet's destination name
             # against its own; a mismatch means corrupted routing state.

@@ -33,6 +33,7 @@ from repro.resilience.degraded import DegradedNetwork
 from repro.resilience.repair import surviving_graph
 from repro.schemes.base import RoutingScheme
 from repro.schemes.cowen_landmark import CowenLandmarkScheme
+from repro.schemes.labeled_nonscalefree import NonScaleFreeLabeledScheme
 from repro.schemes.labeled_scalefree import ScaleFreeLabeledScheme
 from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
 from repro.schemes.shortest_path import ShortestPathScheme
@@ -257,7 +258,22 @@ class TestDeterminism:
 
 class TestDenseTables:
     """The dense next-hop table at the ``DENSE_LIMIT`` switch, on lazy
-    power-law graphs whose rows outgrow the row store's budget."""
+    power-law graphs whose rows outgrow the row store's budget, and the
+    compact schemes, which compile from their own rows past it."""
+
+    def test_compact_kinds_compile_without_dense_tables(
+        self, labeled_nonsf, labeled_sf, nameind_simple, nameind_sf
+    ):
+        for scheme in (labeled_nonsf, labeled_sf, nameind_simple, nameind_sf):
+            assert not {"NH", "D"} & set(compile_scheme(scheme).arrays)
+
+    def test_compact_scheme_compiles_past_the_limit(self):
+        metric = GraphMetric(grid_2d(46), strategy="lazy")
+        assert metric.n > DENSE_LIMIT
+        scheme = NonScaleFreeLabeledScheme(metric)
+        tables = compile_scheme(scheme)
+        assert not {"NH", "D"} & set(tables.arrays)
+        assert_bit_identical(scheme, _all_pairs(metric, limit=150, seed=3))
 
     def test_fill_solves_each_row_once_at_the_limit(self):
         n = DENSE_LIMIT

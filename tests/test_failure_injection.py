@@ -122,18 +122,17 @@ class TestEscalation:
 
 
 class TestConvergenceGuards:
-    def test_labeled_walk_guard_trips_on_cyclic_hops(self, monkeypatch):
+    def test_labeled_walk_guard_trips_on_cyclic_hops(self):
         """If next hops are corrupted into a cycle, the walk guard must
         raise instead of looping forever."""
         metric = GraphMetric(grid_2d(4))
         scheme = NonScaleFreeLabeledScheme(metric, SchemeParameters())
 
         flip = {0: 1, 1: 0}
-
-        def cyclic_next_hop(u, x):
-            return flip.get(u, 1)
-
-        monkeypatch.setattr(metric, "next_hop", cyclic_next_hop)
+        # The next hops live in the ring entries (their last field).
+        rows = scheme._rings._rows
+        for u in metric.nodes:
+            rows[u] = [entry[:-1] + (flip.get(u, 1),) for entry in rows[u]]
         with pytest.raises(RouteFailure):
             scheme.route(0, metric.n - 1)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core.params import SchemeParameters
@@ -223,6 +225,55 @@ def test_run_experiment_fig3_keeps_the_tree_epsilon():
         "fig3", epsilon=0.5, pair_count=10, n=96, namings=1, routes_per_naming=4
     )
     assert len(tables) == 3 and all(t.rows for t in tables)
+
+
+def _record_runners(monkeypatch, module, names):
+    """Replace ``module``'s runners with recorders of the keywords each
+    receives (same signatures, so dispatch filters as for the real
+    ones); returns ``{runner: kwargs}``."""
+    seen = {}
+    for name in names:
+        original = getattr(module, name)
+
+        @functools.wraps(original)
+        def record(_name=name, **kwargs):
+            seen[_name] = kwargs
+            return []
+
+        monkeypatch.setattr(module, name, record)
+    return seen
+
+
+def test_run_experiment_fig3_n_sizes_only_the_adversary_tree(monkeypatch):
+    from repro.experiments import fig3
+
+    names = ("run_construction", "run_counting", "run_adversary")
+    seen = _record_runners(monkeypatch, fig3, names)
+    run_experiment("fig3", n=96)
+    assert seen["run_adversary"]["n"] == 96
+    assert "n" not in seen["run_construction"]
+    assert "n" not in seen["run_counting"]
+
+
+def test_run_experiment_scale_sizes_reach_only_the_scaling_study(monkeypatch):
+    from repro.experiments import scale
+
+    names = ("run", "run_doubling", "run_landmark_sweep")
+    seen = _record_runners(monkeypatch, scale, names)
+    run_experiment("scale", sizes=(256, 2048, 10000))
+    assert seen["run"]["sizes"] == (256, 2048, 10000)
+    assert "sizes" not in seen["run_doubling"]
+
+
+def test_run_experiment_chaos_loss_is_shared(monkeypatch):
+    # ``loss`` means the channel loss rate in both chaos runners, so it
+    # deliberately reaches both.
+    from repro.experiments import chaos
+
+    seen = _record_runners(monkeypatch, chaos, ("run", "run_degraded", "run_audit"))
+    run_experiment("chaos", loss=0.2)
+    assert seen["run"]["loss"] == seen["run_degraded"]["loss"] == 0.2
+    assert "loss" not in seen["run_audit"]
 
 
 # -- metric cache identity (normalization and object lifetime) --------------

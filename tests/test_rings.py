@@ -2,10 +2,12 @@
 
 Block ``(i, x)`` of the table must hold exactly the nodes ``u`` with
 ``d(x, u) <= 2^i/ε`` (balls are inclusive within ``DISTANCE_SLACK``),
-read from x's full row, and every node's entries must run in ascending
-level, then ``hierarchy.net(i)`` order.  The reference below rebuilds
-that from ``distances_from(x)`` alone, for Lemma 3.1 (every level),
-Theorem 1.2 (the levels of ``R(u)``) and the distance oracle's labels.
+read from x's full row, each entry's hop must be ``next_hop(u, x)`` from
+u's own row, and every node's entries must run in ascending level, then
+``hierarchy.net(i)`` order.  The reference below rebuilds that from
+``distances_from(x)`` and ``next_hops_from(u)`` alone, for Lemma 3.1
+(every level), Theorem 1.2 (the levels of ``R(u)``) and the distance
+oracle's labels (which carry no hops).
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ FIXTURES = {
 
 
 def reference_entries(metric, hierarchy, epsilon):
-    """Per node ``[(i, x, lo, hi, d(x, u))]`` from full rows of x."""
+    """Per node ``[(i, x, lo, hi, d(x, u), next_hop(u, x))]`` from full
+    rows of x and u."""
     entries = [[] for _ in metric.nodes]
     for i in hierarchy.levels:
         radius = 2.0**i / epsilon
@@ -50,7 +53,8 @@ def reference_entries(metric, hierarchy, epsilon):
             row = metric.distances_from(x)
             for u in metric.nodes:
                 if row[u] <= radius + DISTANCE_SLACK:
-                    entries[u].append((i, x, lo, hi, float(row[u])))
+                    hop = int(metric.next_hops_from(u)[x])
+                    entries[u].append((i, x, lo, hi, float(row[u]), hop))
     return entries
 
 
@@ -83,7 +87,7 @@ class TestEntries:
         metric, _, _, oracle, reference = built
         for u in metric.nodes:
             expected = {}
-            for i, x, _, _, d in reference[u]:
+            for i, x, _, _, d, _ in reference[u]:
                 expected.setdefault(i, {})[x] = d
             label = oracle.label(u)
             assert label == expected
@@ -97,7 +101,7 @@ class TestEntries:
         for u in metric.nodes:
             for i in lemma.hierarchy.levels:
                 expected = {
-                    x: (lo, hi, d) for j, x, lo, hi, d in reference[u] if j == i
+                    x: (lo, hi, d) for j, x, lo, hi, d, _ in reference[u] if j == i
                 }
                 view = lemma.ring_entries(u, i)
                 assert list(view.items()) == list(expected.items())
@@ -147,7 +151,7 @@ def test_partial_rebuild_equals_a_cold_build():
     for u in warm.metric.nodes:
         assert warm._rings.entries(u) == cold._rings.entries(u)
     warm_arrays, cold_arrays = warm._rings.arrays(), cold._rings.arrays()
-    assert sorted(warm_arrays) == ["R_D", "R_HI", "R_LO", "R_LVL", "R_X"]
+    assert sorted(warm_arrays) == ["R_D", "R_HI", "R_LO", "R_LVL", "R_NH", "R_X"]
     for name, array in cold_arrays.items():
         assert warm_arrays[name].dtype == array.dtype
         assert np.array_equal(warm_arrays[name], array)
@@ -160,7 +164,7 @@ def test_arrays_pad_with_an_empty_range():
     for u in metric.nodes:
         entries = scheme._rings.entries(u)
         k = len(entries)
-        names = ("LVL", "X", "LO", "HI", "D")
+        names = ("LVL", "X", "LO", "HI", "D", "NH")
         row = [
             tuple(arrays[f"R_{name}"][u, col].item() for name in names)
             for col in range(k)

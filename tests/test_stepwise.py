@@ -1,87 +1,225 @@
-"""Tests for the stepwise (per-node state machine) execution engine."""
+"""Stepwise local execution over the compiled per-node rows.
 
+The paper's model (§1) lets a relay node read only its own routing table
+and the packet header.  The compiled tables of the four compact schemes
+hold exactly that per-node state.  Node ``u``'s ring entries are row
+``u`` of the ``R_*`` matrices: range, ring point, level, distance and
+the stored next hop ``R_NH``.  Its search-tree state is the slots it
+occupies: per slot the parent link, the up cost, the stored pairs and
+one entry per child that owns a range (child link, range, down cost).
+
+:func:`node_rows` cuts one node's rows out of a compiled table into
+plain arrays and dicts.  The forwarders below take each decision from
+one node's rows and the header alone, and the tests hold them hop for
+hop to the interpreters.
+"""
+
+from __future__ import annotations
+
+import numpy as np
 import pytest
 
-from repro.core.params import SchemeParameters
 from repro.core.types import RouteFailure
-from repro.runtime.stepwise import StepwiseLabeledRouter
+from repro.engine import compile_scheme
 from repro.schemes.labeled_nonscalefree import NonScaleFreeLabeledScheme
+
+RING = ("R_LO", "R_HI", "R_X", "R_LVL", "R_D", "R_NH")
+
+
+def node_rows(tables, u):
+    """Node ``u``'s own rows of a compact scheme's compiled tables."""
+    A = tables.arrays
+    count = int((A["R_LO"][u] <= A["R_HI"][u]).sum())  # padding has lo > hi
+    rows = {"node": u, "label": int(A["LBL"][u])}
+    rows.update({name: A[name][u, :count].copy() for name in RING})
+    slots = {}
+    if "S_NODE" in A:
+        span = int(A["S_SPAN"][0])
+        for s in np.flatnonzero(A["S_NODE"] == u).tolist():
+            parent = int(A["S_PARENT"][s])
+            entries = np.flatnonzero(A["S_CH_PARENT"] == s)
+            held = A["S_K_KEY"][s] >= 0  # padding holds key -1
+            slots[s] = {
+                "parent": parent,
+                "parent_node": int(A["S_NODE"][parent]) if parent >= 0 else -1,
+                "up": float(A["S_UP"][s]),
+                "keys": A["S_K_KEY"][s][held].tolist(),
+                "data": A["S_K_DATA"][s][held].tolist(),
+                "children": [
+                    (
+                        int(A["S_CH_SLOT"][e]),
+                        int(A["S_CH_KEY"][e]) - s * span,
+                        int(A["S_CH_HI"][e]),
+                        int(A["S_NODE"][A["S_CH_SLOT"][e]]),
+                        float(A["S_DOWN"][A["S_CH_SLOT"][e]]),
+                    )
+                    for e in entries.tolist()
+                ],
+            }
+    rows["slots"] = slots
+    return rows
+
+
+def ring_step(rows, label):
+    """One Lemma 3.1 decision: ``None`` on arrival, else the stored next
+    hop of the first entry covering ``label``."""
+    if rows["label"] == label:
+        return None
+    cover = (rows["R_LO"] <= label) & (label <= rows["R_HI"])
+    if not cover.any():
+        raise RouteFailure(f"node {rows['node']}: no ring covers label {label}")
+    hop = int(rows["R_NH"][cover.argmax()])
+    if hop == rows["node"]:  # pragma: no cover - impossible for eps <= 1/2
+        raise RouteFailure(f"node {rows['node']}: walk stalled")
+    return hop
+
+
+def forward(rows, header, bits, codec):
+    """``ring_step`` on the decoded header, as a relay node runs it."""
+    return ring_step(rows, codec.decode(header, bits)["target_label"])
+
+
+def local_walk(views, codec, source, label):
+    """The ring walk driven by per-node rows and an encoded header."""
+    header, bits = codec.encode({"target_label": label})
+    path = [source]
+    while (hop := forward(views[path[-1]], header, bits, codec)) is not None:
+        path.append(hop)
+        if len(path) > 8 * len(views) + 8:  # pragma: no cover - defensive
+            raise RouteFailure("stepwise walk failed to converge")
+    return path
+
+
+def local_search(views, root_slot, key):
+    """Algorithm 2 from per-node rows: each descent move reads the
+    current slot's child entries, the turn its stored pairs, and each
+    ascent move its parent link.  Returns ``(found, data, trail, cost)``."""
+    node = next(u for u, rows in views.items() if root_slot in rows["slots"])
+    slot, trail, costs = root_slot, [node], []
+    while True:
+        here = views[node]["slots"][slot]
+        child = next((c for c in here["children"] if c[1] <= key <= c[2]), None)
+        if child is None:
+            break
+        slot, node = child[0], child[3]
+        trail.append(node)
+        costs.append(child[4])
+    found = key in here["keys"]
+    data = here["data"][here["keys"].index(key)] if found else None
+    while slot != root_slot:
+        here = views[node]["slots"][slot]
+        costs.append(here["up"])
+        slot, node = here["parent"], here["parent_node"]
+        trail.append(node)
+    return found, data, trail, sum(costs)
 
 
 @pytest.fixture(scope="module")
 def stepwise(grid_metric):
-    scheme = NonScaleFreeLabeledScheme(grid_metric, SchemeParameters())
-    return scheme, StepwiseLabeledRouter.extract(scheme)
+    scheme = NonScaleFreeLabeledScheme(grid_metric)
+    tables = compile_scheme(scheme)
+    return scheme, {u: node_rows(tables, u) for u in grid_metric.nodes}
+
+
+def forests_of(scheme):
+    """``(slot offset, forest)`` in the order the compiler lays them out."""
+    forests = [scheme.forest]
+    if hasattr(getattr(scheme, "underlying", None), "forest"):
+        forests.insert(0, scheme.underlying.forest)
+    offset, out = 0, []
+    for forest in forests:
+        out.append((offset, forest))
+        offset += len(forest.node)
+    return out
 
 
 class TestLocality:
     def test_local_nodes_hold_no_global_references(self, stepwise):
-        _, router = stepwise
-        node = router.local_node(0)
-        for attr in vars(node).values():
-            # Only plain ids/labels/tuples — no metric, no hierarchy.
-            assert not hasattr(attr, "distances_from")
-            assert not hasattr(attr, "zooming_sequence")
+        _, views = stepwise
+        for value in views[0].values():
+            # Only ids, arrays and plain dicts: no metric, no hierarchy.
+            assert isinstance(value, (int, np.ndarray, dict))
+            assert not hasattr(value, "distances_from")
+            assert not hasattr(value, "zooming_sequence")
 
-    def test_ring_entries_reference_graph_neighbours(
-        self, stepwise, grid_metric
-    ):
-        _, router = stepwise
+    def test_ring_entries_reference_graph_neighbours(self, stepwise, grid_metric):
+        _, views = stepwise
         for u in grid_metric.nodes:
-            node = router.local_node(u)
-            for entries in node.rings.values():
-                for _, _, next_hop in entries:
-                    assert next_hop == u or grid_metric.graph.has_edge(
-                        u, next_hop
-                    )
+            for hop in views[u]["R_NH"].tolist():
+                assert hop == u or grid_metric.graph.has_edge(u, hop)
 
 
 class TestEquivalence:
-    def test_paths_match_monolithic_implementation(
-        self, stepwise, grid_metric
-    ):
-        scheme, router = stepwise
+    def test_paths_match_monolithic_implementation(self, stepwise, grid_metric):
+        scheme, views = stepwise
+        codec = scheme.header_codec()
         for u in range(0, grid_metric.n, 5):
             for v in range(0, grid_metric.n, 3):
                 if u == v:
                     continue
-                monolithic = scheme.route(u, v).path
-                local = router.route_to_node(u, v)
-                assert local == monolithic
+                label = scheme.routing_label(v)
+                assert local_walk(views, codec, u, label) == scheme.route(u, v).path
 
     def test_all_families(self, any_metric, params):
         scheme = NonScaleFreeLabeledScheme(any_metric, params)
-        router = StepwiseLabeledRouter.extract(scheme)
+        tables = compile_scheme(scheme)
+        views = {u: node_rows(tables, u) for u in any_metric.nodes}
+        codec = scheme.header_codec()
         for u in range(0, any_metric.n, 6):
             for v in range(0, any_metric.n, 4):
                 if u == v:
                     continue
-                assert router.route_to_node(u, v) == scheme.route(u, v).path
+                label = scheme.routing_label(v)
+                assert local_walk(views, codec, u, label) == scheme.route(u, v).path
 
     def test_self_route(self, stepwise):
-        _, router = stepwise
-        assert router.route_to_node(7, 7) == [7]
+        scheme, views = stepwise
+        codec = scheme.header_codec()
+        assert local_walk(views, codec, 7, scheme.routing_label(7)) == [7]
+
+    def test_name_independent_legs_walk_the_stored_hops(self, nameind_simple, grid_metric):
+        # Theorem 1.4's zoom and final legs are Lemma 3.1 walks.
+        tables = compile_scheme(nameind_simple)
+        views = {u: node_rows(tables, u) for u in grid_metric.nodes}
+        underlying = nameind_simple.underlying
+        codec = underlying.header_codec()
+        for u in range(0, grid_metric.n, 4):
+            for v in range(1, grid_metric.n, 5):
+                label = underlying.routing_label(v)
+                assert local_walk(views, codec, u, label) == underlying.walk_to_label(u, label)[0]
+
+    @pytest.mark.parametrize("fixture", ["labeled_sf", "nameind_simple", "nameind_sf"])
+    def test_search_trees_match_interpreter(self, fixture, request, grid_metric):
+        scheme = request.getfixturevalue(fixture)
+        tables = compile_scheme(scheme)
+        views = {u: node_rows(tables, u) for u in grid_metric.nodes}
+        probes = list(range(-1, grid_metric.n + 1, 3))
+        for offset, forest in forests_of(scheme):
+            for t in range(0, len(forest), 3):
+                tree = forest.tree(t)
+                root = offset + forest.root[t]
+                for key in probes + forest.keys[t][::4]:
+                    want = tree.search(key)
+                    got = local_search(views, root, key)
+                    assert got == (want.found, want.data, want.trail, want.cost)
 
 
 class TestSerialization:
     def test_header_is_codec_sized(self, stepwise):
-        _, router = stepwise
-        data, bits = router.codec.encode({"target_label": 5})
-        assert bits == router.codec.total_bits
+        scheme, _ = stepwise
+        data, bits = scheme.header_codec().encode({"target_label": 5})
+        assert bits == scheme.header_codec().total_bits
         assert len(data) == (bits + 7) // 8
 
     def test_forward_rejects_uncovered_label(self, stepwise):
-        scheme, router = stepwise
-        node = router.local_node(0)
-        # Strip all but level-0 rings; a far label is then uncovered.
-        node_rings = dict(node.rings)
-        try:
-            node.rings = {0: node.rings[0]}
-            far_label = scheme.routing_label(scheme.metric.n - 1)
-            data, bits = router.codec.encode(
-                {"target_label": far_label}
-            )
-            with pytest.raises(RouteFailure):
-                node.forward(data, bits, router.codec)
-        finally:
-            node.rings = node_rings
+        scheme, views = stepwise
+        codec = scheme.header_codec()
+        # Keep only the level-0 entries; a far label is then uncovered.
+        rows = dict(views[0])
+        level0 = rows["R_LVL"] == 0
+        for name in RING:
+            rows[name] = rows[name][level0]
+        far_label = scheme.routing_label(scheme.metric.n - 1)
+        data, bits = codec.encode({"target_label": far_label})
+        with pytest.raises(RouteFailure):
+            forward(rows, data, bits, codec)
