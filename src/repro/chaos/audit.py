@@ -1,10 +1,12 @@
 """Table-integrity auditing: detect, quarantine, and heal corrupted rows.
 
 A deployed router's tables live in memory and can rot — bad RAM, a
-partial write, an overlay bug.  All six schemes in this repository
-forward through the metric's per-node rows (``next_hop`` walks the
-predecessor matrix), so those rows are the routing-table basis worth
-guarding:
+partial write, an overlay bug.  Every scheme in this repository builds
+its tables from the metric's per-node rows: the shortest-path and Cowen
+baselines forward through them on every hop (``next_hop`` walks the
+predecessor rows), and the compact schemes copy their next hops and
+tree-edge costs out of them at build time.  So those rows are the
+routing-table basis worth guarding:
 
 * :class:`TableAuditor` seals a SHA-256 digest of every node's row
   (:meth:`GraphMetric.row_digest`) at build time and re-audits on

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.core.edits import EditKind, GraphEdit, apply_edit_to_graph
 from repro.core.types import PreprocessingError
 from repro.graphs.generators import path_graph
 from repro.metric.graph_metric import GraphMetric, stretch_of
@@ -184,6 +185,32 @@ class TestNextHops:
                 )
                 want = any_metric.distance(u, v)
                 assert cost == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("factor", [1.5, 0.25])
+    def test_edge_weights_match_the_graph_before_and_after_an_edit(
+        self, any_metric, factor
+    ):
+        def check(metric):
+            keys, weights = metric.edge_table()
+            table = dict(zip(keys.tolist(), weights.tolist()))
+            assert len(table) == 2 * metric.graph.number_of_edges()
+            for u, v, data in metric.graph.edges(data=True):
+                want = float(data.get("weight", 1.0)) / metric.scale
+                assert metric.edge_weight(u, v) == want
+                assert metric.edge_weight(v, u) == want
+                assert table[u * metric.n + v] == table[v * metric.n + u] == want
+
+        check(any_metric)
+        # A heavier weight keeps the scale; a lighter one may change it
+        # and rebuild cold: both paths must rebuild the weights.
+        graph = any_metric.graph.copy()
+        u, v, data = next(iter(graph.edges(data=True)))
+        weight = float(data.get("weight", 1.0)) * factor
+        edit = GraphEdit(EditKind.WEIGHT, edge=(u, v), weight=weight)
+        apply_edit_to_graph(graph, edit)
+        updated, _ = any_metric.updated(graph, edit)
+        check(updated)
+        assert updated.edge_weight(u, v) == weight / updated.scale
 
     def test_paths_from_one_source_form_tree(self, grid_metric):
         # Consistency: next hops toward a fixed target never cycle.
