@@ -6,9 +6,10 @@ interpreted ``route()`` loops.  This subsystem is the compiled hot core
 behind them (the hwtHls split — see ROADMAP item 2):
 
 * :func:`compile_scheme` lowers a built scheme's tables into
-  :class:`CompiledTables` — flat numpy arrays (dense next-hop/distance
-  matrices, padded ring matrices, slot-packed search/Voronoi trees,
-  CSR-packed vicinity entries, sorted edge-weight keys);
+  :class:`CompiledTables` — flat numpy arrays (padded ring matrices
+  with their stored next hops, slot-packed search/Voronoi trees with
+  their edge costs, CSR-packed vicinity entries, sorted edge-weight
+  keys, and dense next-hop matrices for the two baselines only);
 * :class:`BatchRouter` advances *all* live packets one transition per
   sweep over those arrays (gather/argmax per sweep, no per-packet
   python on the hot path), bit-identical to the interpreted loops.
