@@ -13,11 +13,13 @@ Run with ``PYTHONPATH=src python benchmarks/bench_throughput.py``
 variant: on a smoke fixture (n = 256) the compiled engine must be
 bit-identical to the interpreter on a pair sample (path, cost, legs,
 header bits — exact equality, no tolerance), and the compiled loop
-must be at least as fast as the interpreted one.  Past the dense-table
-limit, Theorem 1.4 on ``GraphMetric(random_geometric(4096, seed=1),
-strategy="lazy")`` must build, compile from its own per-node tables
-and route bit-identically on 200 pairs.  No wall-clock numbers are
-committed.
+must be at least as fast as the interpreted one.  On the n = 2048
+acceptance fixture, where landmark trees are deeper and hubs have
+full vicinities, the engine must equal the interpreter on 200 pairs.
+Past the dense-table limit, Theorem 1.4 on
+``GraphMetric(random_geometric(4096, seed=1), strategy="lazy")`` must
+build, compile from its own per-node tables and route bit-identically
+on 200 pairs.  No wall-clock numbers are committed.
 """
 
 from __future__ import annotations
@@ -119,6 +121,14 @@ def _assert_bit_identical(scheme, tables, metric, pairs) -> None:
         assert got.header_bits == want.header_bits, (u, v)
 
 
+def check_acceptance_fixture() -> None:
+    """The landmark engine at n = 2048, bit for bit on 200 pairs."""
+    n = 2048
+    metric, scheme, tables = _build(n)
+    _assert_bit_identical(scheme, tables, metric, sample_ordered_pairs(n, 200, seed=0))
+    print(f"bench_throughput --check: landmark engine == interpreter at n={n}")
+
+
 def check_past_dense_limit() -> None:
     """Theorem 1.4 served at n = 4096 from its own per-node tables."""
     n = 4096
@@ -153,6 +163,7 @@ def check() -> None:
         "bench_throughput --check: bit-identity holds; compiled "
         f"{int(rate)}/s >= interpreted {int(interpreted)}/s"
     )
+    check_acceptance_fixture()
     check_past_dense_limit()
 
 

@@ -20,7 +20,9 @@ fault processes:
   the receiver notices depends on the codec's checksum.
 
 Every fault draw is keyed by ``derive_seed(seed, "chaos-link", packet,
-flight, hop)`` (see :mod:`repro.core.seeding`): the outcome of a
+flight, hop)`` (see :mod:`repro.core.seeding`; the network holds that
+stream's :func:`~repro.core.seeding.seed_stream` and one generator it
+reseeds per draw): the outcome of a
 transmission depends only on *which* transmission it is, never on how
 many draws preceded it, so the simulator's event order cannot perturb
 the fault sample, and sweeping a fault rate under a fixed seed replays
@@ -34,7 +36,7 @@ import dataclasses
 import random
 from typing import Tuple
 
-from repro.core.seeding import derive_seed
+from repro.core.seeding import derive_seed, seed_stream
 from repro.core.types import NodeId
 from repro.metric.graph_metric import GraphMetric
 
@@ -125,6 +127,8 @@ class ChaosNetwork:
         self._base = base
         self._config = config
         self._seed = int(seed)
+        self._link_seed = seed_stream(self._seed, "chaos-link")
+        self._link_rng = random.Random()
 
     @property
     def base(self):
@@ -163,9 +167,8 @@ class ChaosNetwork:
         cfg = self._config
         if cfg.faultless:
             return _NO_FAULTS
-        rng = random.Random(
-            derive_seed(self._seed, "chaos-link", packet, flight, hop)
-        )
+        rng = self._link_rng
+        rng.seed(self._link_seed(packet, flight, hop))
         dropped = rng.random() < cfg.loss
         corrupted = rng.random() < cfg.corruption
         duplicated = rng.random() < cfg.duplication

@@ -27,12 +27,36 @@ integer indices) through SHA-256.  Properties:
 
 The convention is documented in DESIGN.md; new random processes should
 use ``derive_seed(master, "<unique-stream-name>", ...)`` rather than
-inventing seed arithmetic.
+inventing seed arithmetic.  A process that draws one seed per event
+(the per-transmission fault draws) holds :func:`seed_stream` instead,
+which hashes the ``master|stream|`` prefix once and returns the same
+seeds.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import Callable
+
+
+def seed_stream(master: int, stream: str) -> Callable[..., int]:
+    """``derive_seed(master, stream, *indices)`` as a function of the
+    indices alone.
+
+    The ``"master|stream|"`` prefix is hashed once; each call copies
+    that SHA-256 state and hashes only the indices, so it returns
+    exactly the seed :func:`derive_seed` would.
+    """
+    if not stream:
+        raise ValueError("stream name must be non-empty")
+    prefix = hashlib.sha256(f"{int(master)}|{stream}|".encode("ascii"))
+
+    def seed(*indices: int) -> int:
+        digest = prefix.copy()
+        digest.update(",".join(str(int(i)) for i in indices).encode("ascii"))
+        return int.from_bytes(digest.digest()[:8], "big")
+
+    return seed
 
 
 def derive_seed(master: int, stream: str, *indices: int) -> int:
@@ -48,8 +72,4 @@ def derive_seed(master: int, stream: str, *indices: int) -> int:
     Returns:
         An integer in ``[0, 2**64)`` suitable for ``random.Random``.
     """
-    if not stream:
-        raise ValueError("stream name must be non-empty")
-    tag = f"{int(master)}|{stream}|" + ",".join(str(int(i)) for i in indices)
-    digest = hashlib.sha256(tag.encode("ascii")).digest()
-    return int.from_bytes(digest[:8], "big")
+    return seed_stream(master, stream)(*indices)

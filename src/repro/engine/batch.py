@@ -742,8 +742,10 @@ def _init_landmark(T, src, tgt):
     st["zerohop"] = np.zeros(b, dtype=bool)
     depth = int(T.scalars["tree_depth"]) + 1
     st["dbuf"] = np.zeros((b, depth), dtype=np.int64)
-    st["dlen"] = np.zeros(b, dtype=np.int64)
     st["dpos"] = np.zeros(b, dtype=np.int64)
+    st["vhit"] = np.zeros(b, dtype=bool)
+    st["vpos"] = np.zeros(b, dtype=np.int64)
+    _vicinity_look(T, st, np.arange(b))
     zero = np.nonzero(A["NAMEOF"][src] == st["skey"])[0]
     if zero.size:
         # Self-delivery: the interpreter returns before legs exist.
@@ -752,6 +754,63 @@ def _init_landmark(T, src, tgt):
         st["res_cost"][zero] = 0.0
         st["phase"][zero] = PH_DONE
     return st
+
+
+def _vicinity_look(T, st, idx: np.ndarray) -> None:
+    """Look the name of packets ``idx`` up in their current node's table.
+
+    A packet at node ``u`` searches only u's own slice
+    ``VIC_KEY[VIC_PTR[u]:VIC_PTR[u + 1]]``.  It is a lower-bound binary
+    search run in lockstep, one bit of the offset per step from the
+    highest: a slice is shorter than ``2**vic_steps`` (the bit length
+    of the largest one), and a probe past the slice's end counts as
+    "not below the key", so the slice's entries alone decide.
+
+    The result waits in ``vhit``/``vpos`` for the packet's next sweep,
+    which reads it at the same node: a packet is looked up once per
+    arrival, and the lookup after a vicinity hop is both that hop's
+    post-hop check and the next sweep's hit check.
+    """
+    if not idx.size:
+        return
+    A = T.arrays
+    keys = A["VIC_KEY"]
+    cur = st["cur"][idx]
+    key = cur * T.n + st["skey"][idx]
+    last = A["VIC_PTR"][cur] - 1  # the last entry known to lie below
+    hi = A["VIC_PTR"][cur + 1]
+    for bit in range(int(T.scalars["vic_steps"]) - 1, -1, -1):
+        probe = last + (1 << bit)
+        below = (probe < hi) & (keys.take(probe, mode="clip") < key)
+        last = np.where(below, probe, last)
+    pos = last + 1
+    st["vhit"][idx] = (pos < hi) & (keys.take(pos, mode="clip") == key)
+    st["vpos"][idx] = pos
+
+
+def _lm_climb(A, st, idx: np.ndarray) -> None:
+    """Enter ``PH_MDESC``: write every packet's source-routed suffix.
+
+    All packets climb from their target toward their home in home's
+    tree together, one ``PRED`` gather per tree level, so ``dbuf`` holds
+    each chain far end first and ``dpos`` points at its last entry (the
+    home's child).  Spent from there, the hops are
+    ``_tree_path(home, target)[1:]`` in order.
+    """
+    home = st["home"][idx]
+    row = A["LM_INDEX"][home]
+    v = st["tgt"][idx]
+    depth = st["dbuf"].shape[1]
+    level = 0
+    while idx.size:
+        if level >= depth:
+            raise EngineError("descent chain deeper than the landmark tree")
+        st["dbuf"][idx, level] = v
+        st["dpos"][idx] = level
+        v = A["PRED"][row, v]
+        keep = v != home
+        idx, v, row, home = idx[keep], v[keep], row[keep], home[keep]
+        level += 1
 
 
 def _lm_done(st, idx: np.ndarray) -> None:
@@ -766,14 +825,13 @@ def _step_landmark(T, A, st, ph):
     n = T.n
     m = np.nonzero(ph == PH_MITER)[0]
     if m.size:
-        cur = st["cur"][m]
-        name = st["skey"][m]
-        hit, pos = _lookup_sorted(A["VIC_KEY"], cur * n + name)
-        hit &= st["shortcut"][m]
+        # Packets that move this sweep, looked up at their new node below.
+        rest = walk_dir = walk_home = m[:0]
+        hit = st["vhit"][m] & st["shortcut"][m]
         # Phase V: vicinity shortcut.
         a = m[hit]
         if a.size:
-            e = pos[hit]
+            e = st["vpos"][a]
             st["tgt"][a] = A["VIC_TGT"][e]
             st["home"][a] = A["VIC_HOME"][e]
             arrived = st["cur"][a] == st["tgt"][a]
@@ -786,14 +844,6 @@ def _step_landmark(T, A, st, ph):
                 arrived2 = hop == st["tgt"][move]
                 _lm_done(st, move[arrived2])
                 rest = move[~arrived2]
-                if rest.size:
-                    # A post-hop node whose vicinity lacks the name
-                    # disables shortcuts for the rest of the route.
-                    still, _ = _lookup_sorted(
-                        A["VIC_KEY"],
-                        st["cur"][rest] * n + st["skey"][rest],
-                    )
-                    st["shortcut"][rest[~still]] = False
         # Phases A/B: tree walks.
         b = m[~hit]
         if b.size:
@@ -806,15 +856,15 @@ def _step_landmark(T, A, st, ph):
                     # Directory resolution is a control transition.
                     st["tgt"][d] = A["DIR_NODE"][st["skey"][d]]
                     st["home"][d] = A["DIR_HOME"][st["skey"][d]]
-                walk = u[~at_dir]
-                if walk.size:
+                walk_dir = u[~at_dir]
+                if walk_dir.size:
                     hop = A["PRED"][
-                        A["DIR_ROW"][st["skey"][walk]], st["cur"][walk]
+                        A["DIR_ROW"][st["skey"][walk_dir]], st["cur"][walk_dir]
                     ]
-                    st["legs"][walk, 1] += _edge_w(
-                        A, n, st["cur"][walk], hop
+                    st["legs"][walk_dir, 1] += _edge_w(
+                        A, n, st["cur"][walk_dir], hop
                     )
-                    st["cur"][walk] = hop
+                    st["cur"][walk_dir] = hop
             r = b[~unresolved]
             if r.size:
                 arrived = st["cur"][r] == st["tgt"][r]
@@ -822,43 +872,36 @@ def _step_landmark(T, A, st, ph):
                 rr = r[~arrived]
                 if rr.size:
                     at_home = st["cur"][rr] == st["home"][rr]
-                    walk = rr[~at_home]
-                    if walk.size:
+                    walk_home = rr[~at_home]
+                    if walk_home.size:
                         hop = A["PRED"][
-                            A["LM_INDEX"][st["home"][walk]],
-                            st["cur"][walk],
+                            A["LM_INDEX"][st["home"][walk_home]],
+                            st["cur"][walk_home],
                         ]
-                        st["legs"][walk, 2] += _edge_w(
-                            A, n, st["cur"][walk], hop
+                        st["legs"][walk_home, 2] += _edge_w(
+                            A, n, st["cur"][walk_home], hop
                         )
-                        st["cur"][walk] = hop
+                        st["cur"][walk_home] = hop
                     descend = rr[at_home]
                     if descend.size:
-                        # Source-routed suffix: computed once per packet
+                        # Source-routed suffix: written once per packet
                         # (bounded by the landmark-tree depth), spent one
                         # hop per sweep like every other phase.
-                        pred = A["PRED"]
-                        lm_index = A["LM_INDEX"]
-                        for i in descend:
-                            row = lm_index[st["home"][i]]
-                            chain = []
-                            v = int(st["tgt"][i])
-                            home = int(st["home"][i])
-                            while v != home:
-                                chain.append(v)
-                                v = int(pred[row, v])
-                            chain.reverse()
-                            st["dlen"][i] = len(chain)
-                            st["dbuf"][i, : len(chain)] = chain
-                        st["dpos"][descend] = 0
+                        _lm_climb(A, st, descend)
                         st["phase"][descend] = PH_MDESC
+        # Only packets that still take shortcuts need a lookup.
+        moved = np.concatenate((rest, walk_dir, walk_home))
+        _vicinity_look(T, st, moved[st["shortcut"][moved]])
+        # A post-hop node whose vicinity lacks the name disables
+        # shortcuts for the rest of the route.
+        st["shortcut"][rest[~st["vhit"][rest]]] = False
     m = np.nonzero(ph == PH_MDESC)[0]
     if m.size:
         nxt = st["dbuf"][m, st["dpos"][m]]
         st["legs"][m, 3] += _edge_w(A, T.n, st["cur"][m], nxt)
         st["cur"][m] = nxt
-        st["dpos"][m] += 1
-        _lm_done(st, m[st["dpos"][m] == st["dlen"][m]])
+        st["dpos"][m] -= 1
+        _lm_done(st, m[st["dpos"][m] < 0])
 
 
 _MACHINES = {

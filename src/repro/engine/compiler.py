@@ -42,9 +42,14 @@ Layouts (see DESIGN.md, "engine" section, for the full picture):
 * **Voronoi tree slots** — every ``T_c(j)`` tree-router flattened the
   same way with DFS ``tin/tout`` intervals per slot, plus a sorted
   ``(tree, node) -> slot`` key table for phase entry;
-* **vicinity CSR** — the landmark scheme's vicinities as a single
-  sorted int64 key array ``u*n + name`` with parallel target / home /
-  next-hop columns, exactly as the scheme builds and routes on them.
+* **vicinity CSR** — the landmark scheme's vicinities as per-node
+  offsets ``VIC_PTR`` over one int64 key array ``VIC_KEY = u*n + name``
+  (node ``u``'s entries are the name-sorted slice ``[VIC_PTR[u],
+  VIC_PTR[u+1])``) with parallel target / home / next-hop columns,
+  exactly as the scheme builds and routes on them.  A lookup is a
+  fixed-step binary search inside the current node's own slice; the
+  step count ``vic_steps`` (the bit length of the largest slice) is a
+  compile-time scalar.
 
 All floating-point values are stored exactly as the interpreted tables
 hold them; the batch router replays the interpreted loops' *addition
@@ -503,10 +508,13 @@ def _compile_nameind_sf(scheme) -> CompiledTables:
 def _compile_landmark(scheme) -> CompiledTables:
     """The Internet-scale scheme: compiled purely from existing arrays.
 
-    No dense LUTs — the landmark/predecessor matrices and the vicinity
-    CSR the scheme already holds are the whole table set (handed over
-    as they are), so compilation preserves the lazy substrate's
-    rows-materialized ≪ n invariant.
+    No dense LUTs — the landmark/predecessor matrices and the per-node
+    vicinity CSR (offsets ``VIC_PTR`` plus the key and entry columns)
+    the scheme already holds are the whole table set (handed over as
+    they are), so compilation preserves the lazy substrate's
+    rows-materialized ≪ n invariant.  The batch router finds a name by
+    a binary search of ``vic_steps`` steps inside the current node's
+    slice, never over the whole key array.
     """
     metric = scheme.metric
     n = metric.n
@@ -536,8 +544,10 @@ def _compile_landmark(scheme) -> CompiledTables:
         "DIR_ROW": names % k,
         "DIR_NODE": dir_node,
         "DIR_HOME": dir_home,
-        # The scheme's own vicinity CSR (global sorted key u*n + name),
-        # with one sentinel row when every vicinity is empty.
+        # The scheme's own vicinity CSR (per-node offsets over the
+        # sorted key u*n + name), with one sentinel row when every
+        # vicinity is empty.
+        "VIC_PTR": scheme._vic_ptr,
         "VIC_KEY": _nonempty(scheme._vic_key, -1),
         "VIC_TGT": _nonempty(scheme._vic_tgt, 0),
         "VIC_HOME": _nonempty(scheme._vic_home, 0),
@@ -551,6 +561,7 @@ def _compile_landmark(scheme) -> CompiledTables:
         arrays=arrays,
         scalars={
             "tree_depth": scheme._tree_depth,
+            "vic_steps": int(np.diff(scheme._vic_ptr).max()).bit_length(),
             "max_sweeps": 2 * (4 * n + 4 * scheme._tree_depth) + 64,
         },
     )

@@ -413,10 +413,10 @@ def generate(
         "fixture (landmark scheme, lazy substrate):\n\n"
         + _block(e20) +
         "\n**Reading:** the speedup is the python-per-hop overhead the\n"
-        "engine removes, so it grows with route length (and hence n);\n"
-        "the committed trajectory (BENCH_throughput.json) clears the\n"
-        "10x acceptance floor at n = 2048 with ~60x and reaches ~450x\n"
-        "at n = 10^4.\n"
+        "engine removes, so it grows with route length (and hence n).\n"
+        "The committed trajectory (BENCH_throughput.json) records it per\n"
+        "size in its `best_speedup` column; the n = 2048 row must clear\n"
+        "the 10x acceptance floor.\n"
     )
 
     if provenance:

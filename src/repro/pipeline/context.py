@@ -63,7 +63,9 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: v10: metrics no longer pickle a diameter-exactness flag.
 #: v11: ring entries carry their next hop, search forests their edge
 #: costs, and compact schemes compile without dense LUTs.
-CACHE_FORMAT_VERSION = 11
+#: v12: landmark schemes hold per-node vicinity offsets, and their
+#: compiled tables carry them as ``VIC_PTR``.
+CACHE_FORMAT_VERSION = 12
 
 
 @dataclasses.dataclass

@@ -413,6 +413,12 @@ class TrafficSimulator:
         events: List[Tuple[float, int, int]] = []
         for index, (demand, _, _) in enumerate(packets):
             heapq.heappush(events, (demand.inject_at, index, 0))
+        # Per-packet link delays: each hop is charged from this list,
+        # and its sum is the packet's propagation.
+        delays = [
+            [metric.distance(a, b) for a, b in zip(physical, physical[1:])]
+            for _, _, physical in packets
+        ]
 
         link_free_at: Dict[Tuple[NodeId, NodeId], float] = {}
         queueing: List[float] = [0.0] * len(packets)
@@ -429,22 +435,18 @@ class TrafficSimulator:
             start = max(now, free_at)
             queueing[index] += start - now
             link_free_at[(a, b)] = start + self._service_time
-            arrival = start + self._service_time + metric.distance(a, b)
+            arrival = start + self._service_time + delays[index][hop]
             heapq.heappush(events, (arrival, index, hop + 1))
 
         report_packets = []
         for index, (demand, path, physical) in enumerate(packets):
-            propagation = sum(
-                metric.distance(a, b)
-                for a, b in zip(physical, physical[1:])
-            )
             assert delivered[index] is not None
             report_packets.append(
                 DeliveredPacket(
                     demand=demand,
                     path=path,
                     delivered_at=float(delivered[index]),
-                    propagation=propagation,
+                    propagation=sum(delays[index]),
                     queueing=queueing[index],
                     physical_path=physical,
                 )
@@ -522,18 +524,18 @@ class TrafficSimulator:
         codec = self._transport_codec(chaos, arq)
         checksummed = isinstance(codec, ChecksumCodec)
 
-        # Per-packet precomputation: clean-path propagation (charged
-        # from the chaos network — the wrapped metric or degraded
-        # overlay) and the encoded wire header corruption flips bits of.
+        # Per-packet precomputation: link delays (from the chaos
+        # network — the wrapped metric or degraded overlay), charged per
+        # hop and summed into the clean-path propagation, and the
+        # encoded wire header corruption flips bits of.
+        delays: List[List[float]] = []
         propagation: List[float] = []
         headers: List[Optional[Tuple[bytes, int]]] = []
         for index, (demand, _, physical) in enumerate(packets):
-            propagation.append(
-                sum(
-                    chaos.distance(a, b)
-                    for a, b in zip(physical, physical[1:])
-                )
+            delays.append(
+                [chaos.distance(a, b) for a, b in zip(physical, physical[1:])]
             )
+            propagation.append(sum(delays[index]))
             if codec is not None and len(physical) > 1:
                 values = self._header_values(
                     demand.target, index % (1 << TRANSPORT_SEQ_BITS)
@@ -667,7 +669,7 @@ class TrafficSimulator:
             faults = chaos.link_faults(
                 index, fid, hop, header_bits=header[1] if header else 0
             )
-            arrival = start + service + chaos.distance(a, b) + faults.extra_delay
+            arrival = start + service + delays[index][hop] + faults.extra_delay
             horizon = max(horizon, arrival)
             packet_trace = traces[index]
             if faults.dropped:

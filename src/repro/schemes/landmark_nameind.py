@@ -104,14 +104,17 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
             self._landmarks[int(j)]
             for j in np.argmin(self._landmark_dist, axis=0)
         ]
+        # The depth pass's k × n temporaries are freed before the
+        # vicinity arrays exist, so the two never add up in peak memory.
+        self._tree_depth = self._max_tree_depth()
         (
+            self._vic_ptr,
             self._vic_key,
             self._vic_tgt,
             self._vic_home,
             self._vic_hop,
         ) = self._build_vicinities(vicinity_size)
         self._directory = self._build_directory()
-        self._tree_depth = self._max_tree_depth()
 
     # ------------------------------------------------------------------
     # Construction
@@ -132,14 +135,15 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
 
     def _build_vicinities(
         self, size: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every node's vicinity as one sorted-key CSR.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every node's vicinity as one per-node CSR.
 
         Entry ``i`` is keyed ``VIC_KEY[i] = u·n + name`` (ascending, so
-        node ``u``'s entries are one contiguous, name-sorted slice) with
-        the member node, its home landmark, and ``u``'s next hop toward
-        it.  One size-bounded search per node — never a full row — and
-        the first hops come from that search's own predecessor tree.
+        node ``u``'s entries are the contiguous, name-sorted slice
+        ``[ptr[u], ptr[u + 1])``) with the member node, its home
+        landmark, and ``u``'s next hop toward it.  One size-bounded
+        search per node — never a full row — and the first hops come
+        from that search's own predecessor tree.
         """
         metric = self._metric
         n = metric.n
@@ -150,16 +154,18 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
             keep = ids != u
             members.append(ids[keep])
             hops.append(hop[keep])
-        owner = np.repeat(
-            np.arange(n, dtype=np.int64), [m.shape[0] for m in members]
-        )
+        counts = [m.shape[0] for m in members]
         tgt = np.concatenate(members).astype(np.int64)
-        key = owner * n + np.asarray(self._name_of, dtype=np.int64)[tgt]
+        # u·n + name, with the owners u in node order.
+        key = np.repeat(np.arange(n, dtype=np.int64) * n, counts)
+        key += np.asarray(self._name_of, dtype=np.int64)[tgt]
         order = np.argsort(key)
         tgt = tgt[order]
         hop = np.concatenate(hops).astype(np.int64)[order]
         home = np.asarray(self._home, dtype=np.int64)[tgt]
-        return key[order], tgt, home, hop
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        return ptr, key[order], tgt, home, hop
 
     def _build_directory(self) -> List[Dict[int, Tuple[NodeId, NodeId]]]:
         """Per landmark index: name -> (node, home landmark)."""
@@ -210,15 +216,17 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
 
     def _vicinity_span(self, u: NodeId) -> Tuple[int, int]:
         """Node ``u``'s slice ``[lo, hi)`` of the vicinity CSR."""
-        n = self._metric.n
-        lo, hi = np.searchsorted(self._vic_key, (u * n, (u + 1) * n))
-        return int(lo), int(hi)
+        return int(self._vic_ptr[u]), int(self._vic_ptr[u + 1])
 
     def _vicinity_entry(self, u: NodeId, name: int) -> Optional[int]:
-        """CSR position of ``name`` in ``u``'s vicinity, if present."""
+        """CSR position of ``name`` in ``u``'s vicinity, if present.
+
+        Only ``u``'s own slice is searched: a node reads its own table.
+        """
+        lo, hi = self._vicinity_span(u)
         key = u * self._metric.n + name
-        pos = int(np.searchsorted(self._vic_key, key))
-        if pos < self._vic_key.shape[0] and self._vic_key[pos] == key:
+        pos = lo + int(self._vic_key[lo:hi].searchsorted(key))
+        if pos < hi and self._vic_key[pos] == key:
             return pos
         return None
 

@@ -1,5 +1,6 @@
 """Tests for the chaos subsystem: lossy channels, ARQ, table auditing."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from repro.chaos.audit import (
     quarantine_and_repair,
     verify_against_cold,
 )
-from repro.core.seeding import derive_seed
+from repro.core.seeding import derive_seed, seed_stream
 from repro.graphs.generators import grid_2d, path_graph
 from repro.metric.graph_metric import GraphMetric
 from repro.pipeline.context import BuildContext
@@ -56,6 +57,22 @@ class TestDeriveSeed:
             value = derive_seed(1, "s", idx)
             assert 0 <= value < 2**64
 
+    def test_stream_matches_one_shot_hash(self):
+        # The documented convention: the first 8 bytes of
+        # sha256("master|stream|i,j,...").
+        stream = seed_stream(-3, "chaos-link")
+        for indices in [(), (0,), (5, 0, 2), (12, 7, 31, 4)]:
+            tag = "-3|chaos-link|" + ",".join(str(i) for i in indices)
+            expected = int.from_bytes(
+                hashlib.sha256(tag.encode("ascii")).digest()[:8], "big"
+            )
+            assert stream(*indices) == expected
+            assert derive_seed(-3, "chaos-link", *indices) == expected
+
+    def test_stream_name_required(self):
+        with pytest.raises(ValueError):
+            seed_stream(1, "")
+
 
 # ----------------------------------------------------------------------
 # Channel configuration and fault draws
@@ -96,7 +113,7 @@ class TestLinkFaults:
             assert faults.extra_delay == 0.0
             assert not faults.duplicated
             assert faults.corrupt_bits == ()
-        assert not chaos.ack_dropped(0, 0, [(0, 1)])
+        assert not chaos.ack_dropped(0, 0, 1)
 
     def test_draws_are_stateless_and_order_free(self, path_scheme):
         config = ChaosConfig(loss=0.3, jitter=1.0, duplication=0.2)
@@ -109,6 +126,37 @@ class TestLinkFaults:
         assert draws_a[0] == draws_b[1]  # order of queries irrelevant
         assert draws_a[3] == draws_b[0]
         assert draws_a[1] == draws_b[2]
+
+    def test_draws_match_a_fresh_generator_per_transmission(self, path_scheme):
+        # Every fault rate non-zero, so each of the five draws (and the
+        # corruption sample) decides something.
+        config = ChaosConfig(
+            loss=0.2,
+            jitter=1.5,
+            duplication=0.25,
+            reorder=0.3,
+            corruption=0.4,
+            corruption_bits=3,
+        )
+        chaos = ChaosNetwork(path_scheme.metric, config, seed=11)
+        keys = [(p, f, h) for p in range(10) for f in range(6) for h in range(10)]
+        random.Random(2).shuffle(keys)
+        for packet, flight, hop in keys:
+            rng = random.Random(derive_seed(11, "chaos-link", packet, flight, hop))
+            dropped = rng.random() < config.loss
+            corrupted = rng.random() < config.corruption
+            duplicated = rng.random() < config.duplication
+            extra = rng.random() * config.jitter
+            if rng.random() < config.reorder:
+                extra += config.reorder_delay
+            bits = ()
+            if corrupted and not dropped:
+                bits = tuple(sorted(rng.sample(range(24), 3)))
+            got = chaos.link_faults(packet, flight, hop, header_bits=24)
+            assert got.dropped == dropped
+            assert got.extra_delay == extra
+            assert got.duplicated == (duplicated and not dropped)
+            assert got.corrupt_bits == bits
 
     def test_distance_delegates_to_base(self, path_scheme):
         metric = path_scheme.metric

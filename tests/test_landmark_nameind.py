@@ -14,6 +14,7 @@ from repro.graphs.generators import (
     random_geometric,
 )
 from repro.metric.graph_metric import GraphMetric
+from repro.pipeline.sampling import sample_ordered_pairs
 from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
 
 
@@ -239,6 +240,25 @@ class TestVicinityTables:
         scheme = LandmarkNameIndependentScheme(GraphMetric(graph))
         assert scheme._tree_depth == _loop_tree_depth(scheme._landmark_pred)
 
+    def test_offsets_slice_each_nodes_vicinity(self, power_law_scheme):
+        scheme, metric = power_law_scheme
+        n = metric.n
+        ptr, key = scheme._vic_ptr, scheme._vic_key
+        assert ptr.shape == (n + 1,) and ptr[0] == 0 and ptr[-1] == key.size
+        # Every slice holds exactly its owner's keys, in name order.
+        owner = np.repeat(np.arange(n), np.diff(ptr))
+        assert np.array_equal(key // n, owner)
+        for u in metric.nodes:
+            names = (key[ptr[u] : ptr[u + 1]] - u * n).tolist()
+            assert names == scheme.vicinity_names(u)
+            assert names == sorted(names)
+            for name in names:
+                pos = scheme._vicinity_entry(u, name)
+                assert ptr[u] <= pos < ptr[u + 1] and key[pos] == u * n + name
+        outside = set(range(n)) - set(scheme.vicinity_names(0))
+        assert all(scheme._vicinity_entry(0, name) is None for name in outside)
+        assert np.array_equal(scheme.compile_tables().arrays["VIC_PTR"], ptr)
+
     def test_tree_depth_matches_on_power_law(self, power_law_scheme):
         scheme, _ = power_law_scheme
         assert scheme._tree_depth == _loop_tree_depth(scheme._landmark_pred)
@@ -253,3 +273,29 @@ class TestVicinityTables:
                 result = scheme.route(u, v)
                 assert result.path[-1] == v
                 assert router.route(u, v) == result
+
+
+class TestEngineOnPowerLaw:
+    """Engine = interpreter past the small fixtures (n = 600)."""
+
+    @pytest.mark.parametrize("vicinity_size", [None, 4], ids=["default", "vic4"])
+    def test_route_batch_matches_interpreter(self, power_law_scheme, vicinity_size):
+        scheme, metric = power_law_scheme
+        if vicinity_size is not None:
+            # Tiny vicinities: most routes miss every vicinity and
+            # descend home's tree (250 of the 300 pairs, up to 3 hops).
+            scheme = LandmarkNameIndependentScheme(
+                metric, naming=scheme._name_of, vicinity_size=vicinity_size
+            )
+        pairs = sample_ordered_pairs(metric.n, 300, seed=7)
+        router = BatchRouter(scheme.compile_tables(), metric=metric)
+        compiled = router.route_batch([u for u, _ in pairs], [v for _, v in pairs])
+        descents = 0
+        for (u, v), got in zip(pairs, compiled):
+            want = scheme.route(u, v)
+            assert got.path == want.path, (u, v)
+            assert got.cost == want.cost, (u, v)
+            assert got.legs == want.legs, (u, v)
+            assert got.header_bits == want.header_bits
+            descents += want.legs["descent"] > 0
+        assert descents > 0
