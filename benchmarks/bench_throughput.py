@@ -15,7 +15,9 @@ bit-identical to the interpreter on a pair sample (path, cost, legs,
 header bits — exact equality, no tolerance), and the compiled loop
 must be at least as fast as the interpreted one.  On the n = 2048
 acceptance fixture, where landmark trees are deeper and hubs have
-full vicinities, the engine must equal the interpreter on 200 pairs.
+full vicinities, the engine must equal the interpreter on 200 pairs,
+and so on the same graph with uniform random weights in [1, 4]
+(unit weights cannot show a hop charged the wrong edge's weight).
 Past the dense-table limit, Theorem 1.4 on
 ``GraphMetric(random_geometric(4096, seed=1), strategy="lazy")`` must
 build, compile from its own per-node tables and route bit-identically
@@ -37,7 +39,11 @@ from repro.experiments.throughput import (
     interpreted_rate,
 )
 from repro.engine.compiler import DENSE_LIMIT
-from repro.graphs.generators import preferential_attachment, random_geometric
+from repro.graphs.generators import (
+    preferential_attachment,
+    random_geometric,
+    uniform_random_weights,
+)
 from repro.metric.graph_metric import GraphMetric
 from repro.pipeline.sampling import sample_ordered_pairs
 from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
@@ -122,11 +128,22 @@ def _assert_bit_identical(scheme, tables, metric, pairs) -> None:
 
 
 def check_acceptance_fixture() -> None:
-    """The landmark engine at n = 2048, bit for bit on 200 pairs."""
+    """The landmark engine at n = 2048, bit for bit on 200 pairs, on the
+    unit-weight acceptance graph and on a weighted copy of it."""
     n = 2048
     metric, scheme, tables = _build(n)
-    _assert_bit_identical(scheme, tables, metric, sample_ordered_pairs(n, 200, seed=0))
-    print(f"bench_throughput --check: landmark engine == interpreter at n={n}")
+    pairs = sample_ordered_pairs(n, 200, seed=0)
+    _assert_bit_identical(scheme, tables, metric, pairs)
+    weighted = GraphMetric(
+        uniform_random_weights(preferential_attachment(n, m=2, seed=1), seed=1),
+        strategy="lazy",
+    )
+    scheme = LandmarkNameIndependentScheme(weighted)
+    _assert_bit_identical(scheme, scheme.compile_tables(), weighted, pairs)
+    print(
+        f"bench_throughput --check: landmark engine == interpreter at n={n}, "
+        "unit and random weights"
+    )
 
 
 def check_past_dense_limit() -> None:

@@ -10,7 +10,12 @@ routing-table basis worth guarding:
 
 * :class:`TableAuditor` seals a SHA-256 digest of every node's row
   (:meth:`GraphMetric.row_digest`) at build time and re-audits on
-  demand — any flipped entry changes the digest;
+  demand — any flipped entry changes the digest.  It digests the
+  metric's rows only: the copies the compact schemes store (ring next
+  hops, search-tree edge costs) and the weight columns their compiled
+  tables carry beside each next hop are not digested, so a corrupted
+  stored hop or cost goes unseen by the audit (compiling a hop that is
+  not its owner's neighbour does fail, with ``NonEdgeHop``);
 * :class:`CorruptionInjector` is the fault injector: it flips stored
   distance/predecessor entries of chosen nodes (bypassing the public
   API on purpose — that is what memory corruption does) and drops the

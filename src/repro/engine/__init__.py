@@ -8,8 +8,11 @@ behind them (the hwtHls split — see ROADMAP item 2):
 * :func:`compile_scheme` lowers a built scheme's tables into
   :class:`CompiledTables` — flat numpy arrays (padded ring matrices
   with their stored next hops, slot-packed search/Voronoi trees with
-  their edge costs, CSR-packed vicinity entries, sorted edge-weight
-  keys, and dense next-hop matrices for the two baselines only);
+  their edge costs, CSR-packed vicinity entries, a weight column beside
+  every compact next-hop column, and dense next-hop matrices with
+  sorted edge-weight keys for the two baselines only); a stored hop
+  that is not its owner's neighbour fails the compile with
+  :class:`NonEdgeHop`;
 * :class:`BatchRouter` advances *all* live packets one transition per
   sweep over those arrays (gather/argmax per sweep, no per-packet
   python on the hot path), bit-identical to the interpreted loops.
@@ -25,6 +28,7 @@ from repro.engine.batch import BatchRouter, EngineError
 from repro.engine.compiler import (
     CompiledTables,
     EngineUnsupported,
+    NonEdgeHop,
     compile_scheme,
 )
 
@@ -33,5 +37,6 @@ __all__ = [
     "CompiledTables",
     "EngineError",
     "EngineUnsupported",
+    "NonEdgeHop",
     "compile_scheme",
 ]

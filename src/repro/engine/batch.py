@@ -111,7 +111,12 @@ def _lookup_sorted(keys: np.ndarray, q: np.ndarray):
 
 
 def _edge_w(A: Dict[str, np.ndarray], n: int, u: np.ndarray, v: np.ndarray):
-    """Exact per-hop weights; raises if any (u, v) is not a graph edge."""
+    """Exact per-hop weights; raises if any (u, v) is not a graph edge.
+
+    Only the shortest-path and Cowen machines search the edge table: their
+    dense ``NH`` has no per-entry weight column.  The compact machines add
+    the weight stored beside the entry that chose the hop.
+    """
     ok, pos = _lookup_sorted(A["EKEY"], u * n + v)
     if not ok.all():
         bad = int(np.nonzero(~ok)[0][0])
@@ -199,8 +204,13 @@ def _search_asc(A, st, m: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _tree_move(A, n: int, st, m: np.ndarray) -> np.ndarray:
-    """One tree hop per packet toward label ``trt``; returns arrivals."""
+def _tree_move(A, st, m: np.ndarray) -> np.ndarray:
+    """One tree hop per packet toward label ``trt``; returns arrivals.
+
+    A move crosses the parent edge of the lower slot: the child it
+    enters on the way down, the slot it leaves on the way up, so one
+    ``T_W`` gather charges both directions.
+    """
     if not m.size:
         return m
     slot = st["tr_slot"][m]
@@ -227,11 +237,9 @@ def _tree_move(A, n: int, st, m: np.ndarray) -> np.ndarray:
             if (parent < 0).any():
                 raise EngineError("tree route climbed past the root")
             new_slot[up] = parent
-        a = A["T_NODE"][mslot]
-        b = A["T_NODE"][new_slot]
-        st["call"][move] += _edge_w(A, n, a, b)
+        st["call"][move] += A["T_W"][np.where(down, new_slot, mslot)]
         st["tr_slot"][move] = new_slot
-        st["cur"][move] = b
+        st["cur"][move] = A["T_NODE"][new_slot]
     return m[arrived]
 
 
@@ -240,7 +248,7 @@ def _tree_move(A, n: int, st, m: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _lns_walk(A, n: int, st, m: np.ndarray) -> np.ndarray:
+def _lns_walk(A, st, m: np.ndarray) -> np.ndarray:
     """One walk hop per packet; returns packets whose label matched at
     sweep start (the interpreted loop's entry check)."""
     if not m.size:
@@ -254,11 +262,11 @@ def _lns_walk(A, n: int, st, m: np.ndarray) -> np.ndarray:
         )
         if not has.all():
             raise EngineError("no ring entry covers the walk label")
-        if (A["R_X"][cur, first] == cur).any():
+        at = cur * A["R_NH"].shape[1] + first  # the chosen entries, flat
+        if (A["R_X"].take(at) == cur).any():
             raise EngineError("ring walk stalled (epsilon too large?)")
-        nxt = A["R_NH"][cur, first]
-        st["call"][move] += _edge_w(A, n, cur, nxt)
-        st["cur"][move] = nxt
+        st["call"][move] += A["R_W"].take(at)
+        st["cur"][move] = A["R_NH"].take(at)
     return m[arrived]
 
 
@@ -351,7 +359,7 @@ def _init_labeled_nonsf(T, src, tgt):
 
 
 def _step_labeled_nonsf(T, A, st, ph):
-    done = _lns_walk(A, T.n, st, np.nonzero(ph == PH_WALK)[0])
+    done = _lns_walk(A, st, np.nonzero(ph == PH_WALK)[0])
     if done.size:
         # cost is folded once over the whole path (the interpreted loop
         # computes it after the fact); legs is {"walk": cost}.
@@ -391,10 +399,9 @@ def _ns_deliver(T, A, st, idx: np.ndarray) -> None:
 
 
 def _step_nameind_simple(T, A, st, ph):
-    n = T.n
     top = int(T.scalars["top_level"])
     # Ring walk (zoom or final leg).
-    done = _lns_walk(A, n, st, np.nonzero(ph == PH_WALK)[0])
+    done = _lns_walk(A, st, np.nonzero(ph == PH_WALK)[0])
     if done.size:
         zoom = done[st["role"][done] == ROLE_ZOOM]
         if zoom.size:
@@ -472,7 +479,6 @@ def _lsf_phases(T, A, st, ph, legs) -> None:
     ``legs`` is the 4-column (walk, to_center, search, final) array the
     call accumulates into; callers dispatch on ``PH_LRET`` afterwards.
     """
-    n = T.n
     log_n = int(T.scalars["log_n"])
     eps = T.scalars["eps"]
     slack = T.scalars["slack"]
@@ -487,10 +493,11 @@ def _lsf_phases(T, A, st, ph, legs) -> None:
             has, first = _first_cover(
                 A["R_LO"][cur], A["R_HI"][cur], st["wlabel"][move]
             )
-            lvl = A["R_LVL"][cur, first]
-            x = A["R_X"][cur, first]
-            dist = A["R_D"][cur, first]
-            is_dest = A["R_LO"][cur, first] == A["R_HI"][cur, first]
+            at = cur * A["R_NH"].shape[1] + first  # the chosen entries, flat
+            lvl = A["R_LVL"].take(at)
+            x = A["R_X"].take(at)
+            dist = A["R_D"].take(at)
+            is_dest = A["R_LO"].take(at) == A["R_HI"].take(at)
             threshold = np.ldexp(1.0, lvl - 1) / eps - np.ldexp(1.0, lvl)
             advance = (
                 has
@@ -505,9 +512,8 @@ def _lsf_phases(T, A, st, ph, legs) -> None:
             )
             adv = move[advance]
             if adv.size:
-                nxt = A["R_NH"][cur[advance], first[advance]]
-                st[legs][adv, 0] += _edge_w(A, n, cur[advance], nxt)
-                st["cur"][adv] = nxt
+                st[legs][adv, 0] += A["R_W"].take(at[advance])
+                st["cur"][adv] = A["R_NH"].take(at[advance])
                 st["prev_lvl"][adv] = lvl[advance]
             stop = move[~advance]
             if stop.size:
@@ -530,7 +536,7 @@ def _lsf_phases(T, A, st, ph, legs) -> None:
                 st["vj"][stop] = vj
                 _lsf_start_center(T, A, st, stop)
     # Tree-route to the center.
-    done = _tree_move(A, n, st, np.nonzero(ph == PH_LCENTER)[0])
+    done = _tree_move(A, st, np.nonzero(ph == PH_LCENTER)[0])
     if done.size:
         st[legs][done, 1] += st["call"][done]
         sid = A["SR_ID"][st["vj"][done], st["vc"][done]]
@@ -556,7 +562,7 @@ def _lsf_phases(T, A, st, ph, legs) -> None:
                 raise EngineError("label not found even at the global level")
             _lsf_start_center(T, A, st, miss)
     # Tree-route center -> destination.
-    done = _tree_move(A, n, st, np.nonzero(ph == PH_LFINAL)[0])
+    done = _tree_move(A, st, np.nonzero(ph == PH_LFINAL)[0])
     if done.size:
         st[legs][done, 3] += st["call"][done]
         st["phase"][done] = PH_LRET
@@ -798,7 +804,7 @@ def _lm_climb(A, st, idx: np.ndarray) -> None:
     ``_tree_path(home, target)[1:]`` in order.
     """
     home = st["home"][idx]
-    row = A["LM_INDEX"][home]
+    base = A["LM_INDEX"][home] * A["PRED"].shape[1]  # home's row, flat
     v = st["tgt"][idx]
     depth = st["dbuf"].shape[1]
     level = 0
@@ -807,9 +813,9 @@ def _lm_climb(A, st, idx: np.ndarray) -> None:
             raise EngineError("descent chain deeper than the landmark tree")
         st["dbuf"][idx, level] = v
         st["dpos"][idx] = level
-        v = A["PRED"][row, v]
+        v = A["PRED"].take(base + v)
         keep = v != home
-        idx, v, row, home = idx[keep], v[keep], row[keep], home[keep]
+        idx, v, base, home = idx[keep], v[keep], base[keep], home[keep]
         level += 1
 
 
@@ -838,8 +844,9 @@ def _step_landmark(T, A, st, ph):
             _lm_done(st, a[arrived])
             move = a[~arrived]
             if move.size:
-                hop = A["VIC_HOP"][e[~arrived]]
-                st["legs"][move, 0] += _edge_w(A, n, st["cur"][move], hop)
+                chosen = e[~arrived]
+                hop = A["VIC_HOP"][chosen]
+                st["legs"][move, 0] += A["VIC_W"][chosen]
                 st["cur"][move] = hop
                 arrived2 = hop == st["tgt"][move]
                 _lm_done(st, move[arrived2])
@@ -858,13 +865,9 @@ def _step_landmark(T, A, st, ph):
                     st["home"][d] = A["DIR_HOME"][st["skey"][d]]
                 walk_dir = u[~at_dir]
                 if walk_dir.size:
-                    hop = A["PRED"][
-                        A["DIR_ROW"][st["skey"][walk_dir]], st["cur"][walk_dir]
-                    ]
-                    st["legs"][walk_dir, 1] += _edge_w(
-                        A, n, st["cur"][walk_dir], hop
-                    )
-                    st["cur"][walk_dir] = hop
+                    at = A["DIR_ROW"][st["skey"][walk_dir]] * n + st["cur"][walk_dir]
+                    st["legs"][walk_dir, 1] += A["PRED_W"].take(at)
+                    st["cur"][walk_dir] = A["PRED"].take(at)
             r = b[~unresolved]
             if r.size:
                 arrived = st["cur"][r] == st["tgt"][r]
@@ -874,14 +877,12 @@ def _step_landmark(T, A, st, ph):
                     at_home = st["cur"][rr] == st["home"][rr]
                     walk_home = rr[~at_home]
                     if walk_home.size:
-                        hop = A["PRED"][
-                            A["LM_INDEX"][st["home"][walk_home]],
-                            st["cur"][walk_home],
-                        ]
-                        st["legs"][walk_home, 2] += _edge_w(
-                            A, n, st["cur"][walk_home], hop
+                        at = (
+                            A["LM_INDEX"][st["home"][walk_home]] * n
+                            + st["cur"][walk_home]
                         )
-                        st["cur"][walk_home] = hop
+                        st["legs"][walk_home, 2] += A["PRED_W"].take(at)
+                        st["cur"][walk_home] = A["PRED"].take(at)
                     descend = rr[at_home]
                     if descend.size:
                         # Source-routed suffix: written once per packet
@@ -897,8 +898,9 @@ def _step_landmark(T, A, st, ph):
         st["shortcut"][rest[~st["vhit"][rest]]] = False
     m = np.nonzero(ph == PH_MDESC)[0]
     if m.size:
+        # cur is nxt's parent in home's tree: the edge is nxt's own.
         nxt = st["dbuf"][m, st["dpos"][m]]
-        st["legs"][m, 3] += _edge_w(A, T.n, st["cur"][m], nxt)
+        st["legs"][m, 3] += A["PRED_W"].take(A["LM_INDEX"][st["home"][m]] * n + nxt)
         st["cur"][m] = nxt
         st["dpos"][m] -= 1
         _lm_done(st, m[st["dpos"][m] < 0])

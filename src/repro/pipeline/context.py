@@ -65,7 +65,10 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: costs, and compact schemes compile without dense LUTs.
 #: v12: landmark schemes hold per-node vicinity offsets, and their
 #: compiled tables carry them as ``VIC_PTR``.
-CACHE_FORMAT_VERSION = 12
+#: v13: compact schemes' compiled tables carry a weight column beside
+#: every next-hop column and no edge table; landmark schemes no longer
+#: keep their landmark distance matrix.
+CACHE_FORMAT_VERSION = 13
 
 
 @dataclasses.dataclass

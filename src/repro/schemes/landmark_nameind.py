@@ -92,7 +92,8 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
         # Landmark tree rows: the only full metric rows the scheme
         # reads.  d(v, l) and v's parent in l's tree both come from
         # here, so homes and climbing tables cost no extra searches.
-        self._landmark_dist = np.stack(
+        # The distances serve only to pick the homes and are not kept.
+        landmark_dist = np.stack(
             [metric.distances_from(l) for l in self._landmarks]
         )
         self._landmark_pred = np.stack(
@@ -101,9 +102,9 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
         # home[v] = nearest landmark (least landmark id on ties, which
         # argmin provides because self._landmarks is sorted).
         self._home: List[NodeId] = [
-            self._landmarks[int(j)]
-            for j in np.argmin(self._landmark_dist, axis=0)
+            self._landmarks[int(j)] for j in np.argmin(landmark_dist, axis=0)
         ]
+        del landmark_dist
         # The depth pass's k × n temporaries are freed before the
         # vicinity arrays exist, so the two never add up in peak memory.
         self._tree_depth = self._max_tree_depth()

@@ -21,6 +21,7 @@ from repro.core.types import RouteFailure
 from repro.engine import (
     BatchRouter,
     EngineUnsupported,
+    NonEdgeHop,
     compile_scheme,
 )
 from repro.engine.compiler import DENSE_LIMIT
@@ -36,6 +37,8 @@ from repro.schemes.cowen_landmark import CowenLandmarkScheme
 from repro.schemes.labeled_nonscalefree import NonScaleFreeLabeledScheme
 from repro.schemes.labeled_scalefree import ScaleFreeLabeledScheme
 from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
+from repro.schemes.nameind_scalefree import ScaleFreeNameIndependentScheme
+from repro.schemes.nameind_simple import SimpleNameIndependentScheme
 from repro.schemes.shortest_path import ShortestPathScheme
 from repro.trees.heavy_path import HeavyPathRouter
 from repro.trees.tree_router import TreeRouter
@@ -65,6 +68,31 @@ def assert_bit_identical(scheme, pairs, metric=None, record_paths=True):
         if record_paths:
             assert got.path == want.path, (s, t)
     return router
+
+
+#: The compact schemes, Lemma 3.1 and Theorems 1.2, 1.4 and 1.1.
+COMPACT = {
+    "labeled_nonsf": NonScaleFreeLabeledScheme,
+    "labeled_sf": ScaleFreeLabeledScheme,
+    "nameind_simple": SimpleNameIndependentScheme,
+    "nameind_sf": ScaleFreeNameIndependentScheme,
+}
+
+
+@pytest.fixture(scope="module")
+def weighted_compact(request, params):
+    """``(kind, metric fixture) -> scheme``, each built once per module
+    on a weighted fixture: unit weights would hide a weight read at the
+    wrong entry."""
+    built = {}
+
+    def build(kind, fixture):
+        if (kind, fixture) not in built:
+            metric = request.getfixturevalue(fixture)
+            built[kind, fixture] = COMPACT[kind](metric, params)
+        return built[kind, fixture]
+
+    return build
 
 
 # ----------------------------------------------------------------------
@@ -100,6 +128,16 @@ class TestBitIdentity:
 
     def test_nameind_sf(self, nameind_sf):
         assert_bit_identical(nameind_sf, _all_pairs(nameind_sf.metric))
+
+    @pytest.mark.parametrize("fixture", ["geometric_metric", "exponential_metric"])
+    @pytest.mark.parametrize("kind", sorted(COMPACT))
+    def test_compact_on_weighted_metrics(self, kind, fixture, weighted_compact):
+        """The compact machines on weighted graphs.  On
+        ``exponential_path(14)`` Algorithm 5's Voronoi phases run (the
+        greedy ring walk stops short), so Theorems 1.2 and 1.1 charge
+        tree moves in both directions."""
+        scheme = weighted_compact(kind, fixture)
+        assert_bit_identical(scheme, _all_pairs(scheme.metric, limit=600))
 
     def test_landmark(self, grid_metric, params):
         scheme = LandmarkNameIndependentScheme(grid_metric, params)
@@ -295,6 +333,82 @@ class TestDenseTables:
             compile_scheme(ShortestPathScheme(metric))
         stats = metric.substrate_stats()
         assert (stats["rows_materialized"], stats["bounded_searches"]) == (0, 0)
+
+
+class TestWeightColumns:
+    """Each compact next-hop column has a weight column beside it, filled
+    at compile time; no compact kind carries the global edge table."""
+
+    @pytest.mark.parametrize("kind", sorted(COMPACT))
+    def test_ring_and_tree_weights_are_the_hops_edges(
+        self, kind, weighted_compact
+    ):
+        scheme = weighted_compact(kind, "geometric_metric")
+        metric = scheme.metric
+        A = compile_scheme(scheme).arrays
+        assert not {"EKEY", "EW"} & set(A)
+        for u in metric.nodes:
+            real = A["R_LO"][u] <= A["R_HI"][u]
+            for hop, weight, live in zip(A["R_NH"][u], A["R_W"][u], real):
+                moves = live and hop != u
+                assert weight == (metric.edge_weight(u, hop) if moves else 0.0)
+        if "T_W" in A:
+            for slot, parent in enumerate(A["T_PARENT"].tolist()):
+                node, up = A["T_NODE"][slot], A["T_NODE"][parent]
+                want = metric.edge_weight(node, up) if parent >= 0 else 0.0
+                assert A["T_W"][slot] == want
+
+    def test_landmark_weights_are_the_hops_edges(self, geometric_metric, params):
+        metric = geometric_metric
+        scheme = LandmarkNameIndependentScheme(metric, params)
+        A = compile_scheme(scheme).arrays
+        assert not {"EKEY", "EW"} & set(A)
+        assert A["PRED"] is scheme._landmark_pred  # handed over, not copied
+        for i, landmark in enumerate(scheme.landmarks):
+            for v in metric.nodes:
+                parent = int(A["PRED"][i, v])
+                want = 0.0 if v == landmark else metric.edge_weight(v, parent)
+                assert A["PRED_W"][i, v] == want
+        for u in metric.nodes:
+            lo, hi = A["VIC_PTR"][u], A["VIC_PTR"][u + 1]
+            for hop, weight in zip(A["VIC_HOP"][lo:hi], A["VIC_W"][lo:hi]):
+                assert weight == metric.edge_weight(u, hop)
+
+
+class TestNonEdgeHop:
+    """A stored hop that is not its owner's neighbour fails the compile,
+    naming both nodes, before any packet is routed."""
+
+    @staticmethod
+    def _stranger(metric, u):
+        """The least node that is neither ``u`` nor a neighbour of it."""
+        return next(
+            v for v in metric.nodes
+            if v != u and not metric.graph.has_edge(u, v)
+        )
+
+    def test_landmark_vicinity_hop(self, grid_metric, params):
+        scheme = LandmarkNameIndependentScheme(grid_metric, params)
+        u = 7
+        entry = int(scheme._vic_ptr[u]) + 2
+        bad = self._stranger(grid_metric, u)
+        scheme._vic_hop = scheme._vic_hop.copy()
+        scheme._vic_hop[entry] = bad
+        with pytest.raises(NonEdgeHop, match=f"node {u} .* {bad}\\b") as info:
+            scheme.compile_tables()
+        assert (info.value.node, info.value.hop) == (u, bad)
+
+    def test_ring_hop(self, grid_metric, params):
+        scheme = NonScaleFreeLabeledScheme(grid_metric, params)
+        u = 9
+        rows = scheme._rings._rows
+        col = next(c for c, entry in enumerate(rows[u]) if entry[-1] != u)
+        bad = self._stranger(grid_metric, u)
+        rows[u] = list(rows[u])
+        rows[u][col] = rows[u][col][:-1] + (bad,)
+        with pytest.raises(NonEdgeHop, match=f"node {u} .* {bad}\\b") as info:
+            scheme.compile_tables()
+        assert (info.value.node, info.value.hop) == (u, bad)
 
 
 class TestCompiler:

@@ -3,8 +3,9 @@
 The paper's model (§1) lets a relay node read only its own routing table
 and the packet header.  The compiled tables of the four compact schemes
 hold exactly that per-node state.  Node ``u``'s ring entries are row
-``u`` of the ``R_*`` matrices: range, ring point, level, distance and
-the stored next hop ``R_NH``.  Its search-tree state is the slots it
+``u`` of the ``R_*`` matrices: range, ring point, level, distance, the
+stored next hop ``R_NH`` and the weight ``R_W`` of the link it names
+(port data: a node knows its own links).  Its search-tree state is the slots it
 occupies: per slot the parent link, the up cost, the stored pairs and
 one entry per child that owns a range (child link, range, down cost).
 
@@ -23,7 +24,7 @@ from repro.core.types import RouteFailure
 from repro.engine import compile_scheme
 from repro.schemes.labeled_nonscalefree import NonScaleFreeLabeledScheme
 
-RING = ("R_LO", "R_HI", "R_X", "R_LVL", "R_D", "R_NH")
+RING = ("R_LO", "R_HI", "R_X", "R_LVL", "R_D", "R_NH", "R_W")
 
 
 def node_rows(tables, u):
@@ -61,17 +62,19 @@ def node_rows(tables, u):
 
 
 def ring_step(rows, label):
-    """One Lemma 3.1 decision: ``None`` on arrival, else the stored next
-    hop of the first entry covering ``label``."""
+    """One Lemma 3.1 decision: ``None`` on arrival, else ``(hop,
+    weight)`` of the first entry covering ``label``: its stored next hop
+    and the weight of that link."""
     if rows["label"] == label:
         return None
     cover = (rows["R_LO"] <= label) & (label <= rows["R_HI"])
     if not cover.any():
         raise RouteFailure(f"node {rows['node']}: no ring covers label {label}")
-    hop = int(rows["R_NH"][cover.argmax()])
+    entry = cover.argmax()
+    hop = int(rows["R_NH"][entry])
     if hop == rows["node"]:  # pragma: no cover - impossible for eps <= 1/2
         raise RouteFailure(f"node {rows['node']}: walk stalled")
-    return hop
+    return hop, float(rows["R_W"][entry])
 
 
 def forward(rows, header, bits, codec):
@@ -80,14 +83,18 @@ def forward(rows, header, bits, codec):
 
 
 def local_walk(views, codec, source, label):
-    """The ring walk driven by per-node rows and an encoded header."""
+    """The ring walk driven by per-node rows and an encoded header.
+
+    Returns ``(path, cost)``, each hop charged from the row of the node
+    that took it."""
     header, bits = codec.encode({"target_label": label})
-    path = [source]
-    while (hop := forward(views[path[-1]], header, bits, codec)) is not None:
-        path.append(hop)
+    path, cost = [source], 0
+    while (step := forward(views[path[-1]], header, bits, codec)) is not None:
+        path.append(step[0])
+        cost += step[1]
         if len(path) > 8 * len(views) + 8:  # pragma: no cover - defensive
             raise RouteFailure("stepwise walk failed to converge")
-    return path
+    return path, cost
 
 
 def local_search(views, root_slot, key):
@@ -158,7 +165,7 @@ class TestEquivalence:
                 if u == v:
                     continue
                 label = scheme.routing_label(v)
-                assert local_walk(views, codec, u, label) == scheme.route(u, v).path
+                assert local_walk(views, codec, u, label)[0] == scheme.route(u, v).path
 
     def test_all_families(self, any_metric, params):
         scheme = NonScaleFreeLabeledScheme(any_metric, params)
@@ -170,12 +177,15 @@ class TestEquivalence:
                 if u == v:
                     continue
                 label = scheme.routing_label(v)
-                assert local_walk(views, codec, u, label) == scheme.route(u, v).path
+                path, cost = local_walk(views, codec, u, label)
+                assert path == scheme.route(u, v).path
+                # Bit for bit: the same hops summed in the same order.
+                assert cost == scheme.walk_to_label(u, label)[1]
 
     def test_self_route(self, stepwise):
         scheme, views = stepwise
         codec = scheme.header_codec()
-        assert local_walk(views, codec, 7, scheme.routing_label(7)) == [7]
+        assert local_walk(views, codec, 7, scheme.routing_label(7)) == ([7], 0)
 
     def test_name_independent_legs_walk_the_stored_hops(self, nameind_simple, grid_metric):
         # Theorem 1.4's zoom and final legs are Lemma 3.1 walks.
@@ -186,7 +196,7 @@ class TestEquivalence:
         for u in range(0, grid_metric.n, 4):
             for v in range(1, grid_metric.n, 5):
                 label = underlying.routing_label(v)
-                assert local_walk(views, codec, u, label) == underlying.walk_to_label(u, label)[0]
+                assert local_walk(views, codec, u, label) == underlying.walk_to_label(u, label)
 
     @pytest.mark.parametrize("fixture", ["labeled_sf", "nameind_simple", "nameind_sf"])
     def test_search_trees_match_interpreter(self, fixture, request, grid_metric):

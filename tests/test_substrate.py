@@ -447,6 +447,47 @@ def test_row_store_budget_evicts_but_answers_stay_exact():
     assert dense.ball(0, 3.0) == tiny.ball(0, 3.0)
 
 
+def test_row_blocks_keep_or_stream_across_the_budget():
+    """``row_blocks`` installs the rows it solves only when the row
+    budget holds every row asked for; otherwise it streams them and
+    leaves the store as it found it.  Both sides of the switch yield the
+    same blocks, byte for byte, equal to a fresh metric's rows."""
+    graph = uniform_random_weights(grid_2d(20), seed=1)
+    n = graph.number_of_nodes()
+    sources = np.asarray(sorted(random.Random(5).sample(range(n), 300)))
+    fresh = GraphMetric(graph.copy(), strategy="lazy")
+    # 300 full rows of a 400-node graph take ~3.4 MB: the default
+    # 64 MiB budget holds them, 1 MiB does not.
+    yields = {}
+    for mode, budget in (("keep", None), ("stream", 2**20)):
+        metric = GraphMetric(graph.copy(), strategy="lazy", row_budget_bytes=budget)
+        for u in sources[::37].tolist():  # some resident full rows
+            metric.distances_from(u)
+        for u in sources[5::41].tolist():  # and some partial ones
+            metric.ball(u, 2.0)
+        store = metric._strategy.store
+        resident = {u: entry.full for u, entry in store.items()}
+        stats = metric.substrate_stats()
+        yields[mode] = list(metric.row_blocks(sources))
+        after = metric.substrate_stats()
+        assert after["rows_materialized"] > stats["rows_materialized"]
+        if mode == "keep":
+            assert all(store.get(u).full for u in sources.tolist())
+        else:
+            assert {u: e.full for u, e in store.items()} == resident
+            for key in ("stored_bytes", "evictions"):
+                assert after[key] == stats[key]
+    assert len(yields["keep"]) == len(yields["stream"]) > 1
+    for kept, streamed in zip(yields["keep"], yields["stream"]):
+        for a, b in zip(kept, streamed):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    block, dist, hops = (np.concatenate(parts) for parts in zip(*yields["keep"]))
+    assert np.array_equal(block, sources)
+    for k, u in enumerate(sources.tolist()):
+        assert dist[k].tobytes() == fresh.distances_from(u).tobytes()
+        assert hops[k].tobytes() == fresh.next_hops_from(u).tobytes()
+
+
 def test_row_store_admits_oversized_single_entry():
     store = RowStore(budget_bytes=1)
     dist = np.arange(64, dtype=float)

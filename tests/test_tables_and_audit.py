@@ -16,7 +16,8 @@ from repro.schemes.nameind_simple import SimpleNameIndependentScheme
 from tests.test_stepwise import local_walk, node_rows
 
 #: What a Lemma 3.1 node stores per ring entry (``table_bits``: a range
-#: plus a next hop, one id each).
+#: plus a next hop, one id each).  The weight ``R_W`` of the link a hop
+#: names is port data, like the distances ``R_D``: neither is charged.
 ENTRY = ("R_LO", "R_HI", "R_NH")
 
 
@@ -62,7 +63,8 @@ class TestSerialization:
 
     def test_deserialized_nodes_route_identically(self, extracted, grid_metric):
         scheme, views, id_bits, count_bits = extracted
-        # Rebuild every node's rows from serialized blobs only.
+        # Rebuild every node's rows from serialized blobs only; the
+        # link weights come from the node's own ports.
         rebuilt = {}
         for u in grid_metric.nodes:
             rows = deserialize(*serialize(views[u], id_bits, count_bits), id_bits, count_bits)
@@ -70,10 +72,17 @@ class TestSerialization:
                 key: value if key in ("node", "label") else np.asarray(value)
                 for key, value in rows.items()
             }
+            rebuilt[u]["R_W"] = np.asarray(
+                [
+                    0.0 if hop == u else grid_metric.edge_weight(u, hop)
+                    for hop in rows["R_NH"]
+                ]
+            )
         codec = scheme.header_codec()
         for u, v in [(0, 35), (17, 2), (30, 31)]:
             label = scheme.routing_label(v)
-            assert local_walk(rebuilt, codec, u, label) == scheme.route(u, v).path
+            want = scheme.route(u, v)
+            assert local_walk(rebuilt, codec, u, label) == (want.path, want.cost)
 
     def test_serialized_size_tracks_accounting(self, extracted, grid_metric):
         """Serialized entries cost exactly the charged table bits; the
