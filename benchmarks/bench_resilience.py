@@ -11,11 +11,12 @@ Reproduces the numbers recorded in ``BENCH_resilience.json``:
   substrate is a cache hit: the *best case*;
 * per-graph ``edit`` — the honest repair figure: a real single-edge
   weight change applied through ``BuildContext.apply_edit``, which
-  computes the edit's dirty node set and rebuilds only the artifact
-  partitions (metric rows, hierarchy levels, ring blocks, search trees)
-  intersecting it.  Built/reused counts are reported against that dirty
-  set, and the incremental result is bit-identical to a cold rebuild
-  (asserted in tests/test_churn.py).
+  computes the edit's dirty node set and rebuilds only the substrate
+  partitions (metric rows, hierarchy levels, zooming parents)
+  intersecting it; every scheme is built again on them.  Built/reused
+  counts are reported against that dirty set, and the incremental
+  result is bit-identical to a cold rebuild (asserted in
+  tests/test_churn.py).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_resilience.py``.
 Pass ``--check`` to assert the structural invariants (edit-repair

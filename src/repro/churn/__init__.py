@@ -1,7 +1,7 @@
 """Dependency-tracked incremental maintenance under continuous churn.
 
 The package ties the invalidation layer (``BuildContext.apply_edit``,
-``GraphMetric.updated``, per-scheme partial rebuilds) to a long-running
+``GraphMetric.updated``, the substrates' partial rebuilds) to a long-running
 service scenario: a deterministic edit stream mutates the network while
 packets keep flowing against stale tables, and each round's repair cost,
 staleness-induced stretch, and delivery rate are measured.  Experiment

@@ -7,18 +7,21 @@ churn:
 1. routing tables stand as of the **round start** (built, or rebuilt
    incrementally, through one shared :class:`BuildContext`);
 2. a batch of edits *commits to the network* — the graph mutates, and
-   :meth:`BuildContext.apply_edit` repairs the cached metric rows and
-   stashes every dependent artifact (the tables are now stale);
+   :meth:`BuildContext.apply_edit` repairs the cached metric rows,
+   stashes the net hierarchy and ball packings for partial rebuild and
+   drops the cached schemes (the tables the round serves are now
+   stale);
 3. during this **staleness window** the round's demands are routed by a
    :class:`~repro.resilience.router.ResilientRouter` over a
    :class:`~repro.resilience.degraded.DegradedNetwork` overlay that
    mirrors the committed edits, and the walks the router actually took
    are pushed through the store-and-forward simulator for queueing
    measurements;
-4. the tables are **repaired**: every scheme is rebuilt through the
-   warm context, which reuses all artifact partitions whose node
-   dependencies dodge the edits' dirty set.  Repair throughput is
-   edits per second of (apply + rebuild) time.
+4. the tables are **repaired**: every scheme is built again through
+   the warm context, on the spliced metric and on a hierarchy and
+   packings that reuse every partition whose node dependencies dodge
+   the edits' dirty set.  Repair throughput is edits per second of
+   (apply + rebuild) time.
 
 Overlay semantics (what the stale world can and cannot see): weight
 changes become ``WEIGHT_SCALE`` factors against the stale weight, edge

@@ -4,9 +4,10 @@ A :class:`GraphEdit` describes one change to a weighted undirected
 graph — a weight change, an edge addition or removal, or a node joining
 or leaving.  Edits are the currency of the incremental-maintenance
 pipeline (`BuildContext.apply_edit`): each edit induces a *dirty set* of
-nodes whose shortest-path rows may change, and every cached artifact
-whose dependencies avoid the dirty set is carried over instead of
-rebuilt.
+nodes whose shortest-path rows may change.  The metric splices only
+those rows, the net hierarchy and the ball packings reuse the parts
+whose dependencies avoid the dirty set, and every scheme is built
+again on the repaired substrates.
 
 Edits are deliberately dumb data: validation happens here, dirty-set
 computation lives in :class:`~repro.metric.graph_metric.GraphMetric`,

@@ -4,14 +4,15 @@ Each cell drives one scheme through the *same* deterministic edit
 stream on the same starting topology (grid 8x8) while packets keep
 flowing: edits commit in batches, the round's demands are routed with
 **stale** tables under a fallback policy, then the tables are repaired
-incrementally through the warm :class:`BuildContext` — only artifact
-partitions whose node dependencies intersect the edits' dirty set are
-rebuilt.  Reported per cell: repair throughput (edits per second of
-apply + rebuild time), delivery rate and stretch inside the staleness
-windows, and the built/reused artifact totals that make the incremental
-saving auditable.  Every ``VERIFY_EVERY``-th round the warm scheme is
-asserted bit-identical to a cold rebuild of the current graph; a
-divergence raises :class:`~repro.churn.driver.ChurnVerificationError`
+incrementally through the warm :class:`BuildContext` — the metric
+splices the edits' dirty rows, the net hierarchy and packings rebuild
+only the partitions that intersect the dirty set, and each scheme is
+built again on them.  Reported per cell: repair throughput (edits per
+second of apply + rebuild time), delivery rate and stretch inside the
+staleness windows, and the built/reused artifact totals that make the
+incremental saving auditable.  Every ``VERIFY_EVERY``-th round the warm
+scheme is asserted bit-identical to a cold rebuild of the current graph;
+a divergence raises :class:`~repro.churn.driver.ChurnVerificationError`
 and fails the experiment.
 
 Cells are independent (each owns a private warm context — that *is*
@@ -163,8 +164,10 @@ def run(
             "every cell replays the identical seeded edit stream, so "
             "scheme/policy columns are a paired comparison",
             "node joins/leaves force a full rebuild of that round "
-            "(the node set changed); weight/edge edits repair only the "
-            "partitions intersecting their dirty set",
+            "(the node set changed); weight/edge edits splice the dirty "
+            "metric rows and rebuild only the hierarchy and packing "
+            "partitions intersecting the dirty set, and every scheme is "
+            "built again on them",
         ],
     )
 

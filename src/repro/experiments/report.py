@@ -314,8 +314,10 @@ def generate(
         "flowing: each batch of 10 edits commits, the round's demands\n"
         "route against the now-stale tables under a fallback policy,\n"
         "then the tables are repaired *incrementally* through the warm\n"
-        "BuildContext — only artifact partitions whose node\n"
-        "dependencies intersect the edits' dirty set are rebuilt:\n\n"
+        "BuildContext — the metric splices the dirty rows, the net\n"
+        "hierarchy and packings rebuild only the partitions whose node\n"
+        "dependencies intersect the edits' dirty set, and every scheme\n"
+        "is built again on them:\n\n"
         + _block(e17) +
         "\n**Reading:** repair keeps up with hundreds of edits per\n"
         "second of rebuild time, and the delivery/stretch columns show\n"

@@ -16,7 +16,7 @@ walks scan.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,11 +31,7 @@ class Rings:
     """Every node's ring entries, one python list per node.
 
     ``stored_levels`` keeps per node only its levels (Theorem 1.2's
-    ``R(u)``; only levels some node keeps are queried).  With
-    ``previous`` — built with the same hierarchy, radii and levels — the
-    blocks of net points outside ``dirty`` are copied without a query,
-    and so are their hops for owners outside ``dirty`` (a clean row has
-    the same distances and predecessors, so the same first hops).
+    ``R(u)``; only levels some node keeps are queried).
     ``next_hops=False`` leaves every hop ``-1`` and reads no row (the
     distance oracle's labels need none).
     """
@@ -46,8 +42,6 @@ class Rings:
         hierarchy: NetHierarchy,
         epsilon: float,
         stored_levels: Optional[Sequence[Sequence[int]]] = None,
-        previous: Optional["Rings"] = None,
-        dirty: FrozenSet[NodeId] = frozenset(),
         next_hops: bool = True,
     ) -> None:
         keep = None
@@ -55,45 +49,31 @@ class Rings:
             keep = np.zeros((hierarchy.top_level + 1, metric.n), dtype=bool)
             for u, levels in enumerate(stored_levels):
                 keep[list(levels), u] = True
-        old = previous._blocks() if previous is not None else {}
-        none = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64))
-        blocks, heads = [none], []
-        reused = built = 0
+        blocks, heads = [(np.zeros(0, dtype=np.int64), np.zeros(0))], []
         for i in hierarchy.levels:
             if keep is not None and not keep[i].any():
                 continue
             for x in hierarchy.net(i):
-                if previous is not None and x not in dirty:
-                    block = old.get((i, x), none)
-                    reused += 1
-                else:
-                    ids, dist = metric.ball_with_distances(x, 2.0**i / epsilon)
-                    if keep is not None:
-                        held = keep[i][ids]
-                        ids, dist = ids[held], dist[held]
-                    block = (ids, dist, np.full(ids.shape[0], -1, dtype=np.int64))
-                    built += 1
-                blocks.append(block)
+                ids, dist = metric.ball_with_distances(x, 2.0**i / epsilon)
+                if keep is not None:
+                    held = keep[i][ids]
+                    ids, dist = ids[held], dist[held]
+                blocks.append((ids, dist))
                 heads.append((i, x) + hierarchy.range_of(x, i))
-        #: ``(reused, built)`` block counts of this construction.
-        self.blocks = (reused, built)
-        owner, dist, hop = (
-            np.concatenate([block[k] for block in blocks]) for k in range(3)
-        )
+        owner = np.concatenate([ids for ids, _ in blocks])
+        dist = np.concatenate([block_dist for _, block_dist in blocks])
         head = np.repeat(
             np.asarray(heads, dtype=np.int64).reshape(-1, 4),
-            [len(block[0]) for block in blocks[1:]],
+            [len(ids) for ids, _ in blocks[1:]],
             axis=0,
         )
         # A stable sort by node keeps block (level, then net) order; the
         # walks scan python tuples, faster than numpy on short rows.
         order = np.argsort(owner, kind="stable")
         owner, head, dist = owner[order].astype(np.int64), head[order], dist[order]
-        hop = hop[order].astype(np.int64)
+        hop = np.full(owner.shape[0], -1, dtype=np.int64)
         if next_hops:
-            hop[np.isin(owner, list(dirty))] = -1  # dirty owners refill
-            need = np.flatnonzero(hop < 0)
-            hop[need] = metric.row_entries(owner[need], head[need, 1])[1]
+            hop = metric.row_entries(owner, head[:, 1])[1]
         flat = list(zip(*head.T.tolist(), dist.tolist(), hop.tolist()))
         bounds = np.searchsorted(owner, np.arange(metric.n + 1)).tolist()
         self._rows = [flat[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -103,24 +83,6 @@ class Rings:
         node = np.repeat(np.arange(len(self._rows)), [len(row) for row in self._rows])
         table = np.array([e for row in self._rows for e in row], dtype=np.float64)
         return node, table.reshape(-1, 6)
-
-    def _blocks(
-        self,
-    ) -> Dict[Tuple[int, NodeId], Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``(i, x) -> (nodes, distances, hops)`` of every stored block."""
-        node, table = self._columns()
-        key = table[:, 0] * len(self._rows) + table[:, 1]
-        order = np.argsort(key, kind="stable")
-        runs = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
-        return {
-            (int(table[r[0], 0]), int(table[r[0], 1])): (
-                node[r],
-                table[r, 4],
-                table[r, 5].astype(np.int64),
-            )
-            for r in runs
-            if r.size
-        }
 
     def count(self, u: NodeId) -> int:
         return len(self._rows[u])

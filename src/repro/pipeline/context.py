@@ -68,7 +68,9 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: v13: compact schemes' compiled tables carry a weight column beside
 #: every next-hop column and no edge table; landmark schemes no longer
 #: keep their landmark distance matrix.
-CACHE_FORMAT_VERSION = 13
+#: v14: ring tables and schemes carry no partition counts (schemes are
+#: never rebuilt partially after an edit).
+CACHE_FORMAT_VERSION = 14
 
 
 @dataclasses.dataclass
@@ -77,10 +79,10 @@ class BuildStats:
 
     Two granularities share these counters: whole artifacts ("metric",
     "hierarchy", "scheme", ...) recorded by the context's memoizer, and
-    the partitions inside them ("metric_row", "hierarchy_level",
-    "ring_block", "search_tree", "zoom_parent") folded in by the
-    builders so incremental rebuilds can be audited against the dirty
-    set of an edit rather than whole-graph cache hits.
+    the partitions inside the substrates ("metric_row",
+    "hierarchy_level", "zoom_parent", "packing_level") folded in by
+    their builders, so incremental rebuilds can be audited against the
+    dirty set of an edit rather than whole-graph cache hits.
     """
 
     hits: Dict[str, int] = dataclasses.field(default_factory=dict)
@@ -307,8 +309,11 @@ class EditReport:
             over every cached metric of the graph.
         carried: Artifacts moved to the new key untouched, per kind
             (dependency set provably disjoint from ``dirty``).
-        stashed: Artifacts parked for partial rebuild on next demand.
-        dropped: Artifacts discarded outright (full-rebuild edits).
+        stashed: Hierarchies and packings parked for partial rebuild on
+            next demand.
+        dropped: Artifacts discarded outright: on a full-rebuild edit
+            every one, otherwise the schemes and compiled tables (each
+            is built cold again on next demand).
         full_rebuild: Whether the edit dirtied everything (node
             join/leave, normalization-scale change, or no cached metric
             to diff against).
@@ -395,9 +400,10 @@ class BuildContext:
         self._metric_keys: "weakref.WeakKeyDictionary[GraphMetric, Tuple[str, float]]" = (
             weakref.WeakKeyDictionary()
         )
-        # Stash of pre-edit artifacts awaiting partial rebuild, keyed by
-        # their *post-edit* full key: full_key -> (artifact, dirty set
-        # accumulated over every edit since the artifact was built).
+        # Stash of pre-edit hierarchies and packings awaiting partial
+        # rebuild, keyed by their *post-edit* full key: full_key ->
+        # (artifact, dirty set accumulated over every edit since the
+        # artifact was built).
         # Disjoint from _memory by construction (apply_edit moves
         # entries out; builders move them back in, possibly promoted).
         self._previous: Dict[Tuple, Tuple[Any, FrozenSet[NodeId]]] = {}
@@ -613,7 +619,9 @@ class BuildContext:
         classes, tuples of those).  Passing a live substrate object
         (``hierarchy=...``, ``underlying=...``) bypasses memoization of
         the scheme itself, but the substrates the class resolves through
-        ``from_context`` are still shared.
+        ``from_context`` are still shared.  After an edit the scheme is
+        built by its own constructor on the edited metric and on
+        substrates the context repaired (possibly promoted).
         """
         if params is None:
             params = SchemeParameters()
@@ -627,23 +635,10 @@ class BuildContext:
             with self.profile.timed("build", "scheme"):
                 return scheme_cls.from_context(self, metric, params, **kwargs)
         key = (self.metric_key(metric), cls_name, params_key(params), canonical)
-        prev = self._previous.pop(("scheme",) + key, None)
-        supports_partial = getattr(scheme_cls, "supports_partial_rebuild", False)
-
-        def build() -> Any:
-            if prev is not None and supports_partial:
-                return scheme_cls.from_context(
-                    self,
-                    metric,
-                    params,
-                    _previous=prev[0],
-                    _dirty=prev[1],
-                    **kwargs,
-                )
-            return scheme_cls.from_context(self, metric, params, **kwargs)
-
         scheme = self._get_or_build(
-            "scheme", key, build, previous=None if prev is None else prev[0]
+            "scheme",
+            key,
+            lambda: scheme_cls.from_context(self, metric, params, **kwargs),
         )
         self._scheme_keys[scheme] = key
         return scheme
@@ -657,7 +652,7 @@ class BuildContext:
         method computed (metric identity, class, parameters and every
         construction kwarg), so two schemes differ in their tables
         exactly when they differ as artifacts, and ``apply_edit``
-        drops or stashes the tables with the scheme.  A scheme built
+        drops the tables with the scheme.  A scheme built
         anywhere else has no such key; its tables are memoized on the
         instance (in memory only).
         """
@@ -684,7 +679,9 @@ class BuildContext:
         splicing only the edit's dirty rows; every other artifact keyed
         to the old content hash is either *carried* (dependency set
         provably untouched — evaluation pairs), *stashed* for partial
-        rebuild on next demand, or *dropped* (full-rebuild edits).
+        rebuild on next demand (hierarchies and packings), or *dropped*
+        (schemes and compiled tables, and everything on a full-rebuild
+        edit).
         Stale metrics handed out earlier keep a coherent pre-edit
         snapshot of the graph, which is what the staleness-window
         routing in :mod:`repro.churn` relies on.
@@ -758,9 +755,10 @@ class BuildContext:
                 else:
                     dropped[kind] = dropped.get(kind, 0) + 1
                 continue
-            if full_rebuild:
-                # Every partition is dirty; a stash could never promote
-                # or reuse anything, so drop the artifact outright.
+            if full_rebuild or kind not in ("hierarchy", "packing"):
+                # Only the substrates rebuild partially; and when every
+                # partition is dirty a stash could never promote or
+                # reuse anything, so drop the artifact outright.
                 dropped[kind] = dropped.get(kind, 0) + 1
                 continue
             self._previous[new_full_key] = (artifact, dirty)

@@ -151,8 +151,9 @@ def measure_repair(
     Note the topology here is *content-identical* to what the warm
     context already built (fail-and-fully-recover), so the incremental
     path is pure cache hits.  For the cost of repairing after a real
-    edit — where only the artifacts intersecting the edit's dirty set
-    are rebuilt — see :func:`measure_edit_repair`.
+    edit — where only the substrate partitions intersecting the edit's
+    dirty set are rebuilt, and every scheme — see
+    :func:`measure_edit_repair`.
     """
     if warm_context is None:
         warm_context = BuildContext()
@@ -191,11 +192,12 @@ def measure_edit_repair(
     Unlike :func:`measure_repair` (fail-and-fully-recover: the warm
     context sees an unchanged content hash and reuses everything), this
     applies ``edit`` through :meth:`BuildContext.apply_edit` — the graph
-    genuinely changes, the edit's dirty node set is computed, and the
-    incremental rebuild reconstructs only the artifact partitions that
-    intersect it.  The honest comparison for churn repair cost:
-    built-vs-reused counts are reported against the dirty set, not
-    against a topology that never really changed.
+    genuinely changes, the edit's dirty node set is computed, the
+    incremental rebuild reconstructs only the metric rows and hierarchy
+    partitions that intersect it, and every scheme is built again on
+    the repaired substrates.  The honest comparison for churn repair
+    cost: built-vs-reused counts are reported against the dirty set,
+    not against a topology that never really changed.
 
     ``graph`` is mutated in place (it carries the edit afterwards).
     Returns ``(cold, incremental, edit_report)`` where both rebuilds

@@ -89,13 +89,6 @@ class RoutingScheme(abc.ABC):
     #: Human-readable scheme name used in experiment tables.
     name: str = "abstract"
 
-    #: Schemes that can rebuild themselves from a stashed pre-edit
-    #: instance plus a dirty node set set this to True and accept
-    #: ``_previous`` / ``_dirty`` keyword arguments in ``from_context``
-    #: (see ``BuildContext.apply_edit``).  The default is a full rebuild
-    #: — always correct, never reuses per-node table partitions.
-    supports_partial_rebuild: bool = False
-
     def __init__(
         self, metric: GraphMetric, params: Optional[SchemeParameters] = None
     ) -> None:
@@ -203,8 +196,8 @@ class RoutingScheme(abc.ABC):
     def header_codec(self):
         """The bit-exact header layout, built on first use and kept.
 
-        Edits build new schemes, and partial rebuilds and in-place
-        promotions start without one, so it fits the scheme's own metric.
+        Edits build new schemes, which start without one, so it fits the
+        scheme's own metric.
         """
         if self._header_codec is None:
             self._header_codec = self._header_layout()

@@ -25,7 +25,7 @@ are bounded by the zooming-sequence geometry (Eqn. 2), giving stretch
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.bitcount import bits_for_id
 from repro.core.params import SchemeParameters
@@ -33,7 +33,6 @@ from repro.core.types import NodeId, PreprocessingError, RouteFailure, RouteResu
 from repro.metric.graph_metric import GraphMetric
 from repro.nets.hierarchy import NetHierarchy
 from repro.nets.rings import Rings
-from repro.observability.trace import NULL_TRACER
 from repro.schemes.base import LabeledScheme
 
 
@@ -41,7 +40,6 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
     """``(1+ε)``-stretch labeled routing with ``log Δ``-level tables."""
 
     name = "labeled non-scale-free (Lemma 3.1)"
-    supports_partial_rebuild = True
 
     def __init__(
         self,
@@ -58,56 +56,11 @@ class NonScaleFreeLabeledScheme(LabeledScheme):
         # X_i(u) at every level, each entry with u's next hop toward
         # its ring point (charged in table_bits).
         self._rings = Rings(metric, self._hierarchy, self._params.epsilon)
-        #: Partition accounting for BuildStats.fold (see BuildContext).
-        self.build_report: Dict[str, Tuple[int, int]] = {
-            "ring_block": self._rings.blocks
-        }
 
     @classmethod
-    def from_context(
-        cls, context, metric, params=None, _previous=None, _dirty=None, **kwargs
-    ):
+    def from_context(cls, context, metric, params=None, **kwargs):
         kwargs.setdefault("hierarchy", context.hierarchy(metric))
-        if _previous is not None and not kwargs.get("naming"):
-            return cls._rebuilt(
-                metric, kwargs["hierarchy"], _previous, _dirty
-            )
         return cls(metric, params, **kwargs)
-
-    @classmethod
-    def _rebuilt(
-        cls,
-        metric: GraphMetric,
-        hierarchy: NetHierarchy,
-        previous: "NonScaleFreeLabeledScheme",
-        dirty: FrozenSet[NodeId],
-    ) -> "NonScaleFreeLabeledScheme":
-        """Rebuild only the ring blocks of dirty net points.
-
-        Valid only when the hierarchy was *promoted* (same object as
-        the stashed scheme's — nets, labels, and subtree ranges are
-        bit-identical); otherwise ranges may have moved and everything
-        is rebuilt cold.
-        """
-        if (
-            hierarchy is not previous._hierarchy
-            or metric.n != previous._metric.n
-        ):
-            return cls(metric, previous._params, hierarchy=hierarchy)
-        fresh = object.__new__(cls)
-        fresh._metric = metric
-        fresh._params = previous._params
-        fresh._table_bits_cache = None
-        fresh._header_codec = None
-        fresh._tracer = NULL_TRACER
-        fresh._hierarchy = hierarchy
-        # A clean row x leaves block (i, x) — ball membership and stored
-        # distances — unchanged, so the table copies it; a clean owner
-        # row keeps its hops.
-        eps, old = fresh._params.epsilon, previous._rings
-        fresh._rings = Rings(metric, hierarchy, eps, previous=old, dirty=dirty)
-        fresh.build_report = {"ring_block": fresh._rings.blocks}
-        return fresh
 
     # ------------------------------------------------------------------
 

@@ -22,16 +22,13 @@ levels of search trees are exactly what Theorem 1.1 removes.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.core.bitcount import BitCounter, bits_for_id
 from repro.core.params import SchemeParameters
 from repro.core.types import NodeId, RouteFailure, RouteResult
 from repro.metric.graph_metric import GraphMetric
 from repro.nets.hierarchy import NetHierarchy
-from repro.observability.trace import NULL_TRACER
 from repro.schemes.base import LabeledScheme, NameIndependentScheme
 from repro.schemes.labeled_nonscalefree import NonScaleFreeLabeledScheme
 from repro.searchtree.tree import SearchForest, SearchTree
@@ -41,7 +38,6 @@ class SimpleNameIndependentScheme(NameIndependentScheme):
     """Theorem 1.4: ``(9+ε)`` stretch, ``log Δ``-dependent tables."""
 
     name = "name-independent simple (Theorem 1.4)"
-    supports_partial_rebuild = True
 
     def __init__(
         self,
@@ -58,106 +54,35 @@ class SimpleNameIndependentScheme(NameIndependentScheme):
         self._build_search_trees()
 
     @classmethod
-    def from_context(
-        cls, context, metric, params=None, _previous=None, _dirty=None, **kwargs
-    ):
+    def from_context(cls, context, metric, params=None, **kwargs):
         if kwargs.get("underlying") is None:
             kwargs["underlying"] = context.scheme(
                 NonScaleFreeLabeledScheme, metric, params
-            )
-        if _previous is not None and not kwargs.get("naming"):
-            return cls._rebuilt(
-                metric, kwargs["underlying"], _previous, _dirty
             )
         return cls(metric, params, **kwargs)
 
     # ------------------------------------------------------------------
 
-    def _build_search_trees(
-        self,
-        previous: Optional["SimpleNameIndependentScheme"] = None,
-        dirty: FrozenSet[NodeId] = frozenset(),
-    ) -> None:
-        """Build every ``T(x, 2^i/ε)`` into one forest, in level order.
-
-        With ``previous``, a tree none of whose members is dirty is
-        copied from ``previous``'s forest instead of rebuilt (see
-        :meth:`_rebuilt`).
-        """
+    def _build_search_trees(self) -> None:
+        """Build every ``T(x, 2^i/ε)`` into one forest, in level order."""
         eps = self._params.epsilon
         label = self._underlying.routing_label
         forest = SearchForest(self._metric)
-        old_trees: List[Dict[NodeId, SearchTree]] = []
-        clean = np.zeros(0, dtype=bool)
-        if previous is not None:
-            old_trees = previous._trees
-            stale = np.zeros(self._metric.n, dtype=bool)
-            stale[list(dirty)] = True
-            touched = stale[np.asarray(previous._forest.node, dtype=np.int64)]
-            clean = ~np.logical_or.reduceat(touched, previous._forest.root)
         # _trees[i][x] = T(x, 2^i/ε), x in Y_i: views into the forest.
         self._trees: List[Dict[NodeId, SearchTree]] = []
-        reused = built = 0
         for i in self._hierarchy.levels:
             level_trees: Dict[NodeId, SearchTree] = {}
             for x in self._hierarchy.net(i):
-                old_tree = old_trees[i].get(x) if old_trees else None
-                if old_tree is not None and clean[old_tree.index]:
-                    tree = forest.copy(old_tree)
-                    reused += 1
-                else:
-                    tree = forest.add(x, (2.0**i) / eps, eps)
-                    forest.store(
-                        tree.index,
-                        {self.name_of(v): label(v) for v in tree.nodes},
-                    )
-                    built += 1
+                tree = forest.add(x, (2.0**i) / eps, eps)
+                forest.store(
+                    tree.index, {self.name_of(v): label(v) for v in tree.nodes}
+                )
                 level_trees[x] = tree
             self._trees.append(level_trees)
         forest.fill_costs()
         self._forest = forest
         unit = bits_for_id(self._metric.n)
         self._tree_bits: List[int] = forest.storage_bits(unit, unit).tolist()
-        #: Partition accounting for BuildStats.fold (see BuildContext).
-        self.build_report: Dict[str, Tuple[int, int]] = {
-            "search_tree": (reused, built)
-        }
-
-    @classmethod
-    def _rebuilt(
-        cls,
-        metric: GraphMetric,
-        underlying: LabeledScheme,
-        previous: "SimpleNameIndependentScheme",
-        dirty: FrozenSet[NodeId],
-    ) -> "SimpleNameIndependentScheme":
-        """Rebuild only the search trees whose members have dirty rows.
-
-        A tree ``T(x, 2^i/ε)`` depends on the distance rows of its
-        members (greedy tiering, nearest-parent attachment, ball
-        membership through row x) and on the stored labels, which come
-        from the netting tree.  With the hierarchy promoted and the
-        member rows clean, the tree a cold build would produce is
-        bit-identical, so its slots are copied from the old forest.
-        """
-        hierarchy = underlying.hierarchy
-        if (
-            hierarchy is not previous._hierarchy
-            or metric.n != previous._metric.n
-        ):
-            return cls(metric, previous._params, underlying=underlying)
-        fresh = object.__new__(cls)
-        fresh._metric = metric
-        fresh._params = previous._params
-        fresh._table_bits_cache = None
-        fresh._header_codec = None
-        fresh._tracer = NULL_TRACER
-        fresh._name_of = previous._name_of
-        fresh._node_with_name = previous._node_with_name
-        fresh._underlying = underlying
-        fresh._hierarchy = hierarchy
-        fresh._build_search_trees(previous, dirty)
-        return fresh
 
     # ------------------------------------------------------------------
 

@@ -23,7 +23,6 @@ class ShortestPathScheme(NameIndependentScheme):
     """Full-table shortest-path routing (stretch 1, linear storage)."""
 
     name = "shortest-path (baseline)"
-    supports_partial_rebuild = True
 
     def __init__(
         self,
@@ -34,24 +33,6 @@ class ShortestPathScheme(NameIndependentScheme):
         super().__init__(metric, params, naming)
         # Tables are next-hop-per-destination, keyed by *name*; the
         # canonical next hops are materialized lazily by GraphMetric.
-
-    @classmethod
-    def from_context(
-        cls, context, metric, params=None, _previous=None, _dirty=None, **kwargs
-    ):
-        # The scheme keeps no build-time state — its conceptual tables
-        # *are* the metric's next-hop maps, read live at route time — so
-        # a stashed instance is always promotable: rebase it and every
-        # route/table query matches a cold build bit for bit.
-        if (
-            _previous is not None
-            and metric.n == _previous._metric.n
-            and not kwargs.get("naming")
-        ):
-            _previous._metric = metric
-            _previous._header_codec = None
-            return _previous
-        return cls(metric, params, **kwargs)
 
     def stretch_guarantee(self) -> float:
         return 1.0

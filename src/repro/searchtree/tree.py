@@ -199,26 +199,6 @@ class SearchForest:
         self.data.append(None)
         return self.tree(len(self.root) - 1)
 
-    def copy(self, tree: "SearchTree") -> "SearchTree":
-        """Append a copy of ``tree`` (from any forest), stored pairs and
-        edge costs included; its slots keep their preorder layout."""
-        source, t = tree._forest, tree._tree
-        start = source.root[t]
-        stop = start + source.span[start]
-        shift = len(self.node) - start
-        self.node.extend(source.node[start:stop])
-        self.parent.extend([-1] + [p + shift for p in source.parent[start + 1 : stop]])
-        self.span.extend(source.span[start:stop])
-        self.down.extend(source.down[start:stop])
-        self.up.extend(source.up[start:stop])
-        self.root.append(start + shift)
-        self.radius.append(source.radius[t])
-        self.chain_edges.append(source.chain_edges[t])
-        keys, data = source.keys[t], source.data[t]
-        self.keys.append(None if keys is None else list(keys))
-        self.data.append(None if data is None else list(data))
-        return self.tree(len(self.root) - 1)
-
     def fill_costs(self) -> None:
         """Measure every tree edge added since the last fill.
 

@@ -10,6 +10,9 @@ the :class:`ChurnDriver` service loop (determinism, overlay semantics,
 cold-rebuild verification, repair traces).
 """
 
+import gc
+import weakref
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -216,7 +219,8 @@ class TestEditRepairAcceptance:
 
     def test_weight_edit_reuses_untouched_partitions(self):
         """Regression: a single weight change used to rebuild every
-        hierarchy; now partitions disjoint from the dirty set carry."""
+        hierarchy; now hierarchy levels and zooming parents disjoint
+        from the dirty set carry."""
         suite = dict(standard_suite("small"))
         graph = suite["geometric n=64"].copy()
         _, incremental, report = measure_edit_repair(
@@ -226,9 +230,51 @@ class TestEditRepairAcceptance:
         assert incremental.reused_total > 0
         reused_kinds = set(incremental.reused) - {"metric_row"}
         assert reused_kinds, (
-            "only metric rows were reused — hierarchy/ring/search-tree "
-            f"partitions all rebuilt: {incremental.built}"
+            "only metric rows were reused — hierarchy partitions all "
+            f"rebuilt: {incremental.built}"
         )
+
+    def test_lazy_metric_past_the_dense_switch_routes_identically(self):
+        """Warm = cold where the metric fills lazily (n > 512).  A lazy
+        cold build materializes no rows up front, so the built counts
+        are not compared here."""
+        graph = random_geometric(600, seed=3)
+        cold, incremental, report = measure_edit_repair(
+            graph,
+            repair_edit_for(graph),
+            [SimpleNameIndependentScheme],
+            PARAMS,
+            keep_schemes=True,
+        )
+        assert not report.full_rebuild
+        (warm_scheme,), (cold_scheme,) = incremental.schemes, cold.schemes
+        assert warm_scheme.metric.strategy == "lazy"
+        assert warm_scheme.table_bits_vector() == cold_scheme.table_bits_vector()
+        for u, v in sample_ordered_pairs(graph.number_of_nodes(), 60, seed=3):
+            a, b = warm_scheme.route(u, v), cold_scheme.route(u, v)
+            assert a.path == b.path
+            assert abs(a.cost - b.cost) <= DISTANCE_SLACK
+
+    def test_weight_edit_stashes_only_substrates(self):
+        """Schemes and their compiled tables are dropped at an edit, so
+        the pre-edit tables die with the caller's last reference."""
+        graph = random_geometric(64, seed=11)
+        context = BuildContext()
+        metric = context.metric(graph)
+        classes = (SimpleNameIndependentScheme, ScaleFreeNameIndependentScheme)
+        old_tables = [
+            weakref.ref(context.compiled(context.scheme(cls, metric, PARAMS)))
+            for cls in classes
+        ]
+        report = context.apply_edit(graph, repair_edit_for(graph))
+        assert not report.full_rebuild
+        assert set(report.stashed) == {"hierarchy", "packing"}
+        assert {"scheme", "engine"} <= set(report.dropped)
+        metric = context.metric(graph)
+        for cls in classes:
+            context.compiled(context.scheme(cls, metric, PARAMS))
+        gc.collect()
+        assert [ref() for ref in old_tables] == [None, None]
 
 
 # -- schemes retention (opt-in) --------------------------------------------
