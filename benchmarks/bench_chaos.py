@@ -13,17 +13,21 @@ Reproduces the numbers recorded in ``BENCH_chaos.json``:
 * the **table-integrity audit** — corrupt, detect, heal via row
   splicing, verify bit-identical to a cold rebuild.
 
-Every number is deterministic: fault draws are stateless functions of
-``derive_seed`` streams, and goodput/latency are *simulated* time, not
-wall-clock.
+Every number is deterministic: fault draws are pure functions of each
+event's seeded key (see :mod:`repro.chaos.channel`), the other streams
+come from ``derive_seed``, and goodput/latency are *simulated* time,
+not wall-clock.
 
-Run with ``PYTHONPATH=src python benchmarks/bench_chaos.py``.
+Run with ``PYTHONPATH=src python benchmarks/bench_chaos.py`` (writes
+``BENCH_chaos.json``).
 Pass ``--check`` for the CI variant, which asserts the invariants:
 
 * zero faults + no ARQ => delivery rate exactly 1.0, zero retransmits;
 * fail-fast delivery is monotone non-increasing in the loss rate
-  (guaranteed by the fixed-seed coupling: the drop draw is the first
-  draw of each per-crossing stream and is loss-independent);
+  (guaranteed by the fixed-seed coupling: each crossing's drop uniform
+  is a word of its own key's digest and does not depend on the loss
+  rate, so a crossing dropped at one loss rate is dropped at every
+  higher one);
 * at 5% loss with ARQ, every scheme recovers to >= 0.99 delivery with
   nonzero retransmission overhead and zero undetected corruption,
   while the fail-fast regime is strictly worse;
@@ -247,4 +251,4 @@ def check() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(run_bench(measure, check))
+    sys.exit(run_bench(measure, check, output="BENCH_chaos.json"))

@@ -18,7 +18,9 @@ Every 5th round the warm tables are asserted bit-identical (routes,
 costs, ``table_bits_vector``) to a cold rebuild of the current graph;
 any divergence raises and fails the benchmark.
 
-Run with ``PYTHONPATH=src python benchmarks/bench_churn.py``.
+Run with ``PYTHONPATH=src python benchmarks/bench_churn.py`` (writes
+``BENCH_churn.json``; a regeneration differs from the committed file
+only in its ``repair_throughput_eps`` fields, which are wall clock).
 Pass ``--check`` for the CI variant: a shorter stream with a tighter
 verification cadence, plus a weight-only stream asserting that
 incremental repair genuinely reuses artifacts (strictly fewer built
@@ -28,6 +30,8 @@ invariants, not wall-clock numbers.
 
 from __future__ import annotations
 
+import os
+import platform
 import sys
 
 from _runner import run
@@ -44,6 +48,30 @@ from repro.schemes.nameind_scalefree import ScaleFreeNameIndependentScheme
 
 SEED = 23
 VERIFY_EVERY = 5
+DESCRIPTION = (
+    "Churn subsystem (E17): one scheme (Theorem 1.1, "
+    "ScaleFreeNameIndependentScheme) driven through a 500-edit "
+    "deterministic churn stream (DEFAULT_MIX: 60% weight, 24% link "
+    "churn, 16% node churn) on grid 8x8 under continuous packet load, "
+    "once per fallback policy; every cell replays the identical edit "
+    "stream (seed 23), so policies are a paired comparison. Per "
+    "policy: aggregate repair throughput (edits per second of "
+    "apply_edit + incremental-rebuild wall clock), delivery rate and "
+    "stretch inside the staleness windows, and the per-round "
+    "staleness-stretch vs repair-throughput curve. Every 5th round "
+    "the warm tables were asserted bit-identical (routes, costs, "
+    "table_bits_vector) to a cold rebuild of the current graph — 10 "
+    "verified rounds per policy, zero divergences. The fine_grained "
+    "section commits one weight edit per round to expose single-edit "
+    "repair locality (the batch-of-10 runs saturate the dirty-set "
+    "union). Timing numbers vary run to run; edit streams, "
+    "built/reused artifact counts, delivery and stretch are "
+    "deterministic. Reproduce with: PYTHONPATH=src python "
+    "benchmarks/bench_churn.py. Regenerated when schemes stopped "
+    "rebuilding partially after an edit: built/reused no longer count "
+    "ring blocks or search trees; Theorem 1.1 never folded either, so "
+    "every count here is unchanged."
+)
 
 
 def run_policy(policy: str, edits: int, verify_every: int = VERIFY_EVERY):
@@ -131,6 +159,8 @@ def measure(edits: int = 500):
         ]
         policies[policy] = summary
     return {
+        "description": DESCRIPTION,
+        "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "scheme": "Theorem 1.1 (ScaleFreeNameIndependentScheme)",
         "graph": "grid 8x8",
         "edits": edits,
@@ -191,4 +221,4 @@ def check() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(run(measure, check))
+    sys.exit(run(measure, check, output="BENCH_churn.json"))

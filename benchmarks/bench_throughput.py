@@ -34,6 +34,7 @@ import numpy as np
 from _runner import run
 from repro.engine import BatchRouter
 from repro.experiments.throughput import (
+    _build,
     _pair_arrays,
     compiled_rate,
     interpreted_rate,
@@ -53,14 +54,6 @@ SIZES = (256, 2048, 10_000)
 BATCH_SIZES = (256, 2048, 8192)
 #: Acceptance floor on the n=2048 fixture (ISSUE 9).
 REQUIRED_SPEEDUP = 10.0
-
-
-def _build(n: int):
-    metric = GraphMetric(
-        preferential_attachment(n, m=2, seed=1), strategy="lazy"
-    )
-    scheme = LandmarkNameIndependentScheme(metric)
-    return metric, scheme, scheme.compile_tables()
 
 
 def measure_point(n: int) -> dict:

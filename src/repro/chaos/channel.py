@@ -19,24 +19,32 @@ fault processes:
   *encoded* header flipped (see :mod:`repro.runtime.headers`); whether
   the receiver notices depends on the codec's checksum.
 
-Every fault draw is keyed by ``derive_seed(seed, "chaos-link", packet,
-flight, hop)`` (see :mod:`repro.core.seeding`; the network holds that
-stream's :func:`~repro.core.seeding.seed_stream` and one generator it
-reseeds per draw): the outcome of a
-transmission depends only on *which* transmission it is, never on how
-many draws preceded it, so the simulator's event order cannot perturb
-the fault sample, and sweeping a fault rate under a fixed seed replays
-the same uniform draws against different thresholds (drops are
-monotone in the loss rate — a paired comparison the benchmarks assert).
+Every transmission draws its faults from one SHA-512 digest of the key
+text ``"seed|chaos-link|packet,flight,hop"`` (the text
+:func:`~repro.core.seeding.derive_seed` would hash for that event; the
+network hashes the ``"seed|chaos-link|"`` prefix once).  The first five
+64-bit big-endian words are the drop, corruption, duplication, jitter
+and reorder uniforms, in that fixed order; each uniform is a word's top
+53 bits times ``2**-53``, the form ``random.random()`` returns.  The
+three spare words seed a generator only when a crossing is corrupted,
+to pick its flipped bit positions.  This is a counter-based draw
+(Salmon et al., *Parallel Random Numbers: As Easy as 1, 2, 3*, SC 2011):
+the outcome of a transmission depends only on *which* transmission it
+is, never on how many draws preceded it, so the simulator's event order
+cannot perturb the fault sample, and sweeping a fault rate under a
+fixed seed replays the same uniforms against different thresholds
+(drops are monotone in the loss rate — a paired comparison the
+benchmarks assert).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Tuple
+import struct
+from typing import NamedTuple, Tuple
 
-from repro.core.seeding import derive_seed, seed_stream
+from repro.core.seeding import key_hash
 from repro.core.types import NodeId
 from repro.metric.graph_metric import GraphMetric
 
@@ -87,8 +95,7 @@ class ChaosConfig:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class LinkFaults:
+class LinkFaults(NamedTuple):
     """The faults one transmission drew (empty = clean forward)."""
 
     dropped: bool = False
@@ -99,6 +106,11 @@ class LinkFaults:
 
 
 _NO_FAULTS = LinkFaults()
+
+#: The five uniforms' words at the head of a transmission's digest.
+_WORDS = struct.Struct(">5Q").unpack_from
+#: Scale of a word's top 53 bits (``word >> 11``) onto ``[0, 1)``.
+_UNIT = 2.0**-53
 
 
 class ChaosNetwork:
@@ -127,8 +139,8 @@ class ChaosNetwork:
         self._base = base
         self._config = config
         self._seed = int(seed)
-        self._link_seed = seed_stream(self._seed, "chaos-link")
-        self._link_rng = random.Random()
+        self._link_key = key_hash(self._seed, "chaos-link", "sha512")
+        self._ack_key = key_hash(self._seed, "chaos-ack", "sha512")
 
     @property
     def base(self):
@@ -159,33 +171,40 @@ class ChaosNetwork:
     ) -> LinkFaults:
         """Faults drawn for one transmission (stateless, order-free).
 
-        The draw order inside an event is fixed (drop, corruption,
-        duplication, jitter, reorder) regardless of which rates are
-        zero, so the *same* underlying uniforms back every sweep point
-        of a rate sweep under one seed.
+        The five uniforms are the first five words of the SHA-512
+        digest of ``"seed|chaos-link|packet,flight,hop"``, in a fixed
+        order (drop, corruption, duplication, jitter, reorder)
+        regardless of which rates are zero, so the *same* uniforms back
+        every point of a rate sweep under one seed.  A corrupted
+        crossing picks its ``corruption_bits`` distinct header bit
+        positions with a generator seeded from the digest's three spare
+        words; no other crossing seeds one.
         """
         cfg = self._config
         if cfg.faultless:
             return _NO_FAULTS
-        rng = self._link_rng
-        rng.seed(self._link_seed(packet, flight, hop))
-        dropped = rng.random() < cfg.loss
-        corrupted = rng.random() < cfg.corruption
-        duplicated = rng.random() < cfg.duplication
-        extra = rng.random() * cfg.jitter
-        if rng.random() < cfg.reorder:
+        key = self._link_key.copy()
+        key.update(b"%d,%d,%d" % (packet, flight, hop))
+        digest = key.digest()
+        drop, corrupt, duplicate, jitter, reorder = _WORDS(digest)
+        dropped = (drop >> 11) * _UNIT < cfg.loss
+        extra = (jitter >> 11) * _UNIT * cfg.jitter
+        if (reorder >> 11) * _UNIT < cfg.reorder:
             extra += cfg.reorder_delay
         corrupt_bits: Tuple[int, ...] = ()
-        if corrupted and not dropped and header_bits > 0:
+        if (
+            (corrupt >> 11) * _UNIT < cfg.corruption
+            and not dropped
+            and header_bits > 0
+        ):
+            rng = random.Random(int.from_bytes(digest[40:], "big"))
             count = min(cfg.corruption_bits, header_bits)
-            corrupt_bits = tuple(
-                sorted(rng.sample(range(header_bits), count))
-            )
+            corrupt_bits = tuple(sorted(rng.sample(range(header_bits), count)))
         return LinkFaults(
-            dropped=dropped,
-            extra_delay=extra,
-            duplicated=duplicated and not dropped,
-            corrupt_bits=corrupt_bits,
+            dropped,
+            extra,
+            not dropped and (duplicate >> 11) * _UNIT < cfg.duplication,
+            corrupt_bits,
         )
 
     def ack_dropped(self, packet: int, ack_seq: int, links: int) -> bool:
@@ -193,16 +212,18 @@ class ChaosNetwork:
 
         Acks traverse the reverse path as an un-queued control message;
         each of its ``links`` reverse hops is lost independently with
-        the data-plane loss rate.
+        the data-plane loss rate, so the ack is lost with probability
+        ``1 - (1 - loss)**links``.  One uniform decides it: the first
+        word of the SHA-512 digest of ``"seed|chaos-ack|packet,ack_seq"``,
+        read like the link draws.
         """
-        if self._config.loss == 0.0 or links <= 0:
+        loss = self._config.loss
+        if loss == 0.0 or links <= 0:
             return False
-        rng = random.Random(
-            derive_seed(self._seed, "chaos-ack", packet, ack_seq)
-        )
-        return any(
-            rng.random() < self._config.loss for _ in range(links)
-        )
+        key = self._ack_key.copy()
+        key.update(b"%d,%d" % (packet, ack_seq))
+        word = int.from_bytes(key.digest()[:8], "big")
+        return (word >> 11) * _UNIT < 1.0 - (1.0 - loss) ** links
 
     def __repr__(self) -> str:
         return (

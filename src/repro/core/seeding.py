@@ -8,9 +8,10 @@ them all with the same small integer silently *correlates* the streams
 (the 7th demand draw and the 7th fault draw come from identical PRNG
 states), which can manufacture or mask effects.
 
-:func:`derive_seed` is the single convention: every consumer derives its
-seed from one master seed plus a textual stream name (and optional
-integer indices) through SHA-256.  Properties:
+Every random draw is keyed by the text ``"master|stream|i,j,..."``: one
+master seed, a textual stream name, and optional integer indices.
+:func:`derive_seed` hashes that key with SHA-256 into the 64-bit seed of
+one ``random.Random`` stream.  Properties:
 
 * **independence** — distinct ``(stream, indices)`` tuples yield
   unrelated 64-bit seeds, so composed experiments cannot correlate;
@@ -27,49 +28,47 @@ integer indices) through SHA-256.  Properties:
 
 The convention is documented in DESIGN.md; new random processes should
 use ``derive_seed(master, "<unique-stream-name>", ...)`` rather than
-inventing seed arithmetic.  A process that draws one seed per event
-(the per-transmission fault draws) holds :func:`seed_stream` instead,
-which hashes the ``master|stream|`` prefix once and returns the same
-seeds.
+inventing seed arithmetic.  A process that draws once per simulated
+event (the channel's link and ack faults) seeds no generator at all: it
+holds :func:`key_hash` of its stream, which absorbs the
+``"master|stream|"`` prefix once, and reads its uniforms straight from
+each event's digest (a counter-based draw; see
+:mod:`repro.chaos.channel`).  The same three properties hold, because
+the digest is a pure function of the same key text.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Callable
 
 
-def seed_stream(master: int, stream: str) -> Callable[..., int]:
-    """``derive_seed(master, stream, *indices)`` as a function of the
-    indices alone.
+def key_hash(master: int, stream: str, algorithm: str = "sha256"):
+    """A ``hashlib`` object that has absorbed ``"master|stream|"``.
 
-    The ``"master|stream|"`` prefix is hashed once; each call copies
-    that SHA-256 state and hashes only the indices, so it returns
-    exactly the seed :func:`derive_seed` would.
+    Copy it and feed it an event's comma-joined indices to hash that
+    event's whole key text; the prefix is hashed once per stream.
     """
     if not stream:
         raise ValueError("stream name must be non-empty")
-    prefix = hashlib.sha256(f"{int(master)}|{stream}|".encode("ascii"))
-
-    def seed(*indices: int) -> int:
-        digest = prefix.copy()
-        digest.update(",".join(str(int(i)) for i in indices).encode("ascii"))
-        return int.from_bytes(digest.digest()[:8], "big")
-
-    return seed
+    return hashlib.new(algorithm, f"{int(master)}|{stream}|".encode("ascii"))
 
 
 def derive_seed(master: int, stream: str, *indices: int) -> int:
     """Derive an independent 64-bit seed for one named random stream.
 
+    The seed is the first 8 bytes (big-endian) of the SHA-256 digest of
+    ``"master|stream|i,j,..."``.
+
     Args:
         master: The experiment's single master seed.
         stream: A short name unique to the random process (e.g.
-            ``"demands"``, ``"failures"``, ``"chaos-link"``).
+            ``"demands"``, ``"failures"``, ``"chaos"``).
         indices: Optional integer coordinates for per-event streams
-            (packet index, flight id, hop, ...).
+            (node, round, ...).
 
     Returns:
         An integer in ``[0, 2**64)`` suitable for ``random.Random``.
     """
-    return seed_stream(master, stream)(*indices)
+    digest = key_hash(master, stream)
+    digest.update(",".join(str(int(i)) for i in indices).encode("ascii"))
+    return int.from_bytes(digest.digest()[:8], "big")

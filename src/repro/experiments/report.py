@@ -400,9 +400,7 @@ def generate(
         "toward 1 at linear table-bit cost:\n\n" + _block(e19c)
     )
 
-    e20 = throughput_experiment.run(
-        pair_count=pair_count, context=context
-    )
+    e20 = throughput_experiment.run(pair_count=pair_count)
     sections.append(
         "## E20 — compiled serving throughput (beyond the paper)\n\n"
         "Every scheme's built tables lower to flat numpy arrays\n"

@@ -28,7 +28,7 @@ import numpy as np
 from repro.engine import BatchRouter
 from repro.experiments.harness import ExperimentTable
 from repro.graphs.generators import preferential_attachment
-from repro.pipeline.context import BuildContext
+from repro.metric.graph_metric import GraphMetric
 from repro.schemes.landmark_nameind import LandmarkNameIndependentScheme
 
 #: Default ladders: small enough for tests and the generated report;
@@ -37,13 +37,13 @@ DEFAULT_SIZES = (256, 1024)
 DEFAULT_BATCH_SIZES = (64, 512, 4096)
 
 
-def _build(n: int, context: BuildContext):
+def _build(n: int):
     """Landmark scheme + compiled tables on the E19 power-law fixture."""
-    graph = preferential_attachment(n, m=2, seed=1)
-    metric = context.metric(graph, strategy="lazy")
-    scheme = context.scheme(LandmarkNameIndependentScheme, metric)
-    tables = context.compiled(scheme)
-    return metric, scheme, tables
+    metric = GraphMetric(
+        preferential_attachment(n, m=2, seed=1), strategy="lazy"
+    )
+    scheme = LandmarkNameIndependentScheme(metric)
+    return metric, scheme, scheme.compile_tables()
 
 
 def _pair_arrays(n: int, count: int, seed: int = 0) -> Tuple[np.ndarray, np.ndarray]:
@@ -76,7 +76,6 @@ def compiled_rate(router, sources, targets, batch_size: int) -> float:
 
 def run(
     pair_count: int = 300,
-    context: Optional[BuildContext] = None,
     sizes: Optional[Sequence[int]] = None,
     batch_sizes: Optional[Sequence[int]] = None,
 ) -> ExperimentTable:
@@ -86,16 +85,17 @@ def run(
     the engine serves the *same* pairs (repeated out to the largest
     batch size, so per-sweep fixed costs amortize the way a serving
     workload would).  Stretch and paths are identical by construction —
-    only the clock differs.
+    only the clock differs.  Each run builds its own metric and scheme,
+    never a shared :class:`~repro.pipeline.context.BuildContext`'s:
+    metric rows another experiment left resident would speed the
+    interpreted baseline up, and the measured ratio with it.
     """
-    if context is None:
-        context = BuildContext()
     sizes = DEFAULT_SIZES if sizes is None else sizes
     batch_sizes = DEFAULT_BATCH_SIZES if batch_sizes is None else batch_sizes
     rows: List[List[object]] = []
     for n in sizes:
         n = int(n)
-        metric, scheme, tables = _build(n, context)
+        metric, scheme, tables = _build(n)
         base_src, base_tgt = _pair_arrays(n, min(pair_count, 2000), seed=3)
         # Warm the lazy substrate so neither side pays first-touch
         # Dijkstra rows inside its timed region.

@@ -1,6 +1,7 @@
 """Tests for the chaos subsystem: lossy channels, ARQ, table auditing."""
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from repro.chaos.audit import (
     quarantine_and_repair,
     verify_against_cold,
 )
-from repro.core.seeding import derive_seed, seed_stream
+from repro.core.seeding import derive_seed
 from repro.graphs.generators import grid_2d, path_graph
 from repro.metric.graph_metric import GraphMetric
 from repro.pipeline.context import BuildContext
@@ -60,18 +61,16 @@ class TestDeriveSeed:
     def test_stream_matches_one_shot_hash(self):
         # The documented convention: the first 8 bytes of
         # sha256("master|stream|i,j,...").
-        stream = seed_stream(-3, "chaos-link")
         for indices in [(), (0,), (5, 0, 2), (12, 7, 31, 4)]:
             tag = "-3|chaos-link|" + ",".join(str(i) for i in indices)
             expected = int.from_bytes(
                 hashlib.sha256(tag.encode("ascii")).digest()[:8], "big"
             )
-            assert stream(*indices) == expected
             assert derive_seed(-3, "chaos-link", *indices) == expected
 
     def test_stream_name_required(self):
         with pytest.raises(ValueError):
-            seed_stream(1, "")
+            derive_seed(1, "")
 
 
 # ----------------------------------------------------------------------
@@ -127,9 +126,9 @@ class TestLinkFaults:
         assert draws_a[3] == draws_b[0]
         assert draws_a[1] == draws_b[2]
 
-    def test_draws_match_a_fresh_generator_per_transmission(self, path_scheme):
-        # Every fault rate non-zero, so each of the five draws (and the
-        # corruption sample) decides something.
+    def test_draws_match_the_transmission_digest(self, path_scheme):
+        # Every fault rate non-zero, so each of the five uniforms (and
+        # the corruption sample) decides something.
         config = ChaosConfig(
             loss=0.2,
             jitter=1.5,
@@ -142,21 +141,112 @@ class TestLinkFaults:
         keys = [(p, f, h) for p in range(10) for f in range(6) for h in range(10)]
         random.Random(2).shuffle(keys)
         for packet, flight, hop in keys:
-            rng = random.Random(derive_seed(11, "chaos-link", packet, flight, hop))
-            dropped = rng.random() < config.loss
-            corrupted = rng.random() < config.corruption
-            duplicated = rng.random() < config.duplication
-            extra = rng.random() * config.jitter
-            if rng.random() < config.reorder:
+            text = f"11|chaos-link|{packet},{flight},{hop}"
+            digest = hashlib.sha512(text.encode("ascii")).digest()
+            drop, corrupt, dup, jitter, reorder = (
+                int.from_bytes(digest[8 * i : 8 * i + 8], "big") >> 11
+                for i in range(5)
+            )
+            dropped = drop * 2.0**-53 < config.loss
+            extra = jitter * 2.0**-53 * config.jitter
+            if reorder * 2.0**-53 < config.reorder:
                 extra += config.reorder_delay
             bits = ()
-            if corrupted and not dropped:
+            if corrupt * 2.0**-53 < config.corruption and not dropped:
+                rng = random.Random(int.from_bytes(digest[40:], "big"))
                 bits = tuple(sorted(rng.sample(range(24), 3)))
             got = chaos.link_faults(packet, flight, hop, header_bits=24)
             assert got.dropped == dropped
             assert got.extra_delay == extra
-            assert got.duplicated == (duplicated and not dropped)
+            assert got.duplicated == (
+                dup * 2.0**-53 < config.duplication and not dropped
+            )
             assert got.corrupt_bits == bits
+
+    def test_ack_draw_is_one_digest_word(self, path_scheme):
+        chaos = ChaosNetwork(path_scheme.metric, ChaosConfig(loss=0.05), seed=11)
+        for packet in range(40):
+            for ack_seq in range(5):
+                for links in (1, 7, 40):
+                    text = f"11|chaos-ack|{packet},{ack_seq}"
+                    digest = hashlib.sha512(text.encode("ascii")).digest()
+                    u = (int.from_bytes(digest[:8], "big") >> 11) * 2.0**-53
+                    expected = u < 1.0 - 0.95**links
+                    assert chaos.ack_dropped(packet, ack_seq, links) == expected
+        assert not chaos.ack_dropped(0, 0, 0)
+
+    def test_drops_couple_pathwise_across_loss_rates(self, path_scheme):
+        metric = path_scheme.metric
+        low = ChaosNetwork(
+            metric, ChaosConfig(loss=0.02, jitter=1.0, duplication=0.1), seed=5
+        )
+        high = ChaosNetwork(
+            metric, ChaosConfig(loss=0.05, jitter=1.0, duplication=0.1), seed=5
+        )
+        keys = [(p, f, h) for p in range(100) for f in range(4) for h in range(25)]
+        drops = [0, 0]
+        for key in keys:
+            a, b = low.link_faults(*key), high.link_faults(*key)
+            assert b.dropped or not a.dropped
+            assert a.extra_delay == b.extra_delay
+            if not b.dropped:
+                assert a.duplicated == b.duplicated
+            drops[0] += a.dropped
+            drops[1] += b.dropped
+        acks = [0, 0]
+        for packet in range(2500):
+            for ack_seq in range(4):
+                lost = low.ack_dropped(packet, ack_seq, 12)
+                lost_high = high.ack_dropped(packet, ack_seq, 12)
+                assert lost_high or not lost
+                acks[0] += lost
+                acks[1] += lost_high
+        assert 0 < drops[0] < drops[1] and 0 < acks[0] < acks[1]
+
+    def test_draws_fire_at_their_rates(self, path_scheme):
+        """Fixed keys, so the tallies are deterministic; 5 sigma bounds."""
+        rate, count = 0.3, 200_000
+        metric = path_scheme.metric
+        # The draws do not depend on the rates, so the network without
+        # loss shows the duplication and corruption draws of crossings
+        # the lossy network drops.
+        lossy = ChaosNetwork(metric, ChaosConfig(loss=rate), seed=3)
+        faulty = ChaosNetwork(
+            metric,
+            ChaosConfig(
+                duplication=rate,
+                reorder=rate,
+                reorder_delay=1.0,
+                corruption=rate,
+                corruption_bits=4,
+            ),
+            seed=3,
+        )
+        drops = dups = both = reorders = corrupts = 0
+        for index in range(count):
+            key = (index // 1000, index % 7, index % 1000)
+            dropped = lossy.link_faults(*key).dropped
+            faults = faulty.link_faults(*key, header_bits=40)
+            drops += dropped
+            dups += faults.duplicated
+            both += dropped and faults.duplicated
+            reorders += faults.extra_delay == 1.0
+            bits = faults.corrupt_bits
+            if bits:
+                corrupts += 1
+                assert len(set(bits)) == 4 and list(bits) == sorted(bits)
+                assert 0 <= bits[0] and bits[-1] < 40
+
+        def within(hits, p, n):
+            return abs(hits - p * n) <= 5 * math.sqrt(n * p * (1 - p))
+
+        for hits in (drops, dups, reorders, corrupts):
+            assert within(hits, rate, count)
+        assert within(both, rate * rate, count)
+
+        acks = ChaosNetwork(metric, ChaosConfig(loss=0.05), seed=3)
+        lost = sum(acks.ack_dropped(index, 0, 40) for index in range(20_000))
+        assert within(lost, 1 - 0.95**40, 20_000)
 
     def test_distance_delegates_to_base(self, path_scheme):
         metric = path_scheme.metric
