@@ -85,7 +85,8 @@ class ChurnRoundRecord:
     max_stretch: float
     mean_detours: float
     outcomes: Dict[str, int]
-    #: Queueing measurements of the walks the router actually took.
+    #: Queueing measurements of the walks the router actually took
+    #: that reached their targets (dropped walks are undelivered).
     mean_latency: float
     mean_queueing: float
     #: Cold-rebuild bit-identity check (None = not run this round).

@@ -104,9 +104,11 @@ class GraphEdit:
 def apply_edit_to_graph(graph: nx.Graph, edit: GraphEdit) -> None:
     """Mutate ``graph`` in place according to ``edit``.
 
-    Callers that keep derived state (metrics, content keys) must route
-    edits through :meth:`BuildContext.apply_edit` instead, which keeps
-    those caches exact; this function is the raw primitive underneath.
+    Callers that keep derived state (cached metrics and what was built
+    on them) must route edits through :meth:`BuildContext.apply_edit`
+    instead, which splices and re-keys those caches; this function is
+    the raw primitive underneath.  Content keys need nothing:
+    ``graph_content_key`` hashes the graph afresh on every call.
 
     Raises:
         PreprocessingError: If the edit does not fit the graph (missing

@@ -319,18 +319,18 @@ def generate(
         "dependencies intersect the edits' dirty set, and every scheme\n"
         "is built again on them:\n\n"
         + _block(e17) +
-        "\n**Reading:** repair keeps up with hundreds of edits per\n"
-        "second of rebuild time, and the delivery/stretch columns show\n"
-        "what staleness costs between repairs: fail-fast loses packets\n"
+        "\n**Reading:** the delivery/stretch columns show what\n"
+        "staleness costs between repairs: fail-fast loses packets\n"
         "at every changed link, while local-detour delivers nearly\n"
         "everything at modest extra stretch.  The `verified` column\n"
         "counts rounds whose incrementally maintained tables were\n"
         "asserted **bit-identical** (routes, costs, table bits) to a\n"
         "cold rebuild of the current graph — incremental maintenance\n"
-        "is exact, not approximate.  The 500-edit service run with\n"
+        "is exact, not approximate.  Repair throughput is wall clock,\n"
+        "so it stays out of this table: the 500-edit service run with\n"
         "per-round staleness-stretch vs repair-throughput curves is\n"
-        "recorded in BENCH_churn.json; single-edit repair locality is\n"
-        "itemized in BENCH_resilience.json.\n"
+        "recorded in BENCH_churn.json, and single-edit repair locality\n"
+        "is itemized in BENCH_resilience.json.\n"
     )
 
     e18 = chaos_experiment.run(

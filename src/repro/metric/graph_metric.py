@@ -97,11 +97,7 @@ class GraphMetric:
         if not nx.is_connected(graph):
             raise PreprocessingError("graph must be connected")
 
-        nodes = sorted(graph.nodes())
-        if nodes != list(range(len(nodes))):
-            graph = nx.relabel_nodes(
-                graph, {v: i for i, v in enumerate(nodes)}, copy=True
-            )
+        graph, _ = _relabelled(graph)
         self._graph = graph
         self._n = graph.number_of_nodes()
         self._normalize = normalize
@@ -741,6 +737,20 @@ def _check_hint(hint: Optional[float]) -> None:
     (a zero or NaN hint would never grow)."""
     if hint is not None and not hint > 0.0:
         raise ValueError(f"hint must be a positive number, got {hint!r}")
+
+
+def _relabelled(graph: nx.Graph) -> Tuple[nx.Graph, list]:
+    """``graph`` on nodes ``0 .. n-1``, and its labels in sorted order.
+
+    The i-th sorted label becomes node i; a graph already on
+    ``0 .. n-1`` is returned as it is, not copied.
+    """
+    nodes = sorted(graph.nodes())
+    if nodes != list(range(len(nodes))):
+        graph = nx.relabel_nodes(
+            graph, {v: i for i, v in enumerate(nodes)}, copy=True
+        )
+    return graph, nodes
 
 
 def _edge_array(graph: nx.Graph) -> np.ndarray:

@@ -7,8 +7,10 @@ the :class:`BallPacking` — are shared by several schemes.  A
 :class:`BuildContext` builds each artifact exactly once per key and hands
 the same object to every consumer:
 
-* ``context.metric(graph)`` — APSP matrix computed once per graph
-  (keyed by a content hash of nodes, edges, and weights);
+* ``context.metric(graph)`` — the shortest-path metric, built once per
+  graph (keyed by :func:`graph_content_key`, one SHA-256 over the
+  graph's canonical edge array, taken afresh on every call, so a graph
+  mutated by any means gets a new key);
 * ``context.hierarchy(metric)`` / ``context.packing(metric)`` — one
   substrate per metric, shared across all schemes built on it;
 * ``context.scheme(cls, metric, params)`` — resolves the scheme's
@@ -36,11 +38,12 @@ import weakref
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple, Type
 
 import networkx as nx
+import numpy as np
 
-from repro.core.edits import EditKind, GraphEdit, apply_edit_to_graph
+from repro.core.edits import GraphEdit, apply_edit_to_graph
 from repro.core.params import SchemeParameters
 from repro.core.types import NodeId
-from repro.metric.graph_metric import GraphMetric
+from repro.metric.graph_metric import GraphMetric, _edge_array, _relabelled
 from repro.nets.hierarchy import NetHierarchy
 from repro.observability.profile import BuildProfile
 from repro.observability.trace import RouteTrace, TraceEvent
@@ -70,7 +73,9 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: keep their landmark distance matrix.
 #: v14: ring tables and schemes carry no partition counts (schemes are
 #: never rebuilt partially after an edit).
-CACHE_FORMAT_VERSION = 14
+#: v15: graph content keys are one SHA-256 over the canonical edge array
+#: (no XOR-aggregate key state).
+CACHE_FORMAT_VERSION = 15
 
 
 @dataclasses.dataclass
@@ -107,149 +112,27 @@ class BuildStats:
 
 
 # -- content keys -------------------------------------------------------
-#
-# The content key of a graph is a hash of an XOR-aggregate of per-node
-# and per-edge tokens.  XOR makes the aggregate incrementally
-# maintainable: one edit XORs out the old tokens and XORs in the new
-# ones, O(1) per edit instead of re-hashing the full edge list.  The
-# aggregate is cached per graph *object* (weakly); the (n, m) guard
-# catches structural mutations that bypassed the edit path, but weight
-# mutations must flow through ``BuildContext.apply_edit`` (or
-# ``invalidate_content_key``) to keep the cached key exact.
-
-
-@dataclasses.dataclass
-class _KeyState:
-    node_acc: int
-    edge_acc: int
-    n: int
-    m: int
-    key: str
-
-
-_KEY_STATES: "weakref.WeakKeyDictionary[nx.Graph, _KeyState]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _token(text: str) -> int:
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:16], "big")
-
-
-def _node_token(v: Any) -> int:
-    return _token(f"N{v!r};")
-
-
-def _edge_token(u: Any, v: Any, w: Any) -> int:
-    a, b = (u, v) if not v < u else (v, u)
-    return _token(f"E{a!r},{b!r},{float(w)!r};")
-
-
-def _aggregate_key(n: int, node_acc: int, edge_acc: int) -> str:
-    text = (
-        f"v{CACHE_FORMAT_VERSION}|n={n}|N={node_acc:032x}|E={edge_acc:032x}"
-    )
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def _fresh_key_state(graph: nx.Graph) -> _KeyState:
-    node_acc = 0
-    for v in graph.nodes():
-        node_acc ^= _node_token(v)
-    edge_acc = 0
-    for u, v, data in graph.edges(data=True):
-        edge_acc ^= _edge_token(u, v, data.get("weight", 1.0))
-    n = graph.number_of_nodes()
-    state = _KeyState(
-        node_acc=node_acc,
-        edge_acc=edge_acc,
-        n=n,
-        m=graph.number_of_edges(),
-        key=_aggregate_key(n, node_acc, edge_acc),
-    )
-    _KEY_STATES[graph] = state
-    return state
 
 
 def graph_content_key(graph: nx.Graph) -> str:
     """Content hash of a graph: nodes, edges, and exact weights.
 
-    Any change to the node set, the edge set, or a single edge weight
-    changes the key — so cached artifacts can never be reused across
-    different inputs.  The key is cached on the graph object and
-    maintained incrementally through :meth:`BuildContext.apply_edit`;
-    mutate a graph by any other means and you must call
-    :func:`invalidate_content_key` (structural changes are caught by an
-    (n, m) guard, silent weight pokes are not).
+    One SHA-256, taken afresh on every call, over the format version,
+    ``n``, the node labels' ``repr`` (only when they are not
+    ``0 .. n-1``) and the graph's canonical edge array: nodes relabelled
+    as :class:`GraphMetric` relabels them, each edge a float64
+    ``(min, max, weight)`` row, rows lexsorted.  Any change to the node
+    set, the edge set, or a single edge weight changes the key, however
+    the graph was mutated; the order edges were inserted in does not.
     """
-    state = _KEY_STATES.get(graph)
-    if (
-        state is not None
-        and state.n == graph.number_of_nodes()
-        and state.m == graph.number_of_edges()
-    ):
-        return state.key
-    return _fresh_key_state(graph).key
-
-
-def invalidate_content_key(graph: nx.Graph) -> None:
-    """Drop the cached content key after an out-of-band mutation."""
-    _KEY_STATES.pop(graph, None)
-
-
-def _advance_key_state(graph: nx.Graph, edit: GraphEdit) -> Tuple[int, int, int]:
-    """Pre-edit half of the O(1) key update; returns new aggregates.
-
-    Must be called *before* the edit is applied (old weights are read
-    off the graph); commit the result with :func:`_commit_key_state`
-    after the mutation.
-    """
-    state = _KEY_STATES.get(graph)
-    if (
-        state is None
-        or state.n != graph.number_of_nodes()
-        or state.m != graph.number_of_edges()
-    ):
-        state = _fresh_key_state(graph)
-    node_acc, edge_acc, n = state.node_acc, state.edge_acc, state.n
-    if edit.kind is EditKind.WEIGHT:
-        u, v = edit.edge
-        old_w = graph[u][v].get("weight", 1.0)
-        edge_acc ^= _edge_token(u, v, old_w) ^ _edge_token(u, v, edit.weight)
-    elif edit.kind is EditKind.EDGE_ADD:
-        u, v = edit.edge
-        edge_acc ^= _edge_token(u, v, edit.weight)
-    elif edit.kind is EditKind.EDGE_REMOVE:
-        u, v = edit.edge
-        edge_acc ^= _edge_token(u, v, graph[u][v].get("weight", 1.0))
-    elif edit.kind is EditKind.NODE_JOIN:
-        node_acc ^= _node_token(edit.node)
-        for x, w in edit.attach:
-            edge_acc ^= _edge_token(edit.node, x, w)
-        n += 1
-    elif edit.kind is EditKind.NODE_LEAVE:
-        node_acc ^= _node_token(edit.node)
-        for x in graph[edit.node]:
-            edge_acc ^= _edge_token(
-                edit.node, x, graph[edit.node][x].get("weight", 1.0)
-            )
-        n -= 1
-    return node_acc, edge_acc, n
-
-
-def _commit_key_state(
-    graph: nx.Graph, aggregates: Tuple[int, int, int]
-) -> str:
-    node_acc, edge_acc, n = aggregates
-    state = _KeyState(
-        node_acc=node_acc,
-        edge_acc=edge_acc,
-        n=n,
-        m=graph.number_of_edges(),
-        key=_aggregate_key(n, node_acc, edge_acc),
-    )
-    _KEY_STATES[graph] = state
-    return state.key
+    canonical, labels = _relabelled(graph)
+    head = f"v{CACHE_FORMAT_VERSION}|n={len(labels)}|"
+    if canonical is not graph:
+        head += repr(labels)
+    edges = _edge_array(canonical)
+    rows = np.column_stack((np.sort(edges[:, :2], axis=1), edges[:, 2]))
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return hashlib.sha256(head.encode() + rows.tobytes()).hexdigest()
 
 
 def _rekey(obj: Any, old: str, new: str) -> Any:
@@ -674,21 +557,20 @@ class BuildContext:
     def apply_edit(self, graph: nx.Graph, edit: GraphEdit) -> EditReport:
         """Apply ``edit`` to ``graph`` and repair the cache around it.
 
-        The graph is mutated in place and its content key advanced in
-        O(1).  Every cached metric of the graph is repaired eagerly by
-        splicing only the edit's dirty rows; every other artifact keyed
-        to the old content hash is either *carried* (dependency set
-        provably untouched — evaluation pairs), *stashed* for partial
-        rebuild on next demand (hierarchies and packings), or *dropped*
-        (schemes and compiled tables, and everything on a full-rebuild
-        edit).
+        The graph is mutated in place and hashed before and after the
+        edit (``old_key``, ``new_key``).  Every cached metric of the
+        graph is repaired eagerly by splicing only the edit's dirty
+        rows; every other artifact keyed to the old content hash is
+        either *carried* (dependency set provably untouched —
+        evaluation pairs), *stashed* for partial rebuild on next demand
+        (hierarchies and packings), or *dropped* (schemes and compiled
+        tables, and everything on a full-rebuild edit).
         Stale metrics handed out earlier keep a coherent pre-edit
         snapshot of the graph, which is what the staleness-window
         routing in :mod:`repro.churn` relies on.
         """
         start = time.perf_counter()
         old_key = graph_content_key(graph)
-        aggregates = _advance_key_state(graph, edit)
 
         metric_items = [
             (full_key, artifact)
@@ -700,7 +582,7 @@ class BuildContext:
                 old_metric.detach_graph()
 
         apply_edit_to_graph(graph, edit)
-        new_key = _commit_key_state(graph, aggregates)
+        new_key = graph_content_key(graph)
 
         # Repair cached metrics by row splicing; union their dirty sets
         # (they only differ when normalize=True/False coexist).

@@ -27,9 +27,10 @@ end-to-end reliability protocol — per-packet sequence numbers,
 checksummed headers, receiver duplicate suppression, and sender
 retransmission with exponential backoff.  Every packet then terminates
 with a typed :class:`~repro.core.types.TransportStatus` recorded in
-:attr:`SimulationReport.outcomes`.  With every fault rate at zero and
-ARQ off, the chaos event loop is *bit-identical* to the plain one
-(property-tested across all schemes).
+:attr:`SimulationReport.outcomes`.  There is one event loop: a run
+without ``chaos=`` goes through it over the faultless
+``ChaosNetwork(metric)``, which draws no faults, so every run reports
+outcomes, per-link transmissions and its horizon alike.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ class DeliveredPacket:
 
 @dataclasses.dataclass
 class PacketOutcome:
-    """End-to-end transport record of one offered packet (chaos mode).
+    """End-to-end transport record of one offered packet.
 
     One entry per *demand* — delivered or not — where
     :class:`DeliveredPacket` only exists for arrivals.  ``attempts``
@@ -176,18 +177,20 @@ class SimulationReport:
     All statistics are well-defined on an empty run (zero packets):
     means and maxima report 0.0 rather than raising.
 
-    Chaos-mode runs additionally carry :attr:`outcomes` (one
-    :class:`PacketOutcome` per offered demand), actual per-link
-    transmission counts, and the simulated-time horizon; the
-    reliability metrics below derive from those.
+    Every run carries :attr:`outcomes` (one :class:`PacketOutcome` per
+    offered demand), actual per-link transmission counts, and the
+    simulated-time horizon; the reliability metrics below derive from
+    those.
     """
 
     packets: List[DeliveredPacket]
-    #: Per-demand transport outcomes; ``None`` for plain runs.
-    outcomes: Optional[List[PacketOutcome]] = None
+    #: Per-demand transport outcomes, in injection order.
+    outcomes: List[PacketOutcome] = dataclasses.field(default_factory=list)
     #: Actual transmissions per directed link, including retries and
-    #: duplicates; ``None`` for plain runs.
-    link_transmissions: Optional[Dict[Tuple[NodeId, NodeId], int]] = None
+    #: duplicates.
+    link_transmissions: Dict[Tuple[NodeId, NodeId], int] = dataclasses.field(
+        default_factory=dict
+    )
     #: Simulated time of the last event processed (0.0 if none).
     horizon: float = 0.0
 
@@ -197,10 +200,8 @@ class SimulationReport:
 
     @property
     def offered(self) -> int:
-        """Demands injected (equals ``delivered`` on plain runs)."""
-        if self.outcomes is not None:
-            return len(self.outcomes)
-        return len(self.packets)
+        """Demands injected, delivered or not."""
+        return len(self.outcomes)
 
     def delivery_rate(self) -> float:
         return self.delivered / self.offered if self.offered else 1.0
@@ -208,17 +209,17 @@ class SimulationReport:
     def status_counts(self) -> Dict[str, int]:
         """Offered packets per :class:`TransportStatus` value."""
         counts = {status.value: 0 for status in TransportStatus}
-        for outcome in self.outcomes or []:
+        for outcome in self.outcomes:
             counts[outcome.status.value] += 1
         return counts
 
     def retransmissions(self) -> int:
         """Sender retransmissions across all packets (attempts - 1)."""
-        return sum(max(0, o.attempts - 1) for o in self.outcomes or [])
+        return sum(max(0, o.attempts - 1) for o in self.outcomes)
 
     def total_transmissions(self) -> int:
         """Link crossings charged, incl. retries and duplicates."""
-        return sum(o.transmissions for o in self.outcomes or [])
+        return sum(o.transmissions for o in self.outcomes)
 
     def retransmission_overhead(self) -> float:
         """Extra link crossings per useful one: ``tx / ideal - 1``.
@@ -229,7 +230,7 @@ class SimulationReport:
         """
         ideal = sum(
             o.path_links
-            for o in self.outcomes or []
+            for o in self.outcomes
             if o.status is TransportStatus.DELIVERED
         )
         if ideal == 0:
@@ -238,13 +239,13 @@ class SimulationReport:
 
     def duplicate_deliveries(self) -> int:
         """Extra copies that arrived (suppressed, but counted)."""
-        return sum(o.duplicates for o in self.outcomes or [])
+        return sum(o.duplicates for o in self.outcomes)
 
     def corrupt_detected(self) -> int:
-        return sum(o.corrupt_detected for o in self.outcomes or [])
+        return sum(o.corrupt_detected for o in self.outcomes)
 
     def corrupt_undetected(self) -> int:
-        return sum(o.corrupt_undetected for o in self.outcomes or [])
+        return sum(o.corrupt_undetected for o in self.outcomes)
 
     def goodput(self) -> float:
         """Delivered packets per simulated time unit."""
@@ -275,20 +276,15 @@ class SimulationReport:
         """Most-occupied directed *physical* links.
 
         Virtual hops are expanded to the underlying graph edges before
-        counting, so shared physical edges are not under-counted.  On
-        chaos-mode runs the count is actual transmissions (retries and
-        duplicates included); on plain runs it is delivered-path
-        occupancy.  The ranking is fully deterministic: equal counts
+        counting, so shared physical edges are not under-counted.  The
+        count is actual transmissions, retries and duplicates included;
+        a faultless run without ARQ crosses each link of each packet's
+        path once.  The ranking is fully deterministic: equal counts
         tie-break by ascending link id, never by dict or heap order.
         """
-        if self.link_transmissions is not None:
-            counts = dict(self.link_transmissions)
-        else:
-            counts: Dict[Tuple[NodeId, NodeId], int] = {}
-            for packet in self.packets:
-                for a, b in packet.links:
-                    counts[(a, b)] = counts.get((a, b), 0) + 1
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        ranked = sorted(
+            self.link_transmissions.items(), key=lambda kv: (-kv[1], kv[0])
+        )
         return ranked[:top]
 
 
@@ -326,7 +322,7 @@ class TrafficSimulator:
             trace: When ``True``, record a route-decision trace for
                 every packet (``DeliveredPacket.trace``) by routing via
                 ``scheme.trace_route``; hop sequences are identical
-                either way.  Chaos-mode transport events (drops,
+                either way.  Transport events (drops,
                 retransmissions, corruption) are appended to the trace
                 with zero-cost, zero-node events, so replay still
                 reproduces the route.
@@ -337,23 +333,26 @@ class TrafficSimulator:
                 actually took — detours, truncated drops and all —
                 through the queueing model, which the scheme's own
                 ``route()`` against the intact metric could not
-                reproduce.  Mutually exclusive with ``trace``.  Under
-                ``chaos=``, a walk that ends anywhere other than the
-                demand's target counts as undelivered (the routing
-                plane dropped it; the transport never completed).
+                reproduce.  Mutually exclusive with ``trace``.  A walk
+                that ends anywhere other than the demand's target
+                counts as undelivered (the routing plane dropped it;
+                the transport never completed).
             chaos: Optional :class:`~repro.chaos.channel.ChaosNetwork`
-                injecting seeded per-link faults.  Link propagation is
-                charged from the chaos network (its wrapped metric or
-                degraded overlay), and the run's report carries
-                per-demand :class:`PacketOutcome` records.
+                injecting seeded per-link faults; omitted, it is the
+                faultless ``ChaosNetwork(scheme.metric)``.  Link
+                propagation is charged from the chaos network (its
+                wrapped metric or degraded overlay).
             arq: Optional :class:`~repro.chaos.protocol.ArqConfig`
                 switching on the end-to-end reliability protocol
                 (sequence numbers, checksummed headers, duplicate
-                suppression, retransmission with backoff).  Implies a
-                faultless chaos channel when ``chaos`` is omitted.
+                suppression, retransmission with backoff).
+
+        Returns:
+            A :class:`SimulationReport` with one :class:`PacketOutcome`
+            per demand.
         """
         metric = self._metric
-        if arq is not None and chaos is None:
+        if chaos is None:
             # Imported lazily: the runtime layer must not depend on the
             # chaos package at import time (resilience.router imports
             # this module while it is still initializing).
@@ -399,63 +398,9 @@ class TrafficSimulator:
                         expand_to_physical_path(metric, result.path),
                     )
                 )
+        return self._run_chaos(packets, traces, chaos, arq)
 
-        if chaos is not None:
-            return self._run_chaos(packets, traces, chaos, arq)
-
-        # Event queue: (time, packet_index, hop_index), with hops
-        # indexing the *physical* path — packets queue on, and occupy,
-        # the real graph edges underneath any virtual detour.  The
-        # packet index is its injection order, so ties at equal times
-        # always resolve in injection order — including mid-flight
-        # re-queued events, which would jump the line if ties were
-        # broken by a global event sequence number instead.
-        events: List[Tuple[float, int, int]] = []
-        for index, (demand, _, _) in enumerate(packets):
-            heapq.heappush(events, (demand.inject_at, index, 0))
-        # Per-packet link delays: each hop is charged from this list,
-        # and its sum is the packet's propagation.
-        delays = [
-            [metric.distance(a, b) for a, b in zip(physical, physical[1:])]
-            for _, _, physical in packets
-        ]
-
-        link_free_at: Dict[Tuple[NodeId, NodeId], float] = {}
-        queueing: List[float] = [0.0] * len(packets)
-        delivered: List[Optional[float]] = [None] * len(packets)
-
-        while events:
-            now, index, hop = heapq.heappop(events)
-            demand, _, physical = packets[index]
-            if hop == len(physical) - 1:
-                delivered[index] = now
-                continue
-            a, b = physical[hop], physical[hop + 1]
-            free_at = link_free_at.get((a, b), now)
-            start = max(now, free_at)
-            queueing[index] += start - now
-            link_free_at[(a, b)] = start + self._service_time
-            arrival = start + self._service_time + delays[index][hop]
-            heapq.heappush(events, (arrival, index, hop + 1))
-
-        report_packets = []
-        for index, (demand, path, physical) in enumerate(packets):
-            assert delivered[index] is not None
-            report_packets.append(
-                DeliveredPacket(
-                    demand=demand,
-                    path=path,
-                    delivered_at=float(delivered[index]),
-                    propagation=sum(delays[index]),
-                    queueing=queueing[index],
-                    physical_path=physical,
-                )
-            )
-        for packet, packet_trace in zip(report_packets, traces):
-            packet.trace = packet_trace
-        return SimulationReport(packets=report_packets)
-
-    # -- unreliable-channel mode ---------------------------------------
+    # -- transport: wire headers and the event loop ---------------------
 
     def _transport_codec(
         self, chaos: "ChaosNetwork", arq: Optional["ArqConfig"]
@@ -509,18 +454,21 @@ class TrafficSimulator:
         chaos: "ChaosNetwork",
         arq: Optional["ArqConfig"],
     ) -> SimulationReport:
-        """Event loop under per-link faults and (optionally) sender ARQ.
+        """The simulator's event loop: per-link faults, optional ARQ.
 
-        The degenerate case — every fault rate zero, ``arq=None`` — is
-        bit-identical to the plain loop in :meth:`run`: one flight per
-        packet, flight ids assigned in injection order, and event
-        tuples ``(time, packet, kind, flight, hop)`` that collapse to
-        the plain ``(time, packet, hop)`` ordering because ``kind`` and
-        ``flight`` are then constant per packet.  (Property-tested in
-        tests/test_chaos.py across every scheme.)
+        Every :meth:`run` ends here; one without ``chaos=`` brings the
+        identity channel ``ChaosNetwork(metric)``, which draws no
+        faults (``link_faults`` is never called on a faultless
+        channel).  Without faults or ARQ each packet is one flight,
+        flight ids follow injection order, and the event tuples
+        ``(time, packet, kind, flight, hop)`` order like
+        ``(time, packet, hop)``: ``kind`` and ``flight`` are constant
+        per packet, so ties at equal times resolve in injection order,
+        including mid-flight re-queued events.
         """
         service = self._service_time
         reliability = arq is not None
+        faultless = chaos.config.faultless
         codec = self._transport_codec(chaos, arq)
         checksummed = isinstance(codec, ChecksumCodec)
 
@@ -560,6 +508,9 @@ class TrafficSimulator:
         events: List[Tuple[float, int, int, int, int]] = []
         link_free_at: Dict[Tuple[NodeId, NodeId], float] = {}
         link_tx: Dict[Tuple[NodeId, NodeId], int] = {}
+        # Heap pops come in non-decreasing time order, so the last pop
+        # is the latest pushed event; only self-deliveries and copies
+        # lost in flight (never pushed) enter the horizon by ``max``.
         horizon = 0.0
 
         def retransmit_timeout(index: int) -> float:
@@ -604,9 +555,8 @@ class TrafficSimulator:
         for index, (demand, _, physical) in enumerate(packets):
             if len(physical) == 1:
                 # Self-delivery (source == target): delivered at
-                # injection, exactly like the plain loop; a truncated
-                # single-node walk to a different target stays
-                # undelivered.
+                # injection; a truncated single-node walk to a
+                # different target stays undelivered.
                 state = states[index]
                 state.attempts = 1
                 if physical[0] == demand.target:
@@ -615,9 +565,9 @@ class TrafficSimulator:
                 continue
             launch(index, demand.inject_at, first=True)
 
+        now = 0.0
         while events:
             now, index, kind, s1, s2 = heapq.heappop(events)
-            horizon = max(horizon, now)
             state = states[index]
             demand, _, physical = packets[index]
             if kind == _ACK:
@@ -665,13 +615,18 @@ class TrafficSimulator:
             link_free_at[(a, b)] = start + service
             state.transmissions += 1
             link_tx[(a, b)] = link_tx.get((a, b), 0) + 1
+            arrival = start + service + delays[index][hop]
+            if faultless:
+                heapq.heappush(events, (arrival, index, _HOP, fid, hop + 1))
+                continue
             header = headers[index]
             faults = chaos.link_faults(
                 index, fid, hop, header_bits=header[1] if header else 0
             )
-            arrival = start + service + delays[index][hop] + faults.extra_delay
-            horizon = max(horizon, arrival)
+            arrival += faults.extra_delay
             packet_trace = traces[index]
+            if faults.dropped or faults.corrupt_bits:
+                horizon = max(horizon, arrival)
             if faults.dropped:
                 if packet_trace is not None:
                     packet_trace.events.append(
@@ -734,6 +689,7 @@ class TrafficSimulator:
                     ),
                 )
             heapq.heappush(events, (arrival, index, _HOP, fid, hop + 1))
+        horizon = max(horizon, now)
 
         report_packets: List[DeliveredPacket] = []
         outcomes: List[PacketOutcome] = []
@@ -781,7 +737,7 @@ class TrafficSimulator:
 
 @dataclasses.dataclass
 class _PacketState:
-    """Mutable transport state of one offered packet (chaos loop)."""
+    """Mutable transport state of one offered packet."""
 
     attempts: int = 0
     flights: int = 0

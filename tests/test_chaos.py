@@ -20,7 +20,6 @@ from repro.metric.graph_metric import GraphMetric
 from repro.pipeline.context import BuildContext
 from repro.runtime.simulator import (
     Demand,
-    DeliveredPacket,
     SimulationReport,
     TrafficSimulator,
     uniform_demands,
@@ -286,8 +285,9 @@ class TestZeroFaultIdentity:
         self, grid_metric, params, labeled_nonsf, labeled_sf,
         nameind_simple, nameind_sf,
     ):
-        """A faultless ChaosNetwork reproduces the plain simulator bit
-        for bit: paths, costs, latencies, queueing, link occupancy."""
+        """A run without ``chaos=`` equals one over an explicit
+        faultless ChaosNetwork bit for bit: paths, costs, latencies,
+        queueing, link occupancy."""
         demands = _grid_demands(grid_metric.n)
         schemes = _all_six(
             grid_metric, params, labeled_nonsf, labeled_sf,
@@ -303,6 +303,8 @@ class TestZeroFaultIdentity:
                 assert p.queueing == d.queueing
                 assert p.propagation == d.propagation
             assert plain.busiest_links(10) == degenerate.busiest_links(10)
+            assert plain.outcomes == degenerate.outcomes
+            assert plain.horizon == degenerate.horizon
             assert degenerate.delivery_rate() == 1.0
             assert degenerate.retransmissions() == 0
 
@@ -506,24 +508,16 @@ class TestBusiestLinksTieBreak:
             ((5, 6), 1),
         ]
 
-    def test_plain_run_occupancy_tie_break(self):
-        def packet(a, b):
-            return DeliveredPacket(
-                demand=Demand(a, b),
-                path=[a, b],
-                delivered_at=1.0,
-                propagation=1.0,
-                queueing=0.0,
-                physical_path=[a, b],
-            )
-
-        report = SimulationReport(
-            packets=[packet(5, 6), packet(1, 2), packet(3, 4)]
+    def test_plain_run_occupancy_tie_break(self, path_scheme):
+        """A run without ``chaos=`` counts each path's links once; equal
+        counts rank by link id, not by injection order."""
+        report = TrafficSimulator(path_scheme).run(
+            [Demand(4, 5), Demand(1, 2), Demand(3, 2)]
         )
         assert report.busiest_links(3) == [
             ((1, 2), 1),
-            ((3, 4), 1),
-            ((5, 6), 1),
+            ((3, 2), 1),
+            ((4, 5), 1),
         ]
 
 

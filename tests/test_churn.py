@@ -1,6 +1,6 @@
 """Tests for the churn subsystem (E17) and incremental invalidation.
 
-Covers: O(1) content-key maintenance against full rehashes, the edit
+Covers: content keys across edits against full rehashes, the edit
 stream's invariants (determinism, connectivity, scale preservation),
 exactness of the dirty set (``GraphMetric.updated`` bit-identical to a
 cold Dijkstra over random edit sequences), the acceptance property —
@@ -25,11 +25,7 @@ from repro.experiments.harness import standard_suite
 from repro.experiments.resilience import repair_edit_for
 from repro.graphs.generators import grid_2d, random_geometric
 from repro.metric.graph_metric import DISTANCE_SLACK, GraphMetric
-from repro.pipeline.context import (
-    BuildContext,
-    graph_content_key,
-    invalidate_content_key,
-)
+from repro.pipeline.context import BuildContext, graph_content_key
 from repro.pipeline.registry import run_experiment
 from repro.pipeline.sampling import sample_ordered_pairs
 from repro.resilience.failure_plan import EventKind
@@ -48,7 +44,7 @@ PARAMS = SchemeParameters(epsilon=0.5)
 
 
 def _rehash_key(graph: nx.Graph) -> str:
-    """Content key via a full rehash (fresh object, no cached state)."""
+    """Content key of a fresh copy of ``graph``, rebuilt edge by edge."""
     clone = nx.Graph()
     clone.add_nodes_from(graph.nodes())
     for u, v, data in graph.edges(data=True):
@@ -61,29 +57,60 @@ def _rehash_key(graph: nx.Graph) -> str:
 
 class TestContentKey:
     def test_incremental_key_matches_full_rehash(self):
-        """The O(1) XOR update tracks a from-scratch rehash edit by edit."""
+        """The keys ``apply_edit`` reports track a rehash of a fresh
+        copy of the graph, edit by edit."""
         graph = grid_2d(4)
         context = BuildContext()
-        context.metric(graph)  # prime the cached key state
+        context.metric(graph)
         stream = EditStream(seed=11)
         for _ in range(25):
             edit = stream.draw(graph)
-            context.apply_edit(graph, edit)
-            assert graph_content_key(graph) == _rehash_key(graph), (
-                f"incremental key diverged after {edit.describe()}"
+            before = graph_content_key(graph)
+            report = context.apply_edit(graph, edit)
+            assert report.old_key == before
+            assert report.new_key == graph_content_key(graph)
+            assert report.new_key == _rehash_key(graph), (
+                f"key diverged after {edit.describe()}"
             )
 
-    def test_out_of_band_weight_poke_needs_invalidate(self):
-        """Documented hazard: silent weight pokes keep the stale key."""
+    def test_out_of_band_weight_poke_changes_key(self):
+        """A weight changed behind the context's back changes the key:
+        there is no cached key to go stale."""
         graph = grid_2d(3)
         before = graph_content_key(graph)
         u, v = next(iter(graph.edges()))
         graph[u][v]["weight"] = 9.0
-        assert graph_content_key(graph) == before  # (n, m) guard can't see it
-        invalidate_content_key(graph)
         after = graph_content_key(graph)
         assert after != before
         assert after == _rehash_key(graph)
+
+    def test_key_ignores_edge_insertion_order(self):
+        graph = grid_2d(4)
+        edges = list(graph.edges(data="weight", default=1.0))
+        reverse = nx.Graph()
+        reverse.add_nodes_from(reversed(list(graph.nodes())))
+        for u, v, w in reversed(edges):
+            reverse.add_edge(v, u, weight=w)
+        assert graph_content_key(reverse) == graph_content_key(graph)
+
+    def test_removed_and_readded_edge_keeps_key(self):
+        graph = random_geometric(40, seed=2)
+        before = graph_content_key(graph)
+        u, v, w = next(iter(graph.edges(data="weight", default=1.0)))
+        graph.remove_edge(u, v)
+        assert graph_content_key(graph) != before
+        graph.add_edge(u, v, weight=w)
+        assert graph_content_key(graph) == before
+
+    def test_key_is_label_sensitive(self):
+        graph = grid_2d(3)
+        shifted = nx.relabel_nodes(graph, {v: v + 1 for v in graph})
+        assert graph_content_key(shifted) != graph_content_key(graph)
+
+    def test_tuple_labels_get_a_key(self):
+        key = graph_content_key(nx.grid_2d_graph(3, 3))
+        assert key == graph_content_key(nx.grid_2d_graph(3, 3))
+        assert key != graph_content_key(grid_2d(3))
 
 
 # -- the edit stream --------------------------------------------------------
@@ -446,15 +473,7 @@ class TestExperimentChurn:
         kwargs = dict(pair_count=30, edits=12, suite=suite)
         serial = run_e17(jobs=1, **kwargs)
         parallel = run_e17(jobs=2, **kwargs)
-        timing_column = serial.columns.index("repair eps")
-
-        def strip(rows):
-            return [
-                [c for i, c in enumerate(row) if i != timing_column]
-                for row in rows
-            ]
-
-        assert strip(serial.rows) == strip(parallel.rows)
+        assert serial.rows == parallel.rows
         assert len(serial.rows) == 9  # 3 schemes x 3 policies
 
     def test_registry_forwards_edits_kwarg(self):

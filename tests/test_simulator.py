@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.types import TransportStatus
 from repro.graphs.generators import path_graph
 from repro.metric.graph_metric import GraphMetric
 from repro.runtime.simulator import (
@@ -118,6 +119,53 @@ class TestReports:
         assert report.mean_queueing() == 0.0
         assert report.total_traffic() == 0.0
         assert report.busiest_links() == []
+
+
+class TestReportsWithoutChaos:
+    """A run without ``chaos=`` reports what every run reports."""
+
+    def test_one_outcome_per_demand(self, path_scheme):
+        demands = [Demand(0, 5), Demand(2, 2, 1.0), Demand(4, 1, 0.5)]
+        report = TrafficSimulator(path_scheme).run(demands)
+        assert [o.demand for o in report.outcomes] == demands
+        assert [o.seq for o in report.outcomes] == [0, 1, 2]
+        assert all(
+            o.status is TransportStatus.DELIVERED for o in report.outcomes
+        )
+        assert report.offered == 3
+        assert report.retransmissions() == 0
+
+    def test_link_transmissions_are_delivered_occupancy(
+        self, grid_metric, params
+    ):
+        scheme = SimpleNameIndependentScheme(grid_metric, params)
+        demands = uniform_demands(grid_metric.n, 40, rate=2.0, seed=3)
+        report = TrafficSimulator(scheme, service_time=0.5).run(demands)
+        occupancy = {}
+        for packet in report.packets:
+            for link in packet.links:
+                occupancy[link] = occupancy.get(link, 0) + 1
+        assert report.delivered == len(demands)
+        assert report.link_transmissions == occupancy
+        assert report.total_transmissions() == sum(occupancy.values())
+
+    def test_horizon_is_last_delivery(self, path_scheme):
+        demands = [Demand(0, 5), Demand(5, 0, 0.5), Demand(2, 3, 7.0)]
+        report = TrafficSimulator(path_scheme).run(demands)
+        last = max(p.delivered_at for p in report.packets)
+        assert report.horizon == last == 10.5
+        assert report.goodput() == 3 / last
+
+    def test_walk_off_target_gives_up(self, path_scheme):
+        demands = [Demand(0, 5), Demand(0, 3)]
+        report = TrafficSimulator(path_scheme).run(
+            demands, paths=[[0, 1, 2, 3, 4, 5], [0, 1]]
+        )
+        assert [p.demand for p in report.packets] == demands[:1]
+        assert report.outcomes[1].status is TransportStatus.GAVE_UP
+        assert report.delivery_rate() == 0.5
+        # The dropped walk still occupied the link it crossed.
+        assert report.link_transmissions[(0, 1)] == 2
 
 
 class TestPhysicalExpansion:
