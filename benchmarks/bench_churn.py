@@ -67,10 +67,13 @@ DESCRIPTION = (
     "union). Timing numbers vary run to run; edit streams, "
     "built/reused artifact counts, delivery and stretch are "
     "deterministic. Reproduce with: PYTHONPATH=src python "
-    "benchmarks/bench_churn.py. Regenerated when schemes stopped "
-    "rebuilding partially after an edit: built/reused no longer count "
-    "ring blocks or search trees; Theorem 1.1 never folded either, so "
-    "every count here is unchanged."
+    "benchmarks/bench_churn.py. Regenerated when hierarchies and "
+    "packings stopped rebuilding partially after an edit: each repair "
+    "builds them cold on the spliced metric, so built/reused count "
+    "whole artifacts (no hierarchy levels, zooming parents or packing "
+    "levels) and nothing from before the edit but the metric is "
+    "reused; edit streams, dirty rows, delivery, stretch and verified "
+    "rounds are unchanged."
 )
 
 
@@ -94,10 +97,9 @@ def run_fine_grained(edits: int = 100):
     """Single-edit rounds, weight-only churn: the locality curve.
 
     At the default batch width of 10 the union of the edits' dirty sets
-    approaches the whole node set, so per-round artifact reuse is
-    modest — the honest aggregate, but it hides single-edit locality.
-    This series commits one weight edit per round and records how much
-    of the build each repair actually reuses.
+    approaches the whole node set — the honest aggregate, but it hides
+    single-edit locality.  This series commits one weight edit per
+    round and records how many metric rows each repair re-solves.
     """
     _, graph = standard_suite("small")[0]
     stream = EditStream(seed=SEED, mix={EditKind.WEIGHT: 1.0})
@@ -115,9 +117,12 @@ def run_fine_grained(edits: int = 100):
     report = driver.run(edits=edits)
     return {
         "note": (
-            "one weight edit per round; built/reused per round show "
-            "repair locality (the batch-of-10 policy runs saturate the "
-            "dirty-set union, so their reuse is structurally low)"
+            "one weight edit per round; dirty_rows per round show repair "
+            "locality (apply_edit re-solves only those metric rows; the "
+            "batch-of-10 policy runs saturate the dirty-set union). "
+            "built/reused per round count whole artifacts: every repair "
+            "builds the hierarchy, packings and schemes cold on the "
+            "spliced metric"
         ),
         "edits": edits,
         "repair_throughput_eps": round(report.repair_throughput, 3),

@@ -11,12 +11,11 @@ Reproduces the numbers recorded in ``BENCH_resilience.json``:
   substrate is a cache hit: the *best case*;
 * per-graph ``edit`` — the honest repair figure: a real single-edge
   weight change applied through ``BuildContext.apply_edit``, which
-  computes the edit's dirty node set and rebuilds only the substrate
-  partitions (metric rows, hierarchy levels, zooming parents)
-  intersecting it; every scheme is built again on them.  Built/reused
-  counts are reported against that dirty set, and the incremental
-  result is bit-identical to a cold rebuild (asserted in
-  tests/test_churn.py).
+  computes the edit's dirty node set and re-solves only those metric
+  rows; the hierarchy, the packings and every scheme are built cold on
+  the spliced metric.  Built/reused counts are reported against that
+  dirty set, and the incremental result is bit-identical to a cold
+  rebuild (asserted in tests/test_churn.py).
 
 Run with ``PYTHONPATH=src python benchmarks/bench_resilience.py``
 (writes ``BENCH_resilience.json``; a regeneration differs from the
@@ -59,20 +58,20 @@ DESCRIPTION = (
     "content hash unchanged, dirty set empty, every substrate a cache "
     "hit — the best case) and 'edit' = a real single-edge weight "
     "change applied through BuildContext.apply_edit, which computes "
-    "the edit's dirty node set and rebuilds only the substrate "
-    "partitions (metric rows, hierarchy levels, zooming parents) "
-    "intersecting it; every scheme is then built again on the "
-    "repaired substrates. Built/reused counts include the "
-    "per-partition artifacts (cold builds fold all-built partition "
-    "counts), so cold-vs-incremental is an honest like-for-like "
-    "comparison; the incremental result is bit-identical to a cold "
-    "rebuild (asserted in tests/test_churn.py). Reproduce with: "
-    "PYTHONPATH=src python benchmarks/bench_resilience.py. "
-    "Regenerated when schemes stopped rebuilding partially after an "
-    "edit: built/reused no longer count ring blocks or search trees "
-    "(cold builds used to fold one per net point and level), and the "
-    "shortest-path scheme, once promoted, is now built again, so its "
-    "artifact moved from reused to built."
+    "the edit's dirty node set and re-solves only those metric rows; "
+    "the hierarchy, the packings and every scheme are then built cold "
+    "on the spliced metric. Built/reused counts include the metric "
+    "rows (cold builds count every row as built), so "
+    "cold-vs-incremental is an honest like-for-like comparison; the "
+    "incremental result is bit-identical to a cold rebuild (asserted "
+    "in tests/test_churn.py). Reproduce with: PYTHONPATH=src python "
+    "benchmarks/bench_resilience.py. Regenerated when hierarchies and "
+    "packings stopped rebuilding partially after an edit: built/reused "
+    "no longer count hierarchy levels, zooming parents or packing "
+    "levels (cold builds used to count one per level and per zooming "
+    "parent), and a hierarchy or packing that used to be promoted "
+    "after an edit is now built again, so it moved from reused to "
+    "built."
 )
 #: Why each fixture's edit repair reuses what it does (formatted with
 #: the fixture's ``edit`` record).

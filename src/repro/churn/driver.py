@@ -7,21 +7,19 @@ churn:
 1. routing tables stand as of the **round start** (built, or rebuilt
    incrementally, through one shared :class:`BuildContext`);
 2. a batch of edits *commits to the network* — the graph mutates, and
-   :meth:`BuildContext.apply_edit` repairs the cached metric rows,
-   stashes the net hierarchy and ball packings for partial rebuild and
-   drops the cached schemes (the tables the round serves are now
-   stale);
+   :meth:`BuildContext.apply_edit` splices the cached metric's dirty
+   rows and drops the cached hierarchy, ball packings and schemes (the
+   tables the round serves are now stale);
 3. during this **staleness window** the round's demands are routed by a
    :class:`~repro.resilience.router.ResilientRouter` over a
    :class:`~repro.resilience.degraded.DegradedNetwork` overlay that
    mirrors the committed edits, and the walks the router actually took
    are pushed through the store-and-forward simulator for queueing
    measurements;
-4. the tables are **repaired**: every scheme is built again through
-   the warm context, on the spliced metric and on a hierarchy and
-   packings that reuse every partition whose node dependencies dodge
-   the edits' dirty set.  Repair throughput is edits per second of
-   (apply + rebuild) time.
+4. the tables are **repaired**: the hierarchy, the packings and every
+   scheme are built cold through the warm context on the spliced
+   metric.  Repair throughput is edits per second of (apply + rebuild)
+   time.
 
 Overlay semantics (what the stale world can and cannot see): weight
 changes become ``WEIGHT_SCALE`` factors against the stale weight, edge
@@ -56,6 +54,7 @@ from repro.pipeline.context import BuildContext, EditReport
 from repro.pipeline.sampling import sample_ordered_pairs
 from repro.resilience.degraded import DegradedNetwork
 from repro.resilience.failure_plan import EventKind, FailureEvent, edge_key
+from repro.resilience.repair import _counter_delta
 from repro.resilience.router import FallbackPolicy, ResilientRouter
 from repro.runtime.simulator import TrafficSimulator, uniform_demands
 from repro.schemes.base import RoutingScheme
@@ -72,7 +71,9 @@ class ChurnRoundRecord:
     index: int
     #: Per-edit cache-surgery reports, in commit order.
     edits: List[EditReport]
-    #: Artifact partitions constructed / reused during the rebuild.
+    #: Artifacts constructed / served from the context cache during the
+    #: rebuild, per kind (the spliced metric is the one reused across
+    #: the edits; the row splice itself is in ``edits``).
     built: Dict[str, int]
     reused: Dict[str, int]
     apply_seconds: float
@@ -489,16 +490,6 @@ class ChurnDriver:
             final_nodes=self._graph.number_of_nodes(),
             repair_traces=traces,
         )
-
-
-def _counter_delta(
-    before: Dict[str, int], after: Dict[str, int]
-) -> Dict[str, int]:
-    return {
-        kind: after.get(kind, 0) - before.get(kind, 0)
-        for kind in set(before) | set(after)
-        if after.get(kind, 0) - before.get(kind, 0)
-    }
 
 
 def _finite(x: float) -> bool:

@@ -5,9 +5,8 @@ graph — a weight change, an edge addition or removal, or a node joining
 or leaving.  Edits are the currency of the incremental-maintenance
 pipeline (`BuildContext.apply_edit`): each edit induces a *dirty set* of
 nodes whose shortest-path rows may change.  The metric splices only
-those rows, the net hierarchy and the ball packings reuse the parts
-whose dependencies avoid the dirty set, and every scheme is built
-again on the repaired substrates.
+those rows, and the net hierarchy, the ball packings and every scheme
+are built cold on the spliced metric.
 
 Edits are deliberately dumb data: validation happens here, dirty-set
 computation lives in :class:`~repro.metric.graph_metric.GraphMetric`,

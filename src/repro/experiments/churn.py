@@ -5,9 +5,8 @@ stream on the same starting topology (grid 8x8) while packets keep
 flowing: edits commit in batches, the round's demands are routed with
 **stale** tables under a fallback policy, then the tables are repaired
 incrementally through the warm :class:`BuildContext` — the metric
-splices the edits' dirty rows, the net hierarchy and packings rebuild
-only the partitions that intersect the dirty set, and each scheme is
-built again on them.  Reported per cell: delivery rate and stretch
+splices the edits' dirty rows, and the net hierarchy, the packings and
+each scheme are built cold on the spliced metric.  Reported per cell: delivery rate and stretch
 inside the staleness windows, and the built/reused artifact totals that
 make the incremental saving auditable.  Repair throughput (edits per
 second of apply + rebuild time) is wall clock, so the table leaves it
@@ -165,9 +164,8 @@ def run(
             "scheme/policy columns are a paired comparison",
             "node joins/leaves force a full rebuild of that round "
             "(the node set changed); weight/edge edits splice the dirty "
-            "metric rows and rebuild only the hierarchy and packing "
-            "partitions intersecting the dirty set, and every scheme is "
-            "built again on them",
+            "metric rows, and the hierarchy, packings and every scheme "
+            "are built cold on the spliced metric",
         ],
     )
 

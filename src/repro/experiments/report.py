@@ -314,10 +314,9 @@ def generate(
         "flowing: each batch of 10 edits commits, the round's demands\n"
         "route against the now-stale tables under a fallback policy,\n"
         "then the tables are repaired *incrementally* through the warm\n"
-        "BuildContext — the metric splices the dirty rows, the net\n"
-        "hierarchy and packings rebuild only the partitions whose node\n"
-        "dependencies intersect the edits' dirty set, and every scheme\n"
-        "is built again on them:\n\n"
+        "BuildContext — the metric splices the edits' dirty rows, and\n"
+        "the net hierarchy, the packings and every scheme are built\n"
+        "cold on the spliced metric:\n\n"
         + _block(e17) +
         "\n**Reading:** the delivery/stretch columns show what\n"
         "staleness costs between repairs: fail-fast loses packets\n"

@@ -187,11 +187,11 @@ def run_repair(
       honest dirty set is empty and *everything* is a cache hit.  This
       is the best case, not the typical one.
     * ``edit`` — a real single-edge weight change; the dirty node set is
-      computed from the edit, the incremental rebuild reconstructs
-      exactly the substrate partitions (metric rows, hierarchy levels,
-      zooming parents) that intersect it, and every scheme is built
-      again on them.  Built/reused counts are reported against that
-      dirty set — the honest churn-repair figure.
+      computed from the edit, the incremental rebuild re-solves exactly
+      the metric rows in it, and the hierarchy, the packings and every
+      scheme are built cold on the spliced metric.  Built/reused counts
+      are reported against that dirty set — the honest churn-repair
+      figure.
     """
     params = SchemeParameters(epsilon=epsilon)
     if suite is None:
@@ -246,10 +246,10 @@ def run_repair(
             "recover = link failed and came back: content hash unchanged, "
             "dirty set empty, every substrate a cache hit (best case)",
             "edit = single-edge weight change: built/reused counts are "
-            "honest against the edit's dirty node set — only metric rows "
-            "and hierarchy partitions intersecting it are rebuilt, every "
-            "scheme is built again on them, and the result is "
-            "bit-identical to a cold build (asserted in "
+            "honest against the edit's dirty node set — only its metric "
+            "rows are re-solved, the hierarchy, packings and every "
+            "scheme are built cold on the spliced metric, and the result "
+            "is bit-identical to a cold build (asserted in "
             "tests/test_churn.py)",
             "timing rows are wall-clock and vary run to run; the "
             "built/reused artifact counts are deterministic",

@@ -16,7 +16,7 @@ This implements paper §2 verbatim:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.types import NodeId, PreprocessingError
 from repro.metric.graph_metric import DISTANCE_SLACK, GraphMetric
@@ -46,15 +46,6 @@ class NetHierarchy:
         # _parent[i][x] for x in Y_{i-1}: nearest node of Y_i (ties by id).
         self._parent: List[Dict[NodeId, NodeId]] = self._build_parents()
         self._labels, self._ranges = self._build_netting_tree()
-        #: Partition accounting for BuildStats.fold: {kind: (reused,
-        #: built)}.  A cold build constructs every partition.
-        self.build_report: Dict[str, Tuple[int, int]] = {
-            "hierarchy_level": (0, self._top),
-            "zoom_parent": (
-                0,
-                sum(len(self._nets[i - 1]) for i in range(1, self._top + 1)),
-            ),
-        }
 
     # ------------------------------------------------------------------
     # Construction
@@ -75,10 +66,20 @@ class NetHierarchy:
         return nets
 
     def _build_parents(self) -> List[Dict[NodeId, NodeId]]:
-        return [dict()] + [
-            _nearest_parents(self._metric, self._nets, i, self._nets[i - 1])
-            for i in range(1, self._top + 1)
-        ]
+        """Each ``x ∈ Y_{i-1}``'s nearest point of ``Y_i``, ties within
+        slack by least id.
+
+        ``Y_i`` covers V at radius ``2^i``, so the nearest net point lies
+        within ``2^i`` of every member — a tight first search limit.
+        """
+        parents: List[Dict[NodeId, NodeId]] = [dict()]
+        for i in range(1, self._top + 1):
+            members = self._nets[i - 1]
+            found = self._metric.nearest_many(
+                members, self._nets[i], tol=DISTANCE_SLACK, hint=float(2**i)
+            )
+            parents.append(dict(zip(members, found.tolist())))
+        return parents
 
     def _build_netting_tree(
         self,
@@ -124,110 +125,18 @@ class NetHierarchy:
             )
         return labels, ranges
 
-    # ------------------------------------------------------------------
-    # Incremental rebuild (churn pipeline)
-    # ------------------------------------------------------------------
-
-    def level_dependencies(self, i: int) -> FrozenSet[NodeId]:
-        """Nodes whose metric rows level ``i``'s net was derived from.
-
-        Greedy net construction reads only the distance rows of the
-        accumulated members (the ``mindist`` array in ``greedy_rnet`` is
-        a running minimum over member rows), so a net level replays
-        identically whenever those rows are clean and the seed level is
-        unchanged.
-        """
-        return frozenset(self._nets[i])
-
     @classmethod
     def rebuilt(
-        cls,
-        metric: GraphMetric,
-        previous: "NetHierarchy",
-        dirty: FrozenSet[NodeId],
-        root: Optional[NodeId] = None,
+        cls, metric: GraphMetric, root: Optional[NodeId] = None
     ) -> "NetHierarchy":
-        """Rebuild ``previous`` against an edited metric, level by level.
+        """A cold build, ``cls(metric, root=root)``.
 
-        ``dirty`` is the set of nodes whose distance rows may differ
-        between ``previous.metric`` and ``metric``.  A net level is
-        reused when its seed is unchanged and none of its members is
-        dirty (see :meth:`level_dependencies`); zooming parents are
-        recomputed only for dirty nodes or changed nets.  If every net
-        and every parent comes out equal, ``previous`` itself is
-        returned, rebased onto the new metric — the promotion that lets
-        downstream schemes skip their own rebuilds.
+        Nothing in the library calls it.  The name stays only because
+        every perfbench pass resolves each entry point listed in
+        ``perfbench/tracing.py`` with ``inspect.getattr_static``, so a
+        missing one fails every benchmark run.
         """
-        root = 0 if root is None else root
-        top = max(metric.log_diameter, 1 if metric.n > 1 else 0)
-        if (
-            metric.n != previous._metric.n
-            or top != previous._top
-            or root != previous._root
-        ):
-            return cls(metric, root=root)
-
-        nets: List[List[NodeId]] = [[] for _ in range(top + 1)]
-        nets[top] = [root]
-        levels_reused = levels_built = 0
-        for i in range(top - 1, -1, -1):
-            seed_same = nets[i + 1] == previous._nets[i + 1]
-            # Y_0 = V holds for any normalized metric independent of the
-            # distance rows, so level 0 only needs its seed unchanged.
-            members_clean = i == 0 or not (dirty & previous._net_sets[i])
-            if seed_same and members_clean:
-                nets[i] = previous._nets[i]
-                levels_reused += 1
-            else:
-                nets[i] = greedy_rnet(metric, float(2**i), seed=nets[i + 1])
-                levels_built += 1
-        if len(nets[0]) != metric.n:
-            raise PreprocessingError(
-                "Y_0 != V: minimum distance below 1 — was the metric "
-                "normalized?"
-            )
-
-        nets_same = [nets[i] == previous._nets[i] for i in range(top + 1)]
-        parents: List[Dict[NodeId, NodeId]] = [dict()]
-        parents_reused = parents_built = 0
-        for i in range(1, top + 1):
-            reusable_level = nets_same[i] and nets_same[i - 1]
-            level_parent = dict(previous._parent[i]) if reusable_level else {}
-            stale = [x for x in nets[i - 1] if x in dirty or not reusable_level]
-            level_parent.update(_nearest_parents(metric, nets, i, stale))
-            parents.append(level_parent)
-            parents_built += len(stale)
-            parents_reused += len(nets[i - 1]) - len(stale)
-
-        report = {
-            "hierarchy_level": (levels_reused, levels_built),
-            "zoom_parent": (parents_reused, parents_built),
-        }
-        if all(nets_same) and parents == previous._parent:
-            # Bit-identical structure: promote the stashed hierarchy,
-            # rebased so its readers see post-edit distances.
-            previous._metric = metric
-            previous.build_report = report
-            return previous
-
-        fresh = object.__new__(cls)
-        fresh._metric = metric
-        fresh._root = root
-        fresh._top = top
-        fresh._nets = [
-            previous._nets[i] if nets[i] == previous._nets[i] else nets[i]
-            for i in range(top + 1)
-        ]
-        fresh._net_sets = [
-            previous._net_sets[i]
-            if fresh._nets[i] is previous._nets[i]
-            else set(fresh._nets[i])
-            for i in range(top + 1)
-        ]
-        fresh._parent = parents
-        fresh._labels, fresh._ranges = fresh._build_netting_tree()
-        fresh.build_report = report
-        return fresh
+        return cls(metric, root=root)
 
     # ------------------------------------------------------------------
     # Net access
@@ -335,21 +244,3 @@ class NetHierarchy:
     def __repr__(self) -> str:
         sizes = [len(net) for net in self._nets]
         return f"NetHierarchy(top={self._top}, net_sizes={sizes})"
-
-
-def _nearest_parents(
-    metric: GraphMetric,
-    nets: List[List[NodeId]],
-    i: int,
-    members: List[NodeId],
-) -> Dict[NodeId, NodeId]:
-    """Zooming parents of ``members`` (a subset of ``Y_{i-1}``): each
-    one's nearest point of ``Y_i``, ties within slack by least id.
-
-    ``Y_i`` covers V at radius ``2^i``, so the nearest net point lies
-    within ``2^i`` of every member — a tight first search limit.
-    """
-    found = metric.nearest_many(
-        members, nets[i], tol=DISTANCE_SLACK, hint=float(2**i)
-    )
-    return dict(zip(members, found.tolist()))

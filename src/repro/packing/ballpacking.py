@@ -22,9 +22,6 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from repro.core.types import NodeId
 from repro.metric.graph_metric import GraphMetric
 
-#: Stats key folded into BuildStats: one partition per packing level.
-_REPORT_KIND = "packing_level"
-
 
 @dataclasses.dataclass(frozen=True)
 class PackedBall:
@@ -74,32 +71,17 @@ class BallPacking:
                 for v in ball.members:
                     index[v] = ball
             self._containing.append(index)
-        #: Partition accounting for BuildStats.fold (see BuildContext).
-        self.build_report: Dict[str, Tuple[int, int]] = {
-            _REPORT_KIND: (0, self._levels + 1)
-        }
 
     @classmethod
-    def rebuilt(
-        cls, metric: GraphMetric, previous: "BallPacking"
-    ) -> "BallPacking":
-        """Rebuild against an edited metric, promoting if unchanged.
+    def rebuilt(cls, metric: GraphMetric) -> "BallPacking":
+        """A cold build, ``cls(metric)``.
 
-        Each packing level greedily scans *every* node's size-radius, so
-        its dependency set is all of ``V`` and a dirtied packing cannot
-        be patched — it is rebuilt in full.  But small edits usually
-        leave the greedy selection identical, and detecting that (plain
-        equality of the frozen ball records) lets the stashed object be
-        promoted, which keeps downstream identity checks cheap.
+        Nothing in the library calls it.  The name stays only because
+        every perfbench pass resolves each entry point listed in
+        ``perfbench/tracing.py`` with ``inspect.getattr_static``, so a
+        missing one fails every benchmark run.
         """
-        fresh = cls(metric)
-        if fresh._packings == previous._packings:
-            previous._metric = metric
-            # The levels *were* re-derived to prove equality; keep the
-            # honest built count, promotion only preserves identity.
-            previous.build_report = fresh.build_report
-            return previous
-        return fresh
+        return cls(metric)
 
     def _build_level(self, j: int) -> List[PackedBall]:
         metric = self._metric

@@ -75,7 +75,9 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: never rebuilt partially after an edit).
 #: v15: graph content keys are one SHA-256 over the canonical edge array
 #: (no XOR-aggregate key state).
-CACHE_FORMAT_VERSION = 15
+#: v16: hierarchies and packings carry no partition counts (they are
+#: never rebuilt partially after an edit).
+CACHE_FORMAT_VERSION = 16
 
 
 @dataclasses.dataclass
@@ -84,10 +86,9 @@ class BuildStats:
 
     Two granularities share these counters: whole artifacts ("metric",
     "hierarchy", "scheme", ...) recorded by the context's memoizer, and
-    the partitions inside the substrates ("metric_row",
-    "hierarchy_level", "zoom_parent", "packing_level") folded in by
-    their builders, so incremental rebuilds can be audited against the
-    dirty set of an edit rather than whole-graph cache hits.
+    the metric's rows ("metric_row") folded in by the metric builder and
+    the row splice, so an edit's repair can be audited against its dirty
+    set rather than whole-graph cache hits.
     """
 
     hits: Dict[str, int] = dataclasses.field(default_factory=dict)
@@ -192,11 +193,9 @@ class EditReport:
             over every cached metric of the graph.
         carried: Artifacts moved to the new key untouched, per kind
             (dependency set provably disjoint from ``dirty``).
-        stashed: Hierarchies and packings parked for partial rebuild on
-            next demand.
-        dropped: Artifacts discarded outright: on a full-rebuild edit
-            every one, otherwise the schemes and compiled tables (each
-            is built cold again on next demand).
+        dropped: Artifacts discarded outright: every one keyed to the
+            old graph but the carried ones (each is built cold again on
+            next demand).
         full_rebuild: Whether the edit dirtied everything (node
             join/leave, normalization-scale change, or no cached metric
             to diff against).
@@ -210,7 +209,6 @@ class EditReport:
     rows_rebuilt: int
     rows_reused: int
     carried: Dict[str, int]
-    stashed: Dict[str, int]
     dropped: Dict[str, int]
     full_rebuild: bool
     seconds: float
@@ -250,7 +248,6 @@ class EditReport:
         )
         for verb, counts in (
             ("carried", self.carried),
-            ("stashed", self.stashed),
             ("dropped", self.dropped),
         ):
             for kind in sorted(counts):
@@ -283,13 +280,6 @@ class BuildContext:
         self._metric_keys: "weakref.WeakKeyDictionary[GraphMetric, Tuple[str, float]]" = (
             weakref.WeakKeyDictionary()
         )
-        # Stash of pre-edit hierarchies and packings awaiting partial
-        # rebuild, keyed by their *post-edit* full key: full_key ->
-        # (artifact, dirty set accumulated over every edit since the
-        # artifact was built).
-        # Disjoint from _memory by construction (apply_edit moves
-        # entries out; builders move them back in, possibly promoted).
-        self._previous: Dict[Tuple, Tuple[Any, FrozenSet[NodeId]]] = {}
         # Cache key of every scheme this context built (weakly, like
         # _metric_keys); compiled() keys its tables off it.  Schemes it
         # cannot key get their tables memoized per instance instead.
@@ -325,9 +315,7 @@ class BuildContext:
 
     # -- generic memoization -------------------------------------------
 
-    def _get_or_build(
-        self, kind: str, key: Tuple, builder, previous: Any = None
-    ) -> Any:
+    def _get_or_build(self, kind: str, key: Tuple, builder) -> Any:
         full_key = (kind,) + key
         if full_key in self._memory:
             self.stats.record(kind, "hits")
@@ -339,14 +327,7 @@ class BuildContext:
             # up both under their own kind and inside the scheme's.
             with self.profile.timed("build", kind):
                 artifact = builder()
-            # A partial rebuild that proves its output identical to the
-            # stashed pre-edit artifact *promotes* it (returns the same
-            # object) — that is a reuse, not a construction.
-            promoted = previous is not None and artifact is previous
-            self.stats.record(kind, "hits" if promoted else "misses")
-            report = getattr(artifact, "build_report", None)
-            if report:
-                self.stats.fold(report)
+            self.stats.record(kind, "misses")
             self._disk_store(kind, full_key, artifact)
         else:
             self.stats.record(kind, "disk_hits")
@@ -438,42 +419,22 @@ class BuildContext:
     ) -> NetHierarchy:
         """The ``2^i``-net hierarchy of ``metric``, built once.
 
-        After an edit, a stashed pre-edit hierarchy is rebuilt level by
-        level: net levels whose members all have clean rows replay
-        identically and are reused; if every level and every zooming
-        parent survives, the stashed object itself is promoted.
+        After an edit it is built cold on the spliced metric: the edit
+        drops every hierarchy of the old graph.
         """
         key = (self.metric_key(metric), root)
-        prev = self._previous.pop(("hierarchy",) + key, None)
-
-        def build() -> NetHierarchy:
-            if prev is not None:
-                return NetHierarchy.rebuilt(metric, prev[0], prev[1], root=root)
-            return NetHierarchy(metric, root=root)
-
         return self._get_or_build(
-            "hierarchy", key, build, previous=None if prev is None else prev[0]
+            "hierarchy", key, lambda: NetHierarchy(metric, root=root)
         )
 
     def packing(self, metric: GraphMetric) -> BallPacking:
         """The Lemma 2.3 ball packings of ``metric``, built once.
 
-        Packings read every node's size-radius (their dependency set is
-        all of ``V``), so a dirtied packing is rebuilt in full — but an
-        unchanged result is detected and the stashed object promoted,
-        preserving identity for downstream reuse checks.
+        After an edit they are built cold on the spliced metric: the
+        edit drops every packing of the old graph.
         """
         key = (self.metric_key(metric),)
-        prev = self._previous.pop(("packing",) + key, None)
-
-        def build() -> BallPacking:
-            if prev is not None:
-                return BallPacking.rebuilt(metric, prev[0])
-            return BallPacking(metric)
-
-        return self._get_or_build(
-            "packing", key, build, previous=None if prev is None else prev[0]
-        )
+        return self._get_or_build("packing", key, lambda: BallPacking(metric))
 
     def pairs(
         self, metric: GraphMetric, count: int, seed: int = 0
@@ -503,8 +464,8 @@ class BuildContext:
         (``hierarchy=...``, ``underlying=...``) bypasses memoization of
         the scheme itself, but the substrates the class resolves through
         ``from_context`` are still shared.  After an edit the scheme is
-        built by its own constructor on the edited metric and on
-        substrates the context repaired (possibly promoted).
+        built by its own constructor on the spliced metric and on
+        substrates built cold on it.
         """
         if params is None:
             params = SchemeParameters()
@@ -560,11 +521,11 @@ class BuildContext:
         The graph is mutated in place and hashed before and after the
         edit (``old_key``, ``new_key``).  Every cached metric of the
         graph is repaired eagerly by splicing only the edit's dirty
-        rows; every other artifact keyed to the old content hash is
-        either *carried* (dependency set provably untouched —
-        evaluation pairs), *stashed* for partial rebuild on next demand
-        (hierarchies and packings), or *dropped* (schemes and compiled
-        tables, and everything on a full-rebuild edit).
+        rows, the one partial path; every other artifact keyed to the
+        old content hash is either *carried* (dependency set provably
+        untouched — evaluation pairs, unless the node set changed) or
+        *dropped* (hierarchies, packings, schemes and compiled tables,
+        each built cold on the spliced metric on next demand).
         Stale metrics handed out earlier keep a coherent pre-edit
         snapshot of the graph, which is what the staleness-window
         routing in :mod:`repro.churn` relies on.
@@ -615,7 +576,6 @@ class BuildContext:
             full_rebuild = True
 
         carried: Dict[str, int] = {}
-        stashed: Dict[str, int] = {}
         dropped: Dict[str, int] = {}
         stale_keys = [
             full_key
@@ -625,43 +585,15 @@ class BuildContext:
         for full_key in stale_keys:
             artifact = self._memory.pop(full_key)
             kind = full_key[0]
-            new_full_key = _rekey(full_key, old_key, new_key)
-            if kind == "pairs":
-                # Pair samples depend only on (n, count, seed) — carry
-                # unless the node set changed (then the key's n field is
-                # stale anyway and the entry would never be hit).
-                if not edit.changes_node_set:
-                    self._memory[new_full_key] = artifact
-                    carried[kind] = carried.get(kind, 0) + 1
-                    self.stats.record(kind, "hits")
-                else:
-                    dropped[kind] = dropped.get(kind, 0) + 1
-                continue
-            if full_rebuild or kind not in ("hierarchy", "packing"):
-                # Only the substrates rebuild partially; and when every
-                # partition is dirty a stash could never promote or
-                # reuse anything, so drop the artifact outright.
+            # Pair samples depend only on (n, count, seed) — carry
+            # unless the node set changed (then the key's n field is
+            # stale anyway and the entry would never be hit).
+            if kind == "pairs" and not edit.changes_node_set:
+                self._memory[_rekey(full_key, old_key, new_key)] = artifact
+                carried[kind] = carried.get(kind, 0) + 1
+                self.stats.record(kind, "hits")
+            else:
                 dropped[kind] = dropped.get(kind, 0) + 1
-                continue
-            self._previous[new_full_key] = (artifact, dirty)
-            stashed[kind] = stashed.get(kind, 0) + 1
-        # Artifacts stashed by an earlier edit and never rebuilt:
-        # re-key them and widen their accumulated dirty set.
-        stale_stash = [
-            full_key
-            for full_key in self._previous
-            if _mentions(full_key, old_key)
-        ]
-        for full_key in stale_stash:
-            artifact, accumulated = self._previous.pop(full_key)
-            if full_rebuild:
-                dropped[full_key[0]] = dropped.get(full_key[0], 0) + 1
-                continue
-            self._previous[_rekey(full_key, old_key, new_key)] = (
-                artifact,
-                accumulated | dirty,
-            )
-            stashed[full_key[0]] = stashed.get(full_key[0], 0) + 1
 
         return EditReport(
             edit=edit,
@@ -671,7 +603,6 @@ class BuildContext:
             rows_rebuilt=rows_rebuilt,
             rows_reused=rows_reused,
             carried=carried,
-            stashed=stashed,
             dropped=dropped,
             full_rebuild=full_rebuild,
             seconds=time.perf_counter() - start,
@@ -732,7 +663,6 @@ class BuildContext:
     def clear_memory(self) -> None:
         """Drop every in-memory artifact (disk entries are kept)."""
         self._memory.clear()
-        self._previous.clear()
         self._metric_keys.clear()
         self._scheme_keys.clear()
         self._instance_tables.clear()

@@ -21,7 +21,6 @@ assumed.
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import time
 from typing import Dict, List, Optional, Sequence, Tuple, Type
@@ -47,8 +46,9 @@ class RepairMeasurement:
     reused: Dict[str, int]
     #: The rebuilt schemes — populated only when the measurement was
     #: taken with ``keep_schemes=True``.  Retention is opt-in because a
-    #: scheme pins its full APSP matrix; sweeping measurements that only
-    #: read the counters were holding every rebuilt trio alive.
+    #: scheme pins its metric's row store, substrates and tables;
+    #: sweeping measurements that only read the counters were holding
+    #: every rebuilt trio alive.
     schemes: List[RoutingScheme] = dataclasses.field(default_factory=list)
 
     @property
@@ -80,7 +80,7 @@ def surviving_graph(degraded: DegradedNetwork) -> nx.Graph:
 
 def _snapshot(context: BuildContext) -> Tuple[Dict[str, int], Dict[str, int]]:
     return (
-        copy.deepcopy(context.stats.misses),
+        dict(context.stats.misses),
         {
             kind: context.stats.hits.get(kind, 0)
             + context.stats.disk_hits.get(kind, 0)
@@ -90,9 +90,10 @@ def _snapshot(context: BuildContext) -> Tuple[Dict[str, int], Dict[str, int]]:
     )
 
 
-def _delta(
+def _counter_delta(
     before: Dict[str, int], after: Dict[str, int]
 ) -> Dict[str, int]:
+    """Per-kind growth of a counter, omitting kinds that did not move."""
     return {
         kind: after.get(kind, 0) - before.get(kind, 0)
         for kind in set(before) | set(after)
@@ -128,8 +129,8 @@ def rebuild_through_context(
     return RepairMeasurement(
         label=label,
         seconds=seconds,
-        built=_delta(built_before, built_after),
-        reused=_delta(reused_before, reused_after),
+        built=_counter_delta(built_before, built_after),
+        reused=_counter_delta(reused_before, reused_after),
         schemes=schemes if keep_schemes else [],
     )
 
@@ -151,9 +152,9 @@ def measure_repair(
     Note the topology here is *content-identical* to what the warm
     context already built (fail-and-fully-recover), so the incremental
     path is pure cache hits.  For the cost of repairing after a real
-    edit — where only the substrate partitions intersecting the edit's
-    dirty set are rebuilt, and every scheme — see
-    :func:`measure_edit_repair`.
+    edit — where only the metric rows in the edit's dirty set are
+    re-solved, and the hierarchy, packings and every scheme are built
+    cold on them — see :func:`measure_edit_repair`.
     """
     if warm_context is None:
         warm_context = BuildContext()
@@ -193,11 +194,11 @@ def measure_edit_repair(
     context sees an unchanged content hash and reuses everything), this
     applies ``edit`` through :meth:`BuildContext.apply_edit` — the graph
     genuinely changes, the edit's dirty node set is computed, the
-    incremental rebuild reconstructs only the metric rows and hierarchy
-    partitions that intersect it, and every scheme is built again on
-    the repaired substrates.  The honest comparison for churn repair
-    cost: built-vs-reused counts are reported against the dirty set,
-    not against a topology that never really changed.
+    incremental rebuild re-solves only the metric rows in it, and the
+    hierarchy, the packings and every scheme are built cold on the
+    spliced metric.  The honest comparison for churn repair cost:
+    built-vs-reused counts are reported against the dirty set, not
+    against a topology that never really changed.
 
     ``graph`` is mutated in place (it carries the edit afterwards).
     Returns ``(cold, incremental, edit_report)`` where both rebuilds

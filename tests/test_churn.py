@@ -245,21 +245,24 @@ class TestEditRepairAcceptance:
                 assert abs(a.cost - b.cost) <= DISTANCE_SLACK
 
     def test_weight_edit_reuses_untouched_partitions(self):
-        """Regression: a single weight change used to rebuild every
-        hierarchy; now hierarchy levels and zooming parents disjoint
-        from the dirty set carry."""
+        """A single weight change splices only the dirty metric rows.
+        The spliced metric and its clean rows are all the repair carries
+        over the edit; everything else is built and shared exactly as in
+        a cold build (the schemes share one hierarchy in both)."""
         suite = dict(standard_suite("small"))
         graph = suite["geometric n=64"].copy()
-        _, incremental, report = measure_edit_repair(
+        cold, incremental, report = measure_edit_repair(
             graph, repair_edit_for(graph), SCHEMES, PARAMS
         )
-        assert len(report.dirty) < graph.number_of_nodes()
-        assert incremental.reused_total > 0
-        reused_kinds = set(incremental.reused) - {"metric_row"}
-        assert reused_kinds, (
-            "only metric rows were reused — hierarchy partitions all "
-            f"rebuilt: {incremental.built}"
-        )
+        n, dirty = graph.number_of_nodes(), len(report.dirty)
+        assert 0 < dirty < n
+        assert incremental.reused == {
+            **cold.reused, "metric": 1, "metric_row": n - dirty
+        }
+        assert incremental.built == {
+            **{kind: count for kind, count in cold.built.items() if kind != "metric"},
+            "metric_row": dirty,
+        }
 
     def test_lazy_metric_past_the_dense_switch_routes_identically(self):
         """Warm = cold where the metric fills lazily (n > 512).  A lazy
@@ -282,9 +285,10 @@ class TestEditRepairAcceptance:
             assert a.path == b.path
             assert abs(a.cost - b.cost) <= DISTANCE_SLACK
 
-    def test_weight_edit_stashes_only_substrates(self):
-        """Schemes and their compiled tables are dropped at an edit, so
-        the pre-edit tables die with the caller's last reference."""
+    def test_weight_edit_drops_every_derived_artifact(self):
+        """Substrates, schemes and their compiled tables are all dropped
+        at an edit, so the pre-edit tables die with the caller's last
+        reference."""
         graph = random_geometric(64, seed=11)
         context = BuildContext()
         metric = context.metric(graph)
@@ -295,13 +299,46 @@ class TestEditRepairAcceptance:
         ]
         report = context.apply_edit(graph, repair_edit_for(graph))
         assert not report.full_rebuild
-        assert set(report.stashed) == {"hierarchy", "packing"}
-        assert {"scheme", "engine"} <= set(report.dropped)
+        assert {"hierarchy", "packing", "scheme", "engine"} <= set(report.dropped)
         metric = context.metric(graph)
         for cls in classes:
             context.compiled(context.scheme(cls, metric, PARAMS))
         gc.collect()
         assert [ref() for ref in old_tables] == [None, None]
+
+    def test_weight_edit_leaves_stale_substrates_on_their_metric(self):
+        """The stale scheme's hierarchy and packing keep answering from
+        its own (pre-edit) metric, so staleness-window routing never
+        mixes two metrics; the repair builds new ones on the spliced
+        metric, equal to a cold build's."""
+        graph = random_geometric(128, seed=11)
+        context = BuildContext()
+        cls = ScaleFreeNameIndependentScheme
+        before = context.scheme(cls, context.metric(graph), PARAMS)
+        report = context.apply_edit(graph, repair_edit_for(graph))
+        assert not report.full_rebuild
+        after = context.scheme(cls, context.metric(graph), PARAMS)
+
+        assert before.hierarchy.metric is before.metric
+        assert before.packing.metric is before.metric
+        assert after.hierarchy is not before.hierarchy
+        assert after.packing is not before.packing
+        assert after.hierarchy.metric is after.metric
+        assert after.packing.metric is after.metric
+
+        cold = cls(GraphMetric(graph.copy()), PARAMS)
+        warm_h, cold_h = after.hierarchy, cold.hierarchy
+        assert warm_h.top_level == cold_h.top_level
+        for i in cold_h.levels:
+            assert warm_h.net(i) == cold_h.net(i)
+        for i in range(1, cold_h.top_level + 1):
+            for x in cold_h.net(i - 1):
+                assert warm_h.parent(x, i) == cold_h.parent(x, i)
+        for v in cold.metric.nodes:
+            assert warm_h.label(v) == cold_h.label(v)
+        assert list(after.packing.levels) == list(cold.packing.levels)
+        for j in cold.packing.levels:
+            assert after.packing.packing(j) == cold.packing.packing(j)
 
 
 # -- schemes retention (opt-in) --------------------------------------------

@@ -124,8 +124,8 @@ def test_hit_is_the_first_covering_entry():
 
 
 def test_partial_rebuild_equals_a_cold_build():
-    """After edits the context promotes the stashed hierarchy, and the
-    ring table built on it equals one built from scratch."""
+    """After edits the ring table the context builds on the spliced
+    metric equals one built from scratch."""
     graph = random_geometric(128, seed=11)
     context = BuildContext()
     before = context.scheme(NonScaleFreeLabeledScheme, context.metric(graph), PARAMS)
@@ -138,7 +138,7 @@ def test_partial_rebuild_equals_a_cold_build():
         )
         assert not report.full_rebuild
     warm = context.scheme(NonScaleFreeLabeledScheme, context.metric(graph), PARAMS)
-    assert warm is not before and warm.hierarchy is before.hierarchy
+    assert warm is not before
     cold = NonScaleFreeLabeledScheme(GraphMetric(graph.copy()), PARAMS)
 
     for u in warm.metric.nodes:
