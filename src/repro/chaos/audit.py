@@ -21,7 +21,7 @@ routing-table basis worth guarding:
   API on purpose — that is what memory corruption does) and drops the
   node's derived caches so the corruption is *live*;
 * :func:`quarantine_and_repair` closes the loop: audit, quarantine the
-  corrupted nodes, re-fetch their rows through the churn repair path
+  corrupted nodes, re-solve their rows in place
   (:meth:`BuildContext.repair_rows` row splicing), and re-audit;
 * :func:`verify_against_cold` is the ChurnVerificationError-style
   check: post-repair routes and table sizes must be bit-identical to a
@@ -161,9 +161,9 @@ def quarantine_and_repair(
     """Audit, quarantine corrupted nodes, and heal them by row splicing.
 
     Detection uses the sealed digests; every flagged node's row is
-    re-fetched from the graph through
-    :meth:`BuildContext.repair_rows` (the churn dirty-row splice path),
-    after which a re-audit must come back clean.  ``injected`` is the
+    re-solved from the graph through :meth:`BuildContext.repair_rows`
+    (:meth:`GraphMetric.splice_rows`, the per-row Dijkstra of a cold
+    build), after which a re-audit must come back clean.  ``injected`` is the
     ground truth (what the injector actually touched), kept on the
     report so callers can assert the detection rate.
     """

@@ -4,22 +4,22 @@
 load, round by round, the way a deployed routing service experiences
 churn:
 
-1. routing tables stand as of the **round start** (built, or rebuilt
-   incrementally, through one shared :class:`BuildContext`);
+1. routing tables stand as of the **round start** (built, or rebuilt,
+   through one shared :class:`BuildContext`);
 2. a batch of edits *commits to the network* — the graph mutates, and
-   :meth:`BuildContext.apply_edit` splices the cached metric's dirty
-   rows and drops the cached hierarchy, ball packings and schemes (the
-   tables the round serves are now stale);
+   :meth:`BuildContext.apply_edit` drops the cached metric, hierarchy,
+   ball packings and schemes (the tables the round serves are now
+   stale; they keep their pre-edit metric);
 3. during this **staleness window** the round's demands are routed by a
    :class:`~repro.resilience.router.ResilientRouter` over a
    :class:`~repro.resilience.degraded.DegradedNetwork` overlay that
    mirrors the committed edits, and the walks the router actually took
    are pushed through the store-and-forward simulator for queueing
    measurements;
-4. the tables are **repaired**: the hierarchy, the packings and every
-   scheme are built cold through the warm context on the spliced
-   metric.  Repair throughput is edits per second of (apply + rebuild)
-   time.
+4. the tables are **repaired**: the metric, the hierarchy, the
+   packings and every scheme are built cold through the warm context,
+   once per round however many edits it committed.  Repair throughput
+   is edits per second of (apply + rebuild) time.
 
 Overlay semantics (what the stale world can and cannot see): weight
 changes become ``WEIGHT_SCALE`` factors against the stale weight, edge
@@ -30,11 +30,10 @@ are invisible until the next rebuild — stale tables have no entries for
 them, exactly as in a real network where new capacity is unusable until
 routing state converges.
 
-Optionally every ``verify_every`` rounds the incrementally maintained
-scheme is checked **bit-identical** to a cold rebuild of the current
-graph (routing paths, costs, and the per-node ``table_bits_vector``);
-any divergence raises — incremental maintenance is only worth having if
-it is provably exact.
+Optionally every ``verify_every`` rounds the repaired scheme is
+checked **bit-identical** to a cold rebuild of the current graph (every
+routed :class:`~repro.core.types.RouteResult` compared with ``==``,
+and the per-node ``table_bits_vector``); any divergence raises.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ import networkx as nx
 from repro.core.edits import EditKind, GraphEdit
 from repro.core.params import SchemeParameters
 from repro.core.types import NodeId, PreprocessingError
-from repro.metric.graph_metric import DISTANCE_SLACK
-from repro.observability.trace import RouteTrace
 from repro.pipeline.context import BuildContext, EditReport
 from repro.pipeline.sampling import sample_ordered_pairs
 from repro.resilience.degraded import DegradedNetwork
@@ -61,7 +58,7 @@ from repro.schemes.base import RoutingScheme
 
 
 class ChurnVerificationError(PreprocessingError):
-    """Incremental state diverged from a cold rebuild (a pipeline bug)."""
+    """Repaired state diverged from a cold rebuild (a pipeline bug)."""
 
 
 @dataclasses.dataclass
@@ -72,8 +69,7 @@ class ChurnRoundRecord:
     #: Per-edit cache-surgery reports, in commit order.
     edits: List[EditReport]
     #: Artifacts constructed / served from the context cache during the
-    #: rebuild, per kind (the spliced metric is the one reused across
-    #: the edits; the row splice itself is in ``edits``).
+    #: rebuild, per kind.
     built: Dict[str, int]
     reused: Dict[str, int]
     apply_seconds: float
@@ -96,14 +92,6 @@ class ChurnRoundRecord:
     @property
     def edit_count(self) -> int:
         return len(self.edits)
-
-    @property
-    def dirty_rows(self) -> int:
-        return sum(len(r.dirty) for r in self.edits)
-
-    @property
-    def full_rebuilds(self) -> int:
-        return sum(1 for r in self.edits if r.full_rebuild)
 
     @property
     def repair_seconds(self) -> float:
@@ -135,8 +123,6 @@ class ChurnRoundRecord:
             "round": self.index,
             "edits": self.edit_count,
             "edit_kinds": self.edit_kinds(),
-            "dirty_rows": self.dirty_rows,
-            "full_rebuilds": self.full_rebuilds,
             "built": dict(sorted(self.built.items())),
             "reused": dict(sorted(self.reused.items())),
             "apply_seconds": round(self.apply_seconds, 6),
@@ -165,8 +151,6 @@ class ChurnReport:
     rounds: List[ChurnRoundRecord]
     initial_nodes: int
     final_nodes: int
-    #: Repair traces of every committed edit (``trace_repairs=True``).
-    repair_traces: List[RouteTrace] = dataclasses.field(default_factory=list)
 
     @property
     def total_edits(self) -> int:
@@ -226,7 +210,7 @@ class ChurnDriver:
         scheme_cls: Scheme under maintenance.
         policy: Fallback policy for the staleness windows.
         params: Scheme parameters.
-        context: Warm :class:`BuildContext` (owns all incremental state);
+        context: Warm :class:`BuildContext` (owns all cached state);
             a fresh one is created when omitted.
         stream: Edit source; defaults to a
             :class:`~repro.churn.stream.EditStream` seeded with ``seed``
@@ -239,9 +223,6 @@ class ChurnDriver:
         verify_every: Cold-rebuild bit-identity check cadence in rounds
             (0 disables; the check is expensive — a full cold build).
         verify_pairs: Routed pairs per verification.
-        trace_repairs: Record an observability
-            :class:`~repro.observability.trace.RouteTrace` per edit
-            (phases ``repair`` / ``splice`` / ``carry``).
     """
 
     def __init__(
@@ -258,7 +239,6 @@ class ChurnDriver:
         demand_rate: float = 1.0,
         verify_every: int = 0,
         verify_pairs: int = 40,
-        trace_repairs: bool = False,
     ) -> None:
         if edits_per_round < 1:
             raise ValueError("edits_per_round must be >= 1")
@@ -282,7 +262,6 @@ class ChurnDriver:
         self._demand_rate = demand_rate
         self._verify_every = verify_every
         self._verify_pairs = verify_pairs
-        self._trace_repairs = trace_repairs
 
     @property
     def context(self) -> BuildContext:
@@ -355,7 +334,7 @@ class ChurnDriver:
         )
         if warm_scheme.table_bits_vector() != cold.table_bits_vector():
             raise ChurnVerificationError(
-                "incremental table_bits_vector diverged from cold rebuild"
+                "repaired table_bits_vector diverged from cold rebuild"
             )
         n = cold_metric.n
         pairs = sample_ordered_pairs(
@@ -364,10 +343,10 @@ class ChurnDriver:
         for u, v in pairs:
             warm = warm_scheme.route(u, v)
             ref = cold.route(u, v)
-            if warm.path != ref.path or abs(warm.cost - ref.cost) > DISTANCE_SLACK:
+            if warm != ref:
                 raise ChurnVerificationError(
-                    f"incremental route {u}->{v} diverged from cold "
-                    f"rebuild: {warm.path} != {ref.path}"
+                    f"repaired route {u}->{v} diverged from cold "
+                    f"rebuild: {warm} != {ref}"
                 )
         return True
 
@@ -385,7 +364,6 @@ class ChurnDriver:
         scheme = context.scheme(self._scheme_cls, metric, self._params)
 
         rounds: List[ChurnRoundRecord] = []
-        traces: List[RouteTrace] = []
         committed = 0
         index = 0
         while committed < edits:
@@ -407,8 +385,6 @@ class ChurnDriver:
                     edit, stale_metric.graph, factors
                 ):
                     degraded.apply(event)
-                if self._trace_repairs:
-                    traces.append(report.to_trace())
 
             # -- staleness window: route + load ------------------------
             demands = uniform_demands(
@@ -425,7 +401,7 @@ class ChurnDriver:
                 demands, paths=[r.path for r in results]
             )
 
-            # -- repair: incremental rebuild through the warm context --
+            # -- repair: rebuild through the warm context -------------
             built_before = dict(context.stats.misses)
             reused_before = dict(context.stats.hits)
             start = time.perf_counter()
@@ -488,7 +464,6 @@ class ChurnDriver:
             rounds=rounds,
             initial_nodes=initial_nodes,
             final_nodes=self._graph.number_of_nodes(),
-            repair_traces=traces,
         )
 
 

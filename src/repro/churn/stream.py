@@ -8,15 +8,14 @@ materialized up front.  Determinism instead comes from the seed: the
 same seed against the same evolving graph produces the same edit
 sequence bit for bit, which is what lets churn experiments replay.
 
-Two invariants shape the sampler, both in service of *measurable
-incrementality* (none is needed for correctness — the pipeline falls
-back to a cold rebuild when they break):
+Two invariants shape the sampler:
 
 * **Scale preservation.**  New and changed weights are drawn from
   ``[min_w, weight_span * min_w]`` and the unique minimum-weight edge is
   never reweighted or removed, so a normalized metric's scale divisor
-  survives every edit.  A scale change would dirty every distance in the
-  matrix at once and turn the edit into a de-facto full rebuild.
+  survives every edit.  Every repair is a cold build, so correctness
+  does not need this; it stays so that a seed keeps drawing the same
+  stream, edit for edit.
 * **Connectivity.**  Removals skip bridges and a node only leaves when
   the remainder stays connected; the metric (and the paper's schemes)
   require a connected network.

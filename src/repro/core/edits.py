@@ -2,15 +2,13 @@
 
 A :class:`GraphEdit` describes one change to a weighted undirected
 graph — a weight change, an edge addition or removal, or a node joining
-or leaving.  Edits are the currency of the incremental-maintenance
-pipeline (`BuildContext.apply_edit`): each edit induces a *dirty set* of
-nodes whose shortest-path rows may change.  The metric splices only
-those rows, and the net hierarchy, the ball packings and every scheme
-are built cold on the spliced metric.
+or leaving.  Edits are the currency of the churn pipeline
+(`BuildContext.apply_edit`): each edit changes the graph's content key,
+so the cached metric and everything built on it are dropped and built
+cold on next demand.
 
-Edits are deliberately dumb data: validation happens here, dirty-set
-computation lives in :class:`~repro.metric.graph_metric.GraphMetric`,
-and cache surgery in :class:`~repro.pipeline.context.BuildContext`.
+Edits are deliberately dumb data: validation happens here, and cache
+invalidation in :class:`~repro.pipeline.context.BuildContext`.
 Weights are *raw* (pre-normalization) weights, matching what is stored
 on the graph.
 """
@@ -88,7 +86,7 @@ class GraphEdit:
         return self.kind in (EditKind.NODE_JOIN, EditKind.NODE_LEAVE)
 
     def describe(self) -> str:
-        """One-line human-readable form (used in repair traces)."""
+        """One-line human-readable form."""
         if self.kind is EditKind.WEIGHT:
             return f"weight{self.edge} <- {self.weight:g}"
         if self.kind is EditKind.EDGE_ADD:
@@ -105,8 +103,8 @@ def apply_edit_to_graph(graph: nx.Graph, edit: GraphEdit) -> None:
 
     Callers that keep derived state (cached metrics and what was built
     on them) must route edits through :meth:`BuildContext.apply_edit`
-    instead, which splices and re-keys those caches; this function is
-    the raw primitive underneath.  Content keys need nothing:
+    instead, which snapshots stale metrics' graphs and drops those
+    caches; this function is the raw primitive underneath.  Content keys need nothing:
     ``graph_content_key`` hashes the graph afresh on every call.
 
     Raises:

@@ -1,20 +1,21 @@
-"""E17 — churn: incremental maintenance under continuous edits and load.
+"""E17 — churn: maintenance under continuous edits and load.
 
 Each cell drives one scheme through the *same* deterministic edit
 stream on the same starting topology (grid 8x8) while packets keep
 flowing: edits commit in batches, the round's demands are routed with
 **stale** tables under a fallback policy, then the tables are repaired
-incrementally through the warm :class:`BuildContext` — the metric
-splices the edits' dirty rows, and the net hierarchy, the packings and
-each scheme are built cold on the spliced metric.  Reported per cell: delivery rate and stretch
-inside the staleness windows, and the built/reused artifact totals that
-make the incremental saving auditable.  Repair throughput (edits per
-second of apply + rebuild time) is wall clock, so the table leaves it
-out and every cell's rows are deterministic; ``BENCH_churn.json``
-records it.  Every ``VERIFY_EVERY``-th round the warm
-scheme is asserted bit-identical to a cold rebuild of the current graph;
-a divergence raises :class:`~repro.churn.driver.ChurnVerificationError`
-and fails the experiment.
+through the warm :class:`BuildContext`: every edit drops the cached
+metric and everything built on it, so each round builds the metric,
+the net hierarchy, the packings and the scheme cold, once.  Reported
+per cell: delivery rate and stretch inside the staleness windows, and
+the built/reused artifact totals of the repairs.  Repair throughput
+(edits per second of apply + rebuild time) is wall clock, so the table
+leaves it out and every cell's rows are deterministic;
+``BENCH_churn.json`` records it.  Every ``VERIFY_EVERY``-th round the
+warm scheme is asserted bit-identical to a cold rebuild of the current
+graph; a divergence raises
+:class:`~repro.churn.driver.ChurnVerificationError` and fails the
+experiment.
 
 Cells are independent (each owns a private warm context — that *is*
 the system under test) and fan out over ``--jobs`` processes.
@@ -104,8 +105,8 @@ def run(
     ``pair_count`` is spread over the staleness windows (~15 rounds at
     the default batch width), so the CLI's ``--pairs`` keeps its usual
     meaning of total routed demands.  No shared context parameter: each
-    cell must own its warm context, because the incremental state *is*
-    the subject of the experiment.
+    cell must own its warm context, because its cached state *is* the
+    subject of the experiment.
     """
     if suite is None:
         suite = [standard_suite("small")[0]]  # grid 8x8
@@ -162,10 +163,9 @@ def run(
             f"rebuild of the current graph (every {VERIFY_EVERY} rounds)",
             "every cell replays the identical seeded edit stream, so "
             "scheme/policy columns are a paired comparison",
-            "node joins/leaves force a full rebuild of that round "
-            "(the node set changed); weight/edge edits splice the dirty "
-            "metric rows, and the hierarchy, packings and every scheme "
-            "are built cold on the spliced metric",
+            "every edit drops the cached metric and everything built "
+            "on it, so each round's repair builds the metric, hierarchy, "
+            "packings and scheme cold, once",
         ],
     )
 

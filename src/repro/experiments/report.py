@@ -299,37 +299,36 @@ def generate(
         "own zooming structure.  Every packet terminates with a typed\n"
         "outcome (no hangs), and rebuilding after recovery through the\n"
         "warm BuildContext is orders of magnitude cheaper than a cold\n"
-        "build (artifact counts above; wall-clock in\n"
-        "BENCH_resilience.json).\n"
+        "build, because the recovered graph hashes to the key every\n"
+        "artifact was built under (artifact counts above; wall-clock in\n"
+        "BENCH_resilience.json).  A real edit keeps nothing but pair\n"
+        "samples, so its repair is a cold build (E17).\n"
     )
 
     e17 = churn_experiment.run(
         epsilon=0.5, pair_count=pair_count, edits=150, jobs=jobs
     )
     sections.append(
-        "## E17 — incremental maintenance under churn (beyond the "
-        "paper)\n\n"
+        "## E17 — table maintenance under churn (beyond the paper)\n\n"
         "A deterministic edit stream (60% weight changes, 24% link\n"
         "churn, 16% node churn) mutates the grid while packets keep\n"
         "flowing: each batch of 10 edits commits, the round's demands\n"
         "route against the now-stale tables under a fallback policy,\n"
-        "then the tables are repaired *incrementally* through the warm\n"
-        "BuildContext — the metric splices the edits' dirty rows, and\n"
-        "the net hierarchy, the packings and every scheme are built\n"
-        "cold on the spliced metric:\n\n"
+        "then the tables are repaired through the warm BuildContext:\n"
+        "every edit drops the cached metric and everything built on it,\n"
+        "so each round builds the metric, the net hierarchy, the\n"
+        "packings and the scheme cold, once:\n\n"
         + _block(e17) +
         "\n**Reading:** the delivery/stretch columns show what\n"
         "staleness costs between repairs: fail-fast loses packets\n"
         "at every changed link, while local-detour delivers nearly\n"
         "everything at modest extra stretch.  The `verified` column\n"
-        "counts rounds whose incrementally maintained tables were\n"
-        "asserted **bit-identical** (routes, costs, table bits) to a\n"
-        "cold rebuild of the current graph — incremental maintenance\n"
-        "is exact, not approximate.  Repair throughput is wall clock,\n"
-        "so it stays out of this table: the 500-edit service run with\n"
-        "per-round staleness-stretch vs repair-throughput curves is\n"
-        "recorded in BENCH_churn.json, and single-edit repair locality\n"
-        "is itemized in BENCH_resilience.json.\n"
+        "counts rounds whose repaired tables were asserted\n"
+        "**bit-identical** (every routed result, table bits) to a cold\n"
+        "rebuild of the current graph in a fresh context.  Repair\n"
+        "throughput is wall clock, so it stays out of this table: the\n"
+        "500-edit service run with per-round staleness-stretch vs\n"
+        "repair-throughput curves is recorded in BENCH_churn.json.\n"
     )
 
     e18 = chaos_experiment.run(

@@ -10,8 +10,8 @@ undelivered packet terminates as dropped / TTL-expired / loop-detected).
 
 A second table measures recovery cost: once the failed link comes back
 up, rebuilding the schemes *incrementally* through the shared
-:class:`BuildContext` (content-hash cache: unchanged substrates are
-reused) versus a cold from-scratch rebuild.
+:class:`BuildContext` (content-hash cache: the recovered graph's
+artifacts are all reused) versus a cold from-scratch rebuild.
 
 Cells are independent and fan out over ``--jobs`` processes; results
 are bit-identical to the serial run (ordered, seeded, no shared state).
@@ -23,18 +23,13 @@ from typing import List, Optional, Tuple
 
 import networkx as nx
 
-from repro.core.edits import EditKind, GraphEdit
 from repro.core.params import SchemeParameters
 from repro.experiments.harness import ExperimentTable, standard_suite
 from repro.pipeline.context import BuildContext
 from repro.pipeline.parallel import parallel_map
 from repro.resilience.degraded import DegradedNetwork
 from repro.resilience.failure_plan import FailurePlan
-from repro.resilience.repair import (
-    measure_edit_repair,
-    measure_repair,
-    rebuild_through_context,
-)
+from repro.resilience.repair import measure_repair, rebuild_through_context
 from repro.resilience.router import POLICIES, ResilientRouter
 from repro.schemes.nameind_scalefree import ScaleFreeNameIndependentScheme
 from repro.schemes.nameind_simple import SimpleNameIndependentScheme
@@ -145,34 +140,6 @@ def run(
     )
 
 
-def repair_edit_for(graph: nx.Graph) -> GraphEdit:
-    """The deterministic single-edge weight change E16 repairs after.
-
-    A maximum-weight edge is scaled by 1.5x — raising a non-minimum
-    weight never moves the normalization scale, so the repair stays
-    incremental (a scale change would dirty every row).  Ties (e.g.
-    unit-weight grids) are broken toward the *median* edge in
-    lexicographic order: a corner edge like (0, 1) would make every
-    node's distance to the corner change, turning a local edit into a
-    global one, while an interior edge only dirties the rows whose
-    shortest paths strictly need it.
-    """
-    edges = sorted(
-        (min(u, v), max(u, v)) for u, v in graph.edges()
-    )
-    max_w = max(
-        float(graph[u][v].get("weight", 1.0)) for u, v in edges
-    )
-    ties = [
-        e
-        for e in edges
-        if float(graph[e[0]][e[1]].get("weight", 1.0)) == max_w
-    ]
-    best = ties[len(ties) // 2]
-    old_w = float(graph[best[0]][best[1]].get("weight", 1.0))
-    return GraphEdit(kind=EditKind.WEIGHT, edge=best, weight=old_w * 1.5)
-
-
 def run_repair(
     epsilon: float = 0.5,
     suite: Optional[List[Tuple[str, nx.Graph]]] = None,
@@ -180,18 +147,12 @@ def run_repair(
 ) -> ExperimentTable:
     """Recovery cost: incremental rebuild (warm context) vs cold rebuild.
 
-    Two events per graph, because they answer different questions:
-
-    * ``recover`` — a link fails and comes back; the topology is
-      content-identical to what the warm context already built, so the
-      honest dirty set is empty and *everything* is a cache hit.  This
-      is the best case, not the typical one.
-    * ``edit`` — a real single-edge weight change; the dirty node set is
-      computed from the edit, the incremental rebuild re-solves exactly
-      the metric rows in it, and the hierarchy, the packings and every
-      scheme are built cold on the spliced metric.  Built/reused counts
-      are reported against that dirty set — the honest churn-repair
-      figure.
+    One ``recover`` event per graph: a link fails and comes back, so the
+    topology is content-identical to what the warm context already
+    built and *everything* is a cache hit.  This is the best case; after
+    a real edit :meth:`BuildContext.apply_edit` drops every artifact of
+    the old graph, so that repair is a cold build (E17 measures it under
+    churn).
     """
     params = SchemeParameters(epsilon=epsilon)
     if suite is None:
@@ -210,31 +171,22 @@ def run_repair(
             graph, classes, params, warm_context=context
         )
         rows.append(
-            _repair_row(graph_name, "recover", 0, graph, cold, incremental)
-        )
-        # The real-edit measurement runs on a private copy and a private
-        # warm context so the shared `context` keeps its pre-edit cache.
-        edited = graph.copy()
-        cold_e, incremental_e, edit_report = measure_edit_repair(
-            edited, repair_edit_for(edited), classes, params
-        )
-        rows.append(
-            _repair_row(
+            [
                 graph_name,
-                "edit",
-                len(edit_report.dirty),
-                edited,
-                cold_e,
-                incremental_e,
-            )
+                "recover",
+                round(cold.seconds, 4),
+                cold.built_total,
+                round(incremental.seconds, 4),
+                incremental.built_total,
+                incremental.reused_total,
+            ]
         )
     return ExperimentTable(
-        title="Recovery cost (E16): cold vs incremental rebuild, "
-        "after full recovery and after a real weight edit",
+        title="Recovery cost (E16): cold vs incremental rebuild "
+        "after full recovery",
         columns=[
             "graph",
             "event",
-            "dirty rows",
             "cold s",
             "cold built",
             "incr s",
@@ -244,37 +196,11 @@ def run_repair(
         rows=rows,
         notes=[
             "recover = link failed and came back: content hash unchanged, "
-            "dirty set empty, every substrate a cache hit (best case)",
-            "edit = single-edge weight change: built/reused counts are "
-            "honest against the edit's dirty node set — only its metric "
-            "rows are re-solved, the hierarchy, packings and every "
-            "scheme are built cold on the spliced metric, and the result "
-            "is bit-identical to a cold build (asserted in "
-            "tests/test_churn.py)",
+            "every substrate a cache hit (best case)",
             "timing rows are wall-clock and vary run to run; the "
             "built/reused artifact counts are deterministic",
         ],
     )
-
-
-def _repair_row(
-    graph_name: str,
-    event: str,
-    dirty_rows: int,
-    graph: nx.Graph,
-    cold,
-    incremental,
-) -> List[object]:
-    return [
-        graph_name,
-        event,
-        f"{dirty_rows}/{graph.number_of_nodes()}",
-        round(cold.seconds, 4),
-        cold.built_total,
-        round(incremental.seconds, 4),
-        incremental.built_total,
-        incremental.reused_total,
-    ]
 
 
 def main() -> None:

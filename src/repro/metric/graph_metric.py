@@ -43,7 +43,6 @@ import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.core.edits import EditKind, GraphEdit
 from repro.core.types import NodeId, PreprocessingError
 from repro.metric.substrate import (
     DEFAULT_ROW_BUDGET_BYTES,
@@ -179,7 +178,7 @@ class GraphMetric:
         return self._strategy.stats()
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (churn pipeline)
+    # Edits (churn pipeline)
     # ------------------------------------------------------------------
 
     def detach_graph(self) -> None:
@@ -191,99 +190,22 @@ class GraphMetric:
         """
         self._graph = self._graph.copy()
 
-    def _edit_weights(self, edit: GraphEdit) -> List[float]:
-        """Normalized edge weights whose relaxations the edit touches."""
-        u, v = edit.edge
-        weights: List[float] = []
-        if edit.kind in (EditKind.WEIGHT, EditKind.EDGE_REMOVE):
-            weights.append(
-                float(self._graph[u][v].get("weight", 1.0)) / self._scale
-            )
-        if edit.kind in (EditKind.WEIGHT, EditKind.EDGE_ADD):
-            weights.append(float(edit.weight) / self._scale)
-        return weights
+    def updated(self, post_graph: nx.Graph) -> "GraphMetric":
+        """A cold build of ``post_graph`` with this metric's settings.
 
-    def _dirty_sources(self, edit: GraphEdit) -> np.ndarray:
-        """Boolean mask of sources whose distance row the edit may touch.
-
-        A source ``s`` is dirty iff the edited edge ``(u, v)`` lies on —
-        or ties with — some shortest path from ``s``, under the old
-        weight (paths the edit breaks or loosens) or the new weight
-        (paths the edit creates or tightens).  Tie-inclusion matters:
-        scipy's Dijkstra relaxes strictly, so an edge that never
-        improves *or ties* any ``d(s, ·)`` leaves the whole relaxation
-        trace — distances and predecessors — bit-identical, which is
-        what lets clean rows be spliced through unchanged.
-
-        The test is two-row: the edge is tight (or tie-tight) from ``s``
-        iff ``d(s,u) + w <= d(s,v) + slack`` or symmetrically — the
-        ``t``-quantified form the dense code used to evaluate over the
-        whole matrix reduces to this by the triangle inequality (take
-        ``t = v``), so only rows ``u`` and ``v`` are ever consulted.
+        Nothing in the library calls it: an edit drops every cached
+        metric, and the next ``BuildContext.metric`` builds it cold.
+        The name stays only because every perfbench pass resolves each
+        entry point listed in ``perfbench/tracing.py`` with
+        ``inspect.getattr_static``, so a missing one fails every
+        benchmark run.
         """
-        u, v = edit.edge
-        row_u = self._strategy.row(u)
-        row_v = self._strategy.row(v)
-        mask = np.zeros(self._n, dtype=bool)
-        for w in self._edit_weights(edit):
-            mask |= row_u + w <= row_v + DISTANCE_SLACK
-            mask |= row_v + w <= row_u + DISTANCE_SLACK
-        # The endpoints see the edge directly in their relaxation
-        # frontier; always re-examine them (``updated`` downgrades any
-        # candidate whose recomputed row turns out unchanged).
-        mask[u] = mask[v] = True
-        return mask
-
-    def updated(
-        self, post_graph: nx.Graph, edit: GraphEdit
-    ) -> Tuple["GraphMetric", FrozenSet[NodeId]]:
-        """A new metric for ``post_graph`` plus the dirty source set.
-
-        ``post_graph`` must already have ``edit`` applied and must *not*
-        be this metric's own graph object (see :meth:`detach_graph`);
-        this metric stays a coherent snapshot of the pre-edit network.
-
-        Only the candidate rows are re-run through Dijkstra; clean rows
-        (the row-store entries themselves, with their lazily built
-        sorted views and first hops) are shared with this metric, and
-        the result is bit-identical to ``GraphMetric(post_graph)``
-        built cold.  Edits that change the node set or the
-        normalization scale dirty everything and fall back to a cold
-        build.
-        """
-        if post_graph is self._graph:
-            raise PreprocessingError(
-                "updated() needs a detached pre-edit snapshot; call "
-                "detach_graph() before mutating a shared graph"
-            )
-        rebuild_kwargs = dict(
+        return GraphMetric(
+            post_graph,
             normalize=self._normalize,
-            strategy=self._strategy.kind,
+            strategy=self.strategy,
             row_budget_bytes=self._row_budget,
         )
-        if edit.changes_node_set:
-            rebuilt = GraphMetric(post_graph, **rebuild_kwargs)
-            return rebuilt, frozenset(range(rebuilt.n))
-        edges = _edge_array(post_graph)
-        if _scale_of(edges, self._normalize) != self._scale:
-            # The normalization divisor changed: every normalized
-            # distance in the matrix is scaled, so nothing is reusable.
-            rebuilt = GraphMetric(post_graph, **rebuild_kwargs)
-            return rebuilt, frozenset(range(rebuilt.n))
-
-        candidates = np.nonzero(self._dirty_sources(edit))[0]
-        new = object.__new__(GraphMetric)
-        new._graph = post_graph
-        new._n = self._n
-        new._normalize = self._normalize
-        new._scale = self._scale
-        new._set_edges(edges)
-        new._row_budget = self._row_budget
-        new._strategy, dirty = self._strategy.updated(
-            new._csr(edges), candidates
-        )
-        new._diameter = None
-        return new, dirty
 
     # ------------------------------------------------------------------
     # Table-integrity auditing (chaos subsystem)
@@ -307,8 +229,8 @@ class GraphMetric:
         state in place, deliberately bypassing the query API.  Call
         :meth:`invalidate_derived` afterwards so derived caches (sorted
         views, next hops) are rebuilt from the corrupted values.  The
-        row is copied first (copy-on-write), so snapshots sharing the
-        entry never see the mutation.
+        row is copied first (copy-on-write), so arrays read from the
+        row before the write never see the mutation.
         """
         return self._strategy.mutable_row(u)
 
@@ -319,14 +241,12 @@ class GraphMetric:
     def splice_rows(self, sources: Sequence[NodeId]) -> None:
         """Recompute and splice the SSSP rows of ``sources``, in place.
 
-        The churn repair primitive of :meth:`updated`, exposed for
-        integrity healing: each source's distances and predecessors are
-        re-derived from the current graph by the same per-row Dijkstra
-        a cold build runs, so the spliced rows are bit-identical to a
-        from-scratch construction (the property :meth:`updated` already
-        relies on when it downgrades unchanged candidate rows).  The
-        sources' lazy per-row caches — including memoized next-hop rows
-        — are invalidated together.
+        The integrity-healing primitive: each source's distances and
+        predecessors are re-derived from the current graph by the same
+        per-row Dijkstra a cold build runs, so the spliced rows are
+        bit-identical to a from-scratch construction.  The sources'
+        lazy per-row caches — including memoized next-hop rows — are
+        invalidated together.
         """
         rows = sorted({int(s) for s in sources})
         if not rows:

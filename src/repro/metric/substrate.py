@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict, deque
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -277,16 +277,14 @@ def first_hops(parent: np.ndarray, root: int, source: NodeId) -> np.ndarray:
 
 
 def _solve(
-    matrix: csr_matrix,
-    indices: Optional[np.ndarray] = None,
-    disconnected: str = "graph must be connected",
+    matrix: csr_matrix, indices: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Full ``(dist, pred)`` rows of ``indices`` (all sources if None)."""
     dist, pred = dijkstra(
         matrix, directed=True, indices=indices, return_predecessors=True
     )
     if not np.all(np.isfinite(dist)):
-        raise PreprocessingError(disconnected)
+        raise PreprocessingError("graph must be connected")
     return dist, pred
 
 
@@ -342,8 +340,7 @@ class LazyStrategy:
     :meth:`filled` builds the ``"dense"`` filling: every row solved in
     one batched call into an unbounded store, so every query finds its
     full row resident and no search ever runs again.  A filled store
-    stays filled through :meth:`updated`, :meth:`splice_rows` and
-    pickling.
+    stays filled through :meth:`splice_rows` and pickling.
     """
 
     def __init__(
@@ -697,9 +694,9 @@ class LazyStrategy:
         self._install_rows(index, *_solve(matrix, index))
 
     def mutable_row(self, u: NodeId) -> Tuple[np.ndarray, np.ndarray]:
-        # Copy-on-write: entries can be shared with a pre-edit metric
-        # snapshot (see ``updated``), so in-place corruption (the chaos
-        # injector's model) must never leak across snapshots.
+        # Copy-on-write: arrays already read from this entry (by
+        # callers, or by tables built from it) must never see in-place
+        # corruption (the chaos injector's model).
         entry = self.ensure_full(u)
         fresh = _Row(
             entry.dist.copy(), entry.pred.copy(), float("inf"), True
@@ -747,44 +744,6 @@ class LazyStrategy:
             np.array([pred for _, pred in rows]),
             missing,
         )
-
-    def updated(
-        self, matrix: csr_matrix, candidates: np.ndarray
-    ) -> Tuple["LazyStrategy", FrozenSet[NodeId]]:
-        """This store over the edited ``matrix``, plus the dirty set.
-
-        ``candidates`` are the sources the edit may touch.  The
-        tie-inclusive candidate mask is conservative (on unit-weight
-        grids it can flag nearly every source), so they are re-solved
-        in chunks and compared with their old rows block by block: a
-        candidate whose distances and predecessors are both unchanged
-        is clean after all.  Dirty sources that were resident stay
-        resident with their new rows, and every clean entry is carried
-        over as is — so a filled store stays filled.
-        """
-        new = LazyStrategy(matrix, self._n, budget_bytes=self.store.budget_bytes)
-        dirty: List[int] = []
-        for start in range(0, candidates.shape[0], _ROW_CHUNK):
-            chunk = candidates[start : start + _ROW_CHUNK]
-            new_dist, new_pred = _solve(
-                matrix, chunk, "edit disconnected the graph"
-            )
-            old_dist, old_pred, _ = self._full_rows(chunk)
-            changed = (new_dist != old_dist).any(axis=1) | (
-                new_pred != old_pred
-            ).any(axis=1)
-            dirty.extend(chunk[changed].tolist())
-            keep = changed & np.fromiter(
-                (s in self.store for s in chunk.tolist()),
-                dtype=bool,
-                count=chunk.shape[0],
-            )
-            new._install_rows(chunk[keep], new_dist[keep], new_pred[keep])
-        dirty_set = frozenset(dirty)
-        for s, entry in self.store.items():
-            if s not in dirty_set:
-                new.store.put(s, entry)
-        return new, dirty_set
 
     def diameter(self) -> float:
         """The largest entry of any full row, by weighted iFUB.

@@ -46,7 +46,6 @@ from repro.core.types import NodeId
 from repro.metric.graph_metric import GraphMetric, _edge_array, _relabelled
 from repro.nets.hierarchy import NetHierarchy
 from repro.observability.profile import BuildProfile
-from repro.observability.trace import RouteTrace, TraceEvent
 from repro.packing.ballpacking import BallPacking
 from repro.pipeline.sampling import sample_ordered_pairs
 
@@ -84,11 +83,9 @@ CACHE_FORMAT_VERSION = 16
 class BuildStats:
     """Hit/miss counters per artifact kind (for tests and logging).
 
-    Two granularities share these counters: whole artifacts ("metric",
-    "hierarchy", "scheme", ...) recorded by the context's memoizer, and
-    the metric's rows ("metric_row") folded in by the metric builder and
-    the row splice, so an edit's repair can be audited against its dirty
-    set rather than whole-graph cache hits.
+    One count per whole artifact ("metric", "hierarchy", "scheme", ...),
+    recorded by the context's memoizer.  Metric rows are counted by
+    :meth:`BuildContext.substrate_stats`.
     """
 
     hits: Dict[str, int] = dataclasses.field(default_factory=dict)
@@ -98,14 +95,6 @@ class BuildStats:
     def record(self, kind: str, outcome: str) -> None:
         counter = getattr(self, outcome)
         counter[kind] = counter.get(kind, 0) + 1
-
-    def fold(self, report: Dict[str, Tuple[int, int]]) -> None:
-        """Merge a ``{kind: (reused, built)}`` partition report."""
-        for kind, (reused, built) in report.items():
-            if reused:
-                self.hits[kind] = self.hits.get(kind, 0) + reused
-            if built:
-                self.misses[kind] = self.misses.get(kind, 0) + built
 
     def built(self, kind: str) -> int:
         """Number of artifacts of ``kind`` actually constructed."""
@@ -187,79 +176,27 @@ class EditReport:
     Attributes:
         edit: The applied edit.
         old_key / new_key: Graph content keys before and after.
-        dirty: Nodes whose metric rows the edit may have changed (the
-            edit's *dirty set*; every node on a full rebuild).
-        rows_rebuilt / rows_reused: APSP row splice accounting, summed
-            over every cached metric of the graph.
         carried: Artifacts moved to the new key untouched, per kind
-            (dependency set provably disjoint from ``dirty``).
-        dropped: Artifacts discarded outright: every one keyed to the
-            old graph but the carried ones (each is built cold again on
-            next demand).
-        full_rebuild: Whether the edit dirtied everything (node
-            join/leave, normalization-scale change, or no cached metric
-            to diff against).
+            (pair samples, unless the node set changed).
+        dropped: Artifacts discarded outright, per kind: every one keyed
+            to the old graph but the carried ones, metrics included
+            (each is built cold again on next demand).
         seconds: Wall-clock time spent repairing the cache.
+        dirty / rows_reused / full_rebuild: Every node of the edited
+            graph, 0 and ``True`` on every edit, since no metric row
+            outlives an edit.  They stay because ``perfbench/workloads.py``
+            reads them on every churn pass.
     """
 
     edit: GraphEdit
     old_key: str
     new_key: str
-    dirty: FrozenSet[NodeId]
-    rows_rebuilt: int
-    rows_reused: int
     carried: Dict[str, int]
     dropped: Dict[str, int]
-    full_rebuild: bool
     seconds: float
-
-    def to_trace(self) -> RouteTrace:
-        """The repair as a route-style trace (observability tie-in).
-
-        Repair events render and serialize exactly like forwarding
-        decisions: one ``repair`` event for the edit itself, one
-        ``splice`` event for the row surgery, and one ``carry`` event
-        per artifact disposition.
-        """
-        anchor = (
-            self.edit.edge[0] if self.edit.edge is not None else
-            (self.edit.node if self.edit.node is not None else 0)
-        )
-        trace = RouteTrace(
-            scheme="repair", source=anchor, destination=self.edit.describe()
-        )
-        trace.events.append(
-            TraceEvent(
-                node=anchor,
-                phase="repair",
-                entry=f"{self.edit.describe()}: key {self.old_key[:12]} "
-                f"-> {self.new_key[:12]}",
-            )
-        )
-        trace.events.append(
-            TraceEvent(
-                node=anchor,
-                phase="splice",
-                cost=self.seconds,
-                entry=f"dirty={len(self.dirty)} rows_rebuilt="
-                f"{self.rows_rebuilt} rows_reused={self.rows_reused}"
-                + (" (full rebuild)" if self.full_rebuild else ""),
-            )
-        )
-        for verb, counts in (
-            ("carried", self.carried),
-            ("dropped", self.dropped),
-        ):
-            for kind in sorted(counts):
-                trace.events.append(
-                    TraceEvent(
-                        node=anchor,
-                        phase="carry",
-                        entry=f"{verb} {counts[kind]} x {kind}",
-                    )
-                )
-        trace.delivered_to = anchor
-        return trace
+    dirty: FrozenSet[NodeId]
+    rows_reused: int = 0
+    full_rebuild: bool = True
 
 
 class BuildContext:
@@ -396,18 +333,16 @@ class BuildContext:
         """
         key = (graph_content_key(graph), normalize, strategy, row_budget_bytes)
 
-        def build() -> GraphMetric:
-            built = GraphMetric(
+        metric = self._get_or_build(
+            "metric",
+            key,
+            lambda: GraphMetric(
                 graph,
                 normalize=normalize,
                 strategy=strategy,
                 row_budget_bytes=row_budget_bytes,
-            )
-            rows = int(built.substrate_stats()["rows_materialized"])
-            self.stats.fold({"metric_row": (0, rows)})
-            return built
-
-        metric = self._get_or_build("metric", key, build)
+            ),
+        )
         # Register the *applied* scale (not the normalize flag): with
         # min edge weight 1 both flags build the same metric, and keying
         # on the scale lets them share downstream artifacts.
@@ -417,22 +352,14 @@ class BuildContext:
     def hierarchy(
         self, metric: GraphMetric, root: Optional[NodeId] = None
     ) -> NetHierarchy:
-        """The ``2^i``-net hierarchy of ``metric``, built once.
-
-        After an edit it is built cold on the spliced metric: the edit
-        drops every hierarchy of the old graph.
-        """
+        """The ``2^i``-net hierarchy of ``metric``, built once."""
         key = (self.metric_key(metric), root)
         return self._get_or_build(
             "hierarchy", key, lambda: NetHierarchy(metric, root=root)
         )
 
     def packing(self, metric: GraphMetric) -> BallPacking:
-        """The Lemma 2.3 ball packings of ``metric``, built once.
-
-        After an edit they are built cold on the spliced metric: the
-        edit drops every packing of the old graph.
-        """
+        """The Lemma 2.3 ball packings of ``metric``, built once."""
         key = (self.metric_key(metric),)
         return self._get_or_build("packing", key, lambda: BallPacking(metric))
 
@@ -463,9 +390,7 @@ class BuildContext:
         classes, tuples of those).  Passing a live substrate object
         (``hierarchy=...``, ``underlying=...``) bypasses memoization of
         the scheme itself, but the substrates the class resolves through
-        ``from_context`` are still shared.  After an edit the scheme is
-        built by its own constructor on the spliced metric and on
-        substrates built cold on it.
+        ``from_context`` are still shared.
         """
         if params is None:
             params = SchemeParameters()
@@ -513,75 +438,37 @@ class BuildContext:
             self.stats.record("engine", "hits")
         return tables
 
-    # -- incremental maintenance (churn) --------------------------------
+    # -- edits (churn) --------------------------------------------------
 
     def apply_edit(self, graph: nx.Graph, edit: GraphEdit) -> EditReport:
-        """Apply ``edit`` to ``graph`` and repair the cache around it.
+        """Apply ``edit`` to ``graph`` and drop the cache around it.
 
         The graph is mutated in place and hashed before and after the
-        edit (``old_key``, ``new_key``).  Every cached metric of the
-        graph is repaired eagerly by splicing only the edit's dirty
-        rows, the one partial path; every other artifact keyed to the
-        old content hash is either *carried* (dependency set provably
-        untouched — evaluation pairs, unless the node set changed) or
-        *dropped* (hierarchies, packings, schemes and compiled tables,
-        each built cold on the spliced metric on next demand).
-        Stale metrics handed out earlier keep a coherent pre-edit
-        snapshot of the graph, which is what the staleness-window
-        routing in :mod:`repro.churn` relies on.
+        edit (``old_key``, ``new_key``).  Every artifact keyed to the
+        old content hash is either *carried* (evaluation pairs, whose
+        only dependency is ``n``, unless the node set changed) or
+        *dropped* (metrics, hierarchies, packings, schemes and compiled
+        tables, each built cold on next demand).  Cached metrics that
+        alias ``graph`` get a private copy of it first, so stale metrics
+        handed out earlier keep a coherent pre-edit snapshot of the
+        graph, which is what the staleness-window routing in
+        :mod:`repro.churn` relies on.
         """
         start = time.perf_counter()
         old_key = graph_content_key(graph)
-
-        metric_items = [
-            (full_key, artifact)
-            for full_key, artifact in self._memory.items()
-            if full_key[0] == "metric" and full_key[1] == old_key
+        stale_keys = [
+            full_key for full_key in self._memory if _mentions(full_key, old_key)
         ]
-        for _, old_metric in metric_items:
-            if old_metric.graph is graph:
-                old_metric.detach_graph()
+        for full_key in stale_keys:
+            artifact = self._memory[full_key]
+            if full_key[0] == "metric" and artifact.graph is graph:
+                artifact.detach_graph()
 
         apply_edit_to_graph(graph, edit)
         new_key = graph_content_key(graph)
 
-        # Repair cached metrics by row splicing; union their dirty sets
-        # (they only differ when normalize=True/False coexist).
-        dirty: FrozenSet[NodeId] = frozenset()
-        rows_rebuilt = rows_reused = 0
-        any_metric = False
-        full_rebuild = edit.changes_node_set
-        for full_key, old_metric in metric_items:
-            any_metric = True
-            with self.profile.timed("build", "metric"):
-                new_metric, metric_dirty = old_metric.updated(graph, edit)
-            del self._memory[full_key]
-            self._memory[_rekey(full_key, old_key, new_key)] = new_metric
-            self._metric_keys[new_metric] = (new_key, float(new_metric.scale))
-            dirty |= metric_dirty
-            rebuilt = len(metric_dirty)
-            rows_rebuilt += rebuilt
-            rows_reused += new_metric.n - rebuilt
-            self.stats.fold(
-                {"metric_row": (new_metric.n - rebuilt, rebuilt)}
-            )
-            if len(metric_dirty) == new_metric.n:
-                full_rebuild = True
-                self.stats.record("metric", "misses")
-            else:
-                self.stats.record("metric", "hits")
-        if not any_metric:
-            # Nothing to diff against: treat everything as dirty.
-            dirty = frozenset(range(graph.number_of_nodes()))
-            full_rebuild = True
-
         carried: Dict[str, int] = {}
         dropped: Dict[str, int] = {}
-        stale_keys = [
-            full_key
-            for full_key in self._memory
-            if full_key[0] != "metric" and _mentions(full_key, old_key)
-        ]
         for full_key in stale_keys:
             artifact = self._memory.pop(full_key)
             kind = full_key[0]
@@ -599,33 +486,29 @@ class BuildContext:
             edit=edit,
             old_key=old_key,
             new_key=new_key,
-            dirty=dirty,
-            rows_rebuilt=rows_rebuilt,
-            rows_reused=rows_reused,
             carried=carried,
             dropped=dropped,
-            full_rebuild=full_rebuild,
             seconds=time.perf_counter() - start,
+            dirty=frozenset(range(graph.number_of_nodes())),
         )
 
     def repair_rows(self, metric: GraphMetric, nodes: Iterable[NodeId]) -> int:
-        """Re-fetch corrupted table rows through the row-splice path.
+        """Re-solve corrupted table rows of ``metric`` in place.
 
         The table-integrity auditor (:mod:`repro.chaos.audit`) detects
         in-memory corruption of a metric's per-node rows; this method
-        heals the quarantined nodes with the same per-row Dijkstra
-        splice :meth:`apply_edit` uses for churn repair — the repaired
-        rows are bit-identical to a cold rebuild — and accounts the
-        work in this context's build stats and profile.
+        heals the quarantined nodes with :meth:`GraphMetric.splice_rows`,
+        the per-row Dijkstra a cold build runs, so the repaired rows are
+        bit-identical to a cold rebuild.  The time is accounted in this
+        context's profile.
 
-        Returns the number of rows respliced.
+        Returns the number of rows re-solved.
         """
         dirty = sorted({int(v) for v in nodes})
         if not dirty:
             return 0
         with self.profile.timed("build", "metric"):
             metric.splice_rows(dirty)
-        self.stats.fold({"metric_row": (metric.n - len(dirty), len(dirty))})
         return len(dirty)
 
     # -- observability --------------------------------------------------

@@ -27,9 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import networkx as nx
 
-from repro.core.edits import GraphEdit
 from repro.core.params import SchemeParameters
-from repro.pipeline.context import BuildContext, EditReport
+from repro.pipeline.context import BuildContext
 from repro.resilience.degraded import DegradedNetwork
 from repro.schemes.base import RoutingScheme
 
@@ -151,10 +150,9 @@ def measure_repair(
 
     Note the topology here is *content-identical* to what the warm
     context already built (fail-and-fully-recover), so the incremental
-    path is pure cache hits.  For the cost of repairing after a real
-    edit — where only the metric rows in the edit's dirty set are
-    re-solved, and the hierarchy, packings and every scheme are built
-    cold on them — see :func:`measure_edit_repair`.
+    path is pure cache hits.  After a real edit nothing is reused:
+    :meth:`BuildContext.apply_edit` drops every artifact of the old
+    graph but its pair samples, so a repair is a cold build.
     """
     if warm_context is None:
         warm_context = BuildContext()
@@ -178,64 +176,3 @@ def measure_repair(
         keep_schemes=keep_schemes,
     )
     return cold, incremental
-
-
-def measure_edit_repair(
-    graph: nx.Graph,
-    edit: "GraphEdit",
-    scheme_classes: Sequence[Type[RoutingScheme]],
-    params: Optional[SchemeParameters] = None,
-    warm_context: Optional[BuildContext] = None,
-    keep_schemes: bool = False,
-) -> Tuple[RepairMeasurement, RepairMeasurement, "EditReport"]:
-    """Cold vs incremental rebuild after a *real* topology edit.
-
-    Unlike :func:`measure_repair` (fail-and-fully-recover: the warm
-    context sees an unchanged content hash and reuses everything), this
-    applies ``edit`` through :meth:`BuildContext.apply_edit` — the graph
-    genuinely changes, the edit's dirty node set is computed, the
-    incremental rebuild re-solves only the metric rows in it, and the
-    hierarchy, the packings and every scheme are built cold on the
-    spliced metric.  The honest comparison for churn repair cost:
-    built-vs-reused counts are reported against the dirty set, not
-    against a topology that never really changed.
-
-    ``graph`` is mutated in place (it carries the edit afterwards).
-    Returns ``(cold, incremental, edit_report)`` where both rebuilds
-    describe the **post-edit** graph and are bit-identical by
-    construction (asserted in tests/test_churn.py).
-    """
-    if warm_context is None:
-        warm_context = BuildContext()
-        rebuild_through_context(
-            warm_context, graph, scheme_classes, params, label="prime"
-        )
-    edit_report = warm_context.apply_edit(graph, edit)
-    incremental = rebuild_through_context(
-        warm_context,
-        graph,
-        scheme_classes,
-        params,
-        label=f"incremental repair ({edit.describe()})",
-        keep_schemes=keep_schemes,
-    )
-    # Fold the metric-row splice performed inside apply_edit into the
-    # incremental counters — those rows are repair work too.
-    if edit_report.rows_rebuilt:
-        incremental.built["metric_row"] = (
-            incremental.built.get("metric_row", 0) + edit_report.rows_rebuilt
-        )
-    if edit_report.rows_reused:
-        incremental.reused["metric_row"] = (
-            incremental.reused.get("metric_row", 0) + edit_report.rows_reused
-        )
-    incremental.seconds += edit_report.seconds
-    cold = rebuild_through_context(
-        BuildContext(),
-        graph,
-        scheme_classes,
-        params,
-        label="cold rebuild",
-        keep_schemes=keep_schemes,
-    )
-    return cold, incremental, edit_report

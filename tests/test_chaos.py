@@ -564,8 +564,6 @@ class TestTableAudit:
         assert report.rows_respliced == len(victims)
         assert report.clean_after
         assert auditor.audit() == []
-        # The healed rows are accounted as rebuilt partitions.
-        assert context.stats.built("metric_row") >= len(victims)
 
     def test_repaired_scheme_bit_identical_to_cold(self):
         context, metric = _fresh_grid_context()

@@ -1,20 +1,18 @@
-"""Tests for the churn subsystem (E17) and incremental invalidation.
+"""Tests for the churn subsystem (E17) and edit invalidation.
 
 Covers: content keys across edits against full rehashes, the edit
 stream's invariants (determinism, connectivity, scale preservation),
-exactness of the dirty set (``GraphMetric.updated`` bit-identical to a
-cold Dijkstra over random edit sequences), the acceptance property —
-a single-edge weight change on every fixture graph rebuilds strictly
-fewer artifacts than a cold build while routing bit-identically — and
-the :class:`ChurnDriver` service loop (determinism, overlay semantics,
-cold-rebuild verification, repair traces).
+what an edit drops from the build context (the metric included), the
+acceptance property — after a single-edge weight change on every
+fixture graph the warm context rebuilds tables bit-identical to a cold
+build — and the :class:`ChurnDriver` service loop (determinism, overlay
+semantics, cold-rebuild verification).
 """
 
 import gc
 import weakref
 
 import networkx as nx
-import numpy as np
 import pytest
 
 from repro.churn import ChurnDriver, ChurnVerificationError, EditStream
@@ -22,14 +20,13 @@ from repro.core.edits import EditKind, GraphEdit, apply_edit_to_graph
 from repro.core.params import SchemeParameters
 from repro.experiments.churn import run as run_e17
 from repro.experiments.harness import standard_suite
-from repro.experiments.resilience import repair_edit_for
 from repro.graphs.generators import grid_2d, random_geometric
-from repro.metric.graph_metric import DISTANCE_SLACK, GraphMetric
+from repro.metric.graph_metric import GraphMetric
 from repro.pipeline.context import BuildContext, graph_content_key
 from repro.pipeline.registry import run_experiment
 from repro.pipeline.sampling import sample_ordered_pairs
 from repro.resilience.failure_plan import EventKind
-from repro.resilience.repair import measure_edit_repair, measure_repair
+from repro.resilience.repair import measure_repair, rebuild_through_context
 from repro.schemes.nameind_scalefree import ScaleFreeNameIndependentScheme
 from repro.schemes.nameind_simple import SimpleNameIndependentScheme
 from repro.schemes.shortest_path import ShortestPathScheme
@@ -151,60 +148,36 @@ class TestEditStream:
         assert kinds == {EditKind.WEIGHT}
 
 
-# -- exact dirty sets -------------------------------------------------------
-
-
-def _stacked_rows(metric: GraphMetric):
-    """Every distance and predecessor row of ``metric``, stacked."""
-    return (
-        np.array([metric.distances_from(u) for u in metric.nodes]),
-        np.array([metric.predecessors_from(u) for u in metric.nodes]),
-    )
-
-
-class TestIncrementalMetric:
-    def test_updated_bit_identical_to_cold_over_random_streams(self):
-        """The tentpole invariant at the metric layer: after any edit
-        sequence, the incrementally spliced rows (distances AND
-        predecessors) are bitwise equal to a cold Dijkstra, and rows
-        outside the reported dirty set were genuinely untouched."""
-        for seed in (1, 2, 3):
-            graph = grid_2d(4)
-            metric = GraphMetric(graph)
-            metric.detach_graph()
-            stream = EditStream(seed=seed)
-            for _ in range(10):
-                edit = stream.draw(graph)
-                apply_edit_to_graph(graph, edit)
-                old_dist, _ = _stacked_rows(metric)
-                metric, dirty = metric.updated(graph, edit)
-                dist, pred = _stacked_rows(metric)
-                cold_dist, cold_pred = _stacked_rows(GraphMetric(graph.copy()))
-                assert np.array_equal(dist, cold_dist)
-                assert np.array_equal(pred, cold_pred)
-                if not edit.changes_node_set:
-                    clean = [
-                        s
-                        for s in range(metric.n)
-                        if s not in dirty
-                    ]
-                    assert np.array_equal(
-                        dist[clean], old_dist[clean]
-                    )
-                metric.detach_graph()
-
-    def test_dirty_set_is_partial_on_continuous_weights(self):
-        """No ties -> a single weight edit must not dirty everything."""
-        graph = random_geometric(32, seed=5)
-        metric = GraphMetric(graph)
-        metric.detach_graph()
-        edit = repair_edit_for(graph)
-        apply_edit_to_graph(graph, edit)
-        _, dirty = metric.updated(graph, edit)
-        assert 0 < len(dirty) < metric.n
-
-
 # -- acceptance: single-edge weight change on every fixture ----------------
+
+
+def _weight_edit(graph: nx.Graph) -> GraphEdit:
+    """A single-edge weight change: the median edge, 1.5x heavier."""
+    u, v = sorted(graph.edges())[graph.number_of_edges() // 2]
+    weight = 1.5 * float(graph[u][v].get("weight", 1.0))
+    return GraphEdit(kind=EditKind.WEIGHT, edge=(u, v), weight=weight)
+
+
+def _rebuilt_after_edit(graph, classes):
+    """``classes`` rebuilt by a warm context after one weight edit of
+    ``graph``, and built cold on the edited graph."""
+    context = BuildContext()
+    rebuild_through_context(context, graph, classes, PARAMS)
+    context.apply_edit(graph, _weight_edit(graph))
+    warm = rebuild_through_context(
+        context, graph, classes, PARAMS, keep_schemes=True
+    )
+    cold = rebuild_through_context(
+        BuildContext(), graph.copy(), classes, PARAMS, keep_schemes=True
+    )
+    return warm.schemes, cold.schemes
+
+
+def _assert_identical(warm, cold, pairs):
+    """Same table bits and the same route result on every pair."""
+    assert warm.table_bits_vector() == cold.table_bits_vector()
+    for u, v in pairs:
+        assert warm.route(u, v) == cold.route(u, v)
 
 
 class TestEditRepairAcceptance:
@@ -217,73 +190,43 @@ class TestEditRepairAcceptance:
         self, graph_name, graph
     ):
         graph = graph.copy()
-        cold, incremental, report = measure_edit_repair(
-            graph,
-            repair_edit_for(graph),
-            SCHEMES,
-            PARAMS,
-            keep_schemes=True,
-        )
-        # Strictly fewer artifacts constructed than a cold build...
-        assert incremental.built_total < cold.built_total, graph_name
-        assert 0 < len(report.dirty) <= graph.number_of_nodes()
-        # ...and the result is bit-identical: same table bits, same
-        # routes, same costs, for every scheme in the lineup.
+        warm, cold = _rebuilt_after_edit(graph, SCHEMES)
         n = graph.number_of_nodes()
         pairs = sample_ordered_pairs(n, min(60, n * (n - 1)), seed=3)
-        for warm_scheme, cold_scheme in zip(
-            incremental.schemes, cold.schemes
-        ):
-            assert (
-                warm_scheme.table_bits_vector()
-                == cold_scheme.table_bits_vector()
-            )
-            for u, v in pairs:
-                a = warm_scheme.route(u, v)
-                b = cold_scheme.route(u, v)
-                assert a.path == b.path
-                assert abs(a.cost - b.cost) <= DISTANCE_SLACK
-
-    def test_weight_edit_reuses_untouched_partitions(self):
-        """A single weight change splices only the dirty metric rows.
-        The spliced metric and its clean rows are all the repair carries
-        over the edit; everything else is built and shared exactly as in
-        a cold build (the schemes share one hierarchy in both)."""
-        suite = dict(standard_suite("small"))
-        graph = suite["geometric n=64"].copy()
-        cold, incremental, report = measure_edit_repair(
-            graph, repair_edit_for(graph), SCHEMES, PARAMS
-        )
-        n, dirty = graph.number_of_nodes(), len(report.dirty)
-        assert 0 < dirty < n
-        assert incremental.reused == {
-            **cold.reused, "metric": 1, "metric_row": n - dirty
-        }
-        assert incremental.built == {
-            **{kind: count for kind, count in cold.built.items() if kind != "metric"},
-            "metric_row": dirty,
-        }
+        for warm_scheme, cold_scheme in zip(warm, cold):
+            _assert_identical(warm_scheme, cold_scheme, pairs)
 
     def test_lazy_metric_past_the_dense_switch_routes_identically(self):
-        """Warm = cold where the metric fills lazily (n > 512).  A lazy
-        cold build materializes no rows up front, so the built counts
-        are not compared here."""
+        """Warm = cold where the metric fills lazily (n > 512)."""
         graph = random_geometric(600, seed=3)
-        cold, incremental, report = measure_edit_repair(
-            graph,
-            repair_edit_for(graph),
-            [SimpleNameIndependentScheme],
-            PARAMS,
-            keep_schemes=True,
+        (warm,), (cold,) = _rebuilt_after_edit(
+            graph, [SimpleNameIndependentScheme]
         )
-        assert not report.full_rebuild
-        (warm_scheme,), (cold_scheme,) = incremental.schemes, cold.schemes
-        assert warm_scheme.metric.strategy == "lazy"
-        assert warm_scheme.table_bits_vector() == cold_scheme.table_bits_vector()
-        for u, v in sample_ordered_pairs(graph.number_of_nodes(), 60, seed=3):
-            a, b = warm_scheme.route(u, v), cold_scheme.route(u, v)
-            assert a.path == b.path
-            assert abs(a.cost - b.cost) <= DISTANCE_SLACK
+        assert warm.metric.strategy == "lazy"
+        _assert_identical(
+            warm, cold, sample_ordered_pairs(graph.number_of_nodes(), 60, seed=3)
+        )
+
+    def test_weight_edit_drops_the_metric(self):
+        """The metric is dropped like every other artifact: the next
+        ``metric(graph)`` is a cold build, counted as a miss with no row
+        accounting, and the stale metric keeps its pre-edit distances."""
+        graph = grid_2d(4)
+        context = BuildContext()
+        stale = context.metric(graph)
+        edit = _weight_edit(graph)
+        u, v = edit.edge
+        report = context.apply_edit(graph, edit)
+        assert report.dropped["metric"] == 1
+        assert (report.dirty, report.rows_reused, report.full_rebuild) == (
+            frozenset(range(16)), 0, True
+        )
+        metric = context.metric(graph)
+        assert metric is not stale
+        # One miss per metric build; metric rows are not counted here.
+        assert (context.stats.misses, context.stats.hits) == ({"metric": 2}, {})
+        assert stale.distance(u, v) == 1.0
+        assert metric.distance(u, v) == 1.5
 
     def test_weight_edit_drops_every_derived_artifact(self):
         """Substrates, schemes and their compiled tables are all dropped
@@ -297,8 +240,7 @@ class TestEditRepairAcceptance:
             weakref.ref(context.compiled(context.scheme(cls, metric, PARAMS)))
             for cls in classes
         ]
-        report = context.apply_edit(graph, repair_edit_for(graph))
-        assert not report.full_rebuild
+        report = context.apply_edit(graph, _weight_edit(graph))
         assert {"hierarchy", "packing", "scheme", "engine"} <= set(report.dropped)
         metric = context.metric(graph)
         for cls in classes:
@@ -309,14 +251,13 @@ class TestEditRepairAcceptance:
     def test_weight_edit_leaves_stale_substrates_on_their_metric(self):
         """The stale scheme's hierarchy and packing keep answering from
         its own (pre-edit) metric, so staleness-window routing never
-        mixes two metrics; the repair builds new ones on the spliced
-        metric, equal to a cold build's."""
+        mixes two metrics; the repair builds new ones on the new metric,
+        equal to a cold build's."""
         graph = random_geometric(128, seed=11)
         context = BuildContext()
         cls = ScaleFreeNameIndependentScheme
         before = context.scheme(cls, context.metric(graph), PARAMS)
-        report = context.apply_edit(graph, repair_edit_for(graph))
-        assert not report.full_rebuild
+        context.apply_edit(graph, _weight_edit(graph))
         after = context.scheme(cls, context.metric(graph), PARAMS)
 
         assert before.hierarchy.metric is before.metric
@@ -399,8 +340,8 @@ class TestChurnDriver:
     @pytest.mark.parametrize("scheme_cls", SCHEMES)
     def test_random_streams_verify_bit_identical(self, scheme_cls):
         """Property: across random edit streams, every scheduled
-        cold-rebuild check passes (paths, costs, table_bits_vector) —
-        a divergence raises ChurnVerificationError and fails this."""
+        cold-rebuild check passes (every routed result, table_bits_vector)
+        — a divergence raises ChurnVerificationError and fails this."""
         for seed in (1, 2):
             driver = ChurnDriver(
                 grid_2d(4),
@@ -468,22 +409,6 @@ class TestChurnDriver:
             GraphEdit(kind=EditKind.NODE_LEAVE, node=8), stale, factors
         )
         assert [e.kind for e in leave] == [EventKind.NODE_DOWN]
-
-    def test_repair_traces_render(self):
-        driver = ChurnDriver(
-            grid_2d(4),
-            ShortestPathScheme,
-            params=PARAMS,
-            seed=2,
-            edits_per_round=3,
-            pairs_per_round=4,
-            trace_repairs=True,
-        )
-        report = driver.run(edits=6)
-        assert len(report.repair_traces) == 6
-        for trace in report.repair_traces:
-            assert trace.events
-            assert trace.to_json()
 
     def test_report_serializes(self):
         driver = ChurnDriver(

@@ -201,16 +201,16 @@ class TestNextHops:
                 assert table[u * metric.n + v] == table[v * metric.n + u] == want
 
         check(any_metric)
-        # A heavier weight keeps the scale; a lighter one may change it
-        # and rebuild cold: both paths must rebuild the weights.
+        # A heavier weight keeps the scale; a lighter one may change it:
+        # a cold build after either must read the edited weights.
         graph = any_metric.graph.copy()
         u, v, data = next(iter(graph.edges(data=True)))
         weight = float(data.get("weight", 1.0)) * factor
         edit = GraphEdit(EditKind.WEIGHT, edge=(u, v), weight=weight)
         apply_edit_to_graph(graph, edit)
-        updated, _ = any_metric.updated(graph, edit)
-        check(updated)
-        assert updated.edge_weight(u, v) == weight / updated.scale
+        edited = GraphMetric(graph, strategy=any_metric.strategy)
+        check(edited)
+        assert edited.edge_weight(u, v) == weight / edited.scale
 
     def test_paths_from_one_source_form_tree(self, grid_metric):
         # Consistency: next hops toward a fixed target never cycle.

@@ -261,7 +261,7 @@ class TestCodecAfterEdits:
     def test_partial_rebuild_builds_from_the_edited_metric(self, params):
         # Removing an edge of a unit clique takes log Δ from 0 to 1,
         # while the hierarchy keeps top level 1 either way, and Theorem
-        # 1.4 and its labeled scheme are built again on the spliced
+        # 1.4 and its labeled scheme are built again on the edited
         # metric.  The search-level field must widen with it.
         graph = nx.complete_graph(6)
         context = BuildContext()

@@ -3,7 +3,7 @@
 ``GraphMetric`` sits on one row store (``repro.metric.substrate``),
 filled up front ("dense") or on demand ("lazy"); the contract is that
 every query answers *byte-identically* on both — distances, balls,
-size-radii, next hops, digests, and the churn dirty-set machinery.
+size-radii, next hops, digests, and row splicing.
 These tests hold that contract on every fixture family and across the
 n = 512 switch, hold both fillings to an independent scipy oracle, and
 exercise the lazy-only surfaces (row-store budget/eviction, partial-row
@@ -23,7 +23,6 @@ import pytest
 from scipy.sparse.csgraph import dijkstra
 
 from repro.chaos.audit import CorruptionInjector
-from repro.core.edits import EditKind, GraphEdit, apply_edit_to_graph
 from repro.core.types import RouteFailure
 from repro.graphs.generators import (
     exponential_path,
@@ -501,94 +500,8 @@ def test_row_store_admits_oversized_single_entry():
 
 
 # ----------------------------------------------------------------------
-# Churn: updated() dirty sets and spliced rows
+# Row splicing (integrity healing)
 # ----------------------------------------------------------------------
-
-
-def _random_edit(graph: nx.Graph, rng: random.Random) -> GraphEdit:
-    n = graph.number_of_nodes()
-    while True:
-        kind = rng.choice(
-            [EditKind.WEIGHT, EditKind.WEIGHT, EditKind.EDGE_ADD,
-             EditKind.EDGE_REMOVE]
-        )
-        if kind is EditKind.WEIGHT:
-            u, v = rng.choice(sorted(graph.edges()))
-            w = graph[u][v].get("weight", 1.0) * rng.uniform(0.6, 2.5)
-            return GraphEdit(kind=kind, edge=(u, v), weight=w)
-        if kind is EditKind.EDGE_ADD:
-            u = rng.randrange(n)
-            v = rng.randrange(n)
-            if u != v and not graph.has_edge(u, v):
-                return GraphEdit(
-                    kind=kind, edge=(u, v), weight=rng.uniform(1.0, 4.0)
-                )
-            continue
-        u, v = rng.choice(sorted(graph.edges()))
-        trial = graph.copy()
-        trial.remove_edge(u, v)
-        if nx.is_connected(trial):
-            return GraphEdit(kind=kind, edge=(u, v))
-
-
-def _stacked_rows(metric: GraphMetric):
-    """Every distance and predecessor row of ``metric``, stacked."""
-    return (
-        np.array([metric.distances_from(u) for u in metric.nodes]),
-        np.array([metric.predecessors_from(u) for u in metric.nodes]),
-    )
-
-
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_updated_matches_dense_and_cold(family):
-    graph = FAMILIES[family]()
-    dense = GraphMetric(graph.copy(), strategy="dense")
-    lazy = GraphMetric(graph.copy(), strategy="lazy")
-    rng = random.Random(hash(family) % (2**32))
-    # Warm the lazy store with a mix of partial and full rows so the
-    # dirty-set machinery must invalidate through real cached state.
-    for u in range(0, lazy.n, 3):
-        lazy.ball(u, 2.0)
-    for u in range(0, lazy.n, 5):
-        lazy.distances_from(u)
-        lazy.next_hop(u, (u + 1) % lazy.n)
-    for step in range(6):
-        edit = _random_edit(dense.graph, rng)
-        post_dense = dense.graph.copy()
-        post_lazy = lazy.graph.copy()
-        apply_edit_to_graph(post_dense, edit)
-        apply_edit_to_graph(post_lazy, edit)
-        dense, dirty_dense = dense.updated(post_dense, edit)
-        lazy, dirty_lazy = lazy.updated(post_lazy, edit)
-        assert dirty_dense == dirty_lazy
-        cold = GraphMetric(post_dense.copy(), strategy="dense")
-        dense_dist, dense_pred = _stacked_rows(dense)
-        cold_dist, cold_pred = _stacked_rows(cold)
-        assert np.array_equal(dense_dist, cold_dist)
-        assert np.array_equal(dense_pred, cold_pred)
-        for u in range(0, dense.n, 4):
-            assert np.array_equal(
-                cold.distances_from(u), lazy.distances_from(u)
-            )
-            assert cold.row_digest(u) == lazy.row_digest(u)
-        assert dense.diameter == lazy.diameter == cold.diameter
-
-
-def test_updated_carries_clean_lazy_rows_without_research():
-    graph = grid_2d(6)
-    metric = GraphMetric(graph.copy(), strategy="lazy")
-    far_corner = metric.n - 1
-    metric.distances_from(far_corner)
-    # Reweight an edge near node 0; the far corner's row may or may not
-    # change, but if it is clean it must be carried, not re-searched.
-    edit = GraphEdit(kind=EditKind.WEIGHT, edge=(0, 1), weight=5.0)
-    post = metric.graph.copy()
-    apply_edit_to_graph(post, edit)
-    new_metric, dirty = metric.updated(post, edit)
-    if far_corner not in dirty:
-        searches = new_metric.substrate_stats()["bounded_searches"]
-        new_metric.distances_from(far_corner)
-        assert new_metric.substrate_stats()["bounded_searches"] == searches
 
 
 def test_splice_rows_equivalent_across_strategies(metric_pair):
@@ -642,21 +555,15 @@ def test_corrupted_predecessor_cycle_raises_route_failure(strategy):
 
 def test_lazy_mutable_row_is_copy_on_write():
     metric = GraphMetric(grid_2d(6), strategy="lazy")
-    for u in range(metric.n):
-        metric.distances_from(u)  # materialize, then snapshot via updated()
-    edit = GraphEdit(kind=EditKind.WEIGHT, edge=(0, 1), weight=3.0)
-    post = metric.graph.copy()
-    apply_edit_to_graph(post, edit)
-    snapshot, dirty = metric.updated(post, edit)
-    carried = sorted(set(metric.nodes) - dirty)
-    assert carried  # a local reweight cannot dirty every source
-    victim = carried[0]
-    before = metric.distances_from(victim).copy()
+    victim = 5
+    held = metric.distances_from(victim)
+    before = held.copy()
     dist_row, _ = metric.mutable_row(victim)
     dist_row[4] *= 7.0
     metric.invalidate_derived(victim)
-    # The shared snapshot must not see the corruption.
-    assert np.array_equal(snapshot.distances_from(victim), before)
+    assert metric.distances_from(victim)[4] == before[4] * 7.0
+    # A row array read before the write must not see the corruption.
+    assert np.array_equal(held, before)
 
 
 # ----------------------------------------------------------------------
