@@ -239,6 +239,7 @@ def check() -> None:
     pairs = verify_against_cold(
         scheme,
         ScaleFreeNameIndependentScheme,
+        graph,
         params,
         seed=derive_seed(MASTER_SEED, "verify-pairs"),
     )

@@ -185,9 +185,8 @@ def check() -> None:
     # 2. The acceptance criterion at a CI-sized n: the landmark scheme
     #    builds and routes without approaching full materialization.
     n = 2048
-    metric = GraphMetric(
-        preferential_attachment(n, m=2, seed=1), strategy="lazy"
-    )
+    graph = preferential_attachment(n, m=2, seed=1)
+    metric = GraphMetric(graph, strategy="lazy")
     scheme = LandmarkNameIndependentScheme(metric)
     # One size query per node: starting each at the largest covering
     # radius seen settles 13.2 x size per node here, the median start
@@ -207,7 +206,7 @@ def check() -> None:
     )
     # Vicinity tables come from one vectorized pass per size-bounded
     # search; hold sampled nodes to the per-pair definition.
-    reference = GraphMetric(metric.graph.copy(), strategy="lazy")
+    reference = GraphMetric(graph, strategy="lazy")
     for u in map(int, rng.choice(n, size=50, replace=False)):
         expected = sorted(
             (scheme.name_of(v), v, scheme.home_landmark(v), reference.next_hop(u, v))

@@ -21,11 +21,13 @@ routing-table basis worth guarding:
   API on purpose — that is what memory corruption does) and drops the
   node's derived caches so the corruption is *live*;
 * :func:`quarantine_and_repair` closes the loop: audit, quarantine the
-  corrupted nodes, re-solve their rows in place
-  (:meth:`BuildContext.repair_rows` row splicing), and re-audit;
-* :func:`verify_against_cold` is the ChurnVerificationError-style
-  check: post-repair routes and table sizes must be bit-identical to a
-  cold rebuild, else :class:`TableIntegrityError`.
+  corrupted nodes, re-solve their rows in place from the metric's own
+  edge array (:meth:`BuildContext.repair_rows` row splicing), and
+  re-audit;
+* :func:`verify_against_cold` is the one cold-rebuild check, shared
+  with the churn driver: routes and table sizes must be bit-identical
+  to a cold rebuild of the caller's current graph, else
+  :class:`TableIntegrityError`.
 
 This module is deliberately *not* imported from ``repro.chaos.__init__``
 for layering reasons (it pulls in the build pipeline); import it
@@ -36,12 +38,14 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional
+
+import networkx as nx
 
 from repro.core.params import SchemeParameters
 from repro.core.seeding import derive_seed
 from repro.core.types import NodeId, ReproError
-from repro.metric.graph_metric import DISTANCE_SLACK, GraphMetric
+from repro.metric.graph_metric import GraphMetric
 from repro.pipeline.context import BuildContext
 from repro.pipeline.sampling import sample_ordered_pairs
 
@@ -161,11 +165,12 @@ def quarantine_and_repair(
     """Audit, quarantine corrupted nodes, and heal them by row splicing.
 
     Detection uses the sealed digests; every flagged node's row is
-    re-solved from the graph through :meth:`BuildContext.repair_rows`
-    (:meth:`GraphMetric.splice_rows`, the per-row Dijkstra of a cold
-    build), after which a re-audit must come back clean.  ``injected`` is the
-    ground truth (what the injector actually touched), kept on the
-    report so callers can assert the detection rate.
+    re-solved from the metric's own edge array through
+    :meth:`BuildContext.repair_rows` (:meth:`GraphMetric.splice_rows`,
+    the per-row Dijkstra of a cold build), after which a re-audit must
+    come back clean.  ``injected`` is the ground truth (what the
+    injector actually touched), kept on the report so callers can
+    assert the detection rate.
     """
     detected = auditor.audit()
     respliced = context.repair_rows(auditor.metric, detected)
@@ -187,38 +192,35 @@ def quarantine_and_repair(
 def verify_against_cold(
     scheme,
     scheme_cls,
+    graph: nx.Graph,
     params: Optional[SchemeParameters] = None,
-    pairs: Optional[Sequence] = None,
     pair_count: int = 60,
     seed: int = 0,
 ) -> int:
-    """Assert ``scheme`` routes bit-identically to a cold rebuild.
+    """Assert ``scheme`` is bit-identical to a cold rebuild of ``graph``.
 
-    The ChurnVerificationError-style check (same structure as
-    ``ChurnDriver._verify``): a fresh context rebuilds the scheme from
-    the graph alone, then ``table_bits_vector`` and a deterministic
-    pair sample of routes must match exactly.  Returns the number of
-    pairs compared; raises :class:`TableIntegrityError` on divergence.
+    The one cold-rebuild check (``ChurnDriver._verify`` calls it too): a
+    fresh context builds ``scheme_cls`` on ``graph``, the caller's
+    current graph, then ``table_bits_vector`` must match and so must
+    every :class:`~repro.core.types.RouteResult` of a seeded pair
+    sample, compared whole with ``==``.  Returns the number of pairs
+    compared; raises :class:`TableIntegrityError` on divergence.
     """
-    metric = scheme.metric
     cold_context = BuildContext()
-    cold_metric = cold_context.metric(metric.graph.copy())
+    cold_metric = cold_context.metric(graph)
     cold = cold_context.scheme(scheme_cls, cold_metric, params)
     if scheme.table_bits_vector() != cold.table_bits_vector():
         raise TableIntegrityError(
             "table_bits_vector diverged from cold rebuild"
         )
     n = cold_metric.n
-    if pairs is None:
-        pairs = sample_ordered_pairs(
-            n, min(pair_count, n * (n - 1)), seed=seed
-        )
+    pairs = sample_ordered_pairs(n, min(pair_count, n * (n - 1)), seed=seed)
     for u, v in pairs:
         warm = scheme.route(u, v)
         ref = cold.route(u, v)
-        if warm.path != ref.path or abs(warm.cost - ref.cost) > DISTANCE_SLACK:
+        if warm != ref:
             raise TableIntegrityError(
                 f"route {u}->{v} diverged from cold rebuild: "
-                f"{warm.path} != {ref.path}"
+                f"{warm} != {ref}"
             )
     return len(pairs)

@@ -44,11 +44,11 @@ from typing import Dict, List, Optional, Tuple, Type, Union
 
 import networkx as nx
 
+from repro.chaos.audit import TableIntegrityError, verify_against_cold
 from repro.core.edits import EditKind, GraphEdit
 from repro.core.params import SchemeParameters
 from repro.core.types import NodeId, PreprocessingError
 from repro.pipeline.context import BuildContext, EditReport
-from repro.pipeline.sampling import sample_ordered_pairs
 from repro.resilience.degraded import DegradedNetwork
 from repro.resilience.failure_plan import EventKind, FailureEvent, edge_key
 from repro.resilience.repair import _counter_delta
@@ -326,28 +326,19 @@ class ChurnDriver:
     # ------------------------------------------------------------------
 
     def _verify(self, warm_scheme: RoutingScheme) -> bool:
-        """Assert the warm scheme is bit-identical to a cold rebuild."""
-        cold_context = BuildContext()
-        cold_metric = cold_context.metric(self._graph.copy())
-        cold = cold_context.scheme(
-            self._scheme_cls, cold_metric, self._params
-        )
-        if warm_scheme.table_bits_vector() != cold.table_bits_vector():
-            raise ChurnVerificationError(
-                "repaired table_bits_vector diverged from cold rebuild"
+        """Assert the warm scheme is bit-identical to a cold rebuild of
+        the current graph (:func:`~repro.chaos.audit.verify_against_cold`)."""
+        try:
+            verify_against_cold(
+                warm_scheme,
+                self._scheme_cls,
+                self._graph,
+                self._params,
+                pair_count=self._verify_pairs,
+                seed=self._seed,
             )
-        n = cold_metric.n
-        pairs = sample_ordered_pairs(
-            n, min(self._verify_pairs, n * (n - 1)), seed=self._seed
-        )
-        for u, v in pairs:
-            warm = warm_scheme.route(u, v)
-            ref = cold.route(u, v)
-            if warm != ref:
-                raise ChurnVerificationError(
-                    f"repaired route {u}->{v} diverged from cold "
-                    f"rebuild: {warm} != {ref}"
-                )
+        except TableIntegrityError as exc:
+            raise ChurnVerificationError(f"repaired {exc}") from exc
         return True
 
     # ------------------------------------------------------------------
@@ -370,6 +361,8 @@ class ChurnDriver:
             batch = min(self._edits_per_round, edits - committed)
             stale_scheme = scheme
             stale_metric = stale_scheme.metric
+            # The graph the stale tables were built on, for the overlay.
+            stale_graph = self._graph.copy()
             degraded = DegradedNetwork(stale_metric)
             factors: Dict[Tuple[NodeId, NodeId], float] = {}
 
@@ -381,9 +374,7 @@ class ChurnDriver:
                 report = context.apply_edit(self._graph, edit)
                 apply_seconds += report.seconds
                 edit_reports.append(report)
-                for event in self._overlay_events(
-                    edit, stale_metric.graph, factors
-                ):
+                for event in self._overlay_events(edit, stale_graph, factors):
                     degraded.apply(event)
 
             # -- staleness window: route + load ------------------------

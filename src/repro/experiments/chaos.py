@@ -16,8 +16,8 @@ Three tables:
   and all — are pushed through the chaos simulator via ``paths=``.
 * :func:`run_audit` — table-integrity self-healing: corrupt stored
   routing-table rows on a sample of nodes, detect them all via sealed
-  digests, re-fetch the rows through the churn repair path, and verify
-  the healed scheme routes bit-identically to a cold rebuild.
+  digests, re-solve the rows in place from the metric's own edges, and
+  verify the healed scheme routes bit-identically to a cold rebuild.
 
 Seed hygiene: every random stream is derived from :data:`MASTER_SEED`
 through :func:`repro.core.seeding.derive_seed` with a distinct stream
@@ -364,6 +364,7 @@ def run_audit(
             pairs_checked = verify_against_cold(
                 scheme,
                 scheme_cls,
+                graph,
                 params,
                 seed=derive_seed(MASTER_SEED, "verify-pairs"),
             )
@@ -396,8 +397,8 @@ def run_audit(
         ],
         rows=rows,
         notes=[
-            "detected rows are re-fetched through the churn repair "
-            "path (BuildContext.repair_rows -> GraphMetric.splice_rows)",
+            "detected rows are re-solved in place from the metric's "
+            "own edges (BuildContext.repair_rows -> GraphMetric.splice_rows)",
             "cold-identical pairs = routes compared bit-identical "
             "against a cold rebuild after healing "
             "(TableIntegrityError otherwise)",

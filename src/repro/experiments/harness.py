@@ -62,7 +62,7 @@ def sample_pairs(
 
     Samples without replacement when possible; falls back to all
     (allowed) pairs for tiny graphs.  ``exclude`` rejects individual
-    ordered pairs, e.g. ``lambda u, v: metric.graph.has_edge(u, v)`` to
+    ordered pairs, e.g. ``lambda u, v: v in metric.neighbors(u)`` to
     measure multi-hop routes only.  Delegates to the shared sampler in
     :mod:`repro.pipeline.sampling`, so the same seed yields the same
     pairs here and in the traffic simulator.

@@ -1,9 +1,11 @@
 """The shortest-path metric of a weighted undirected graph (paper §2).
 
 :class:`GraphMetric` is the substrate every other module builds on.  It
-wraps a connected, edge-weighted, undirected :class:`networkx.Graph`,
-normalizes the minimum edge weight to 1 (the paper's w.l.o.g. assumption),
-and provides:
+reads a connected, edge-weighted, undirected :class:`networkx.Graph`
+once, into an edge array that is from then on its only record of the
+graph (editing the graph afterwards changes nothing the metric answers,
+pickles or is keyed by), normalizes the minimum edge weight to 1 (the
+paper's w.l.o.g. assumption), and provides:
 
 * exact shortest-path distances ``d(u, v)`` (scipy Dijkstra);
 * metric balls ``B_u(r)`` — with the paper's convention that ball
@@ -37,7 +39,17 @@ Nodes must be (or are relabelled to) ``0 .. n-1`` integers.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    KeysView,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import networkx as nx
 import numpy as np
@@ -97,7 +109,6 @@ class GraphMetric:
             raise PreprocessingError("graph must be connected")
 
         graph, _ = _relabelled(graph)
-        self._graph = graph
         self._n = graph.number_of_nodes()
         self._normalize = normalize
 
@@ -113,10 +124,10 @@ class GraphMetric:
         if strategy == "auto":
             strategy = "dense" if self._n <= DENSE_NODE_LIMIT else "lazy"
         if strategy == "dense":
-            self._strategy = LazyStrategy.filled(self._csr(edges), self._n)
+            self._strategy = LazyStrategy.filled(self._csr(), self._n)
         else:
             self._strategy = LazyStrategy(
-                self._csr(edges), self._n, budget_bytes=self._row_budget
+                self._csr(), self._n, budget_bytes=self._row_budget
             )
         # Computed on first access — a metric that never needs the
         # diameter never pays for it.
@@ -127,7 +138,11 @@ class GraphMetric:
     # ------------------------------------------------------------------
 
     def _set_edges(self, edges: np.ndarray) -> None:
-        """Keep the edge array and, per node, ``neighbour -> weight``."""
+        """Keep a read-only copy of the edge array and, per node,
+        ``neighbour -> weight``.  The copy owns its memory, so no view
+        :attr:`edges` hands out can be made writeable again."""
+        edges = np.array(edges)
+        edges.flags.writeable = False
         self._edges = edges
         self._weights: List[Dict[int, float]] = [{} for _ in range(self._n)]
         ends = edges[:, :2].astype(np.int64).tolist()
@@ -135,14 +150,14 @@ class GraphMetric:
             self._weights[u][v] = w
             self._weights[v][u] = w
 
-    def _csr(self, edges: Optional[np.ndarray] = None) -> csr_matrix:
+    def _csr(self) -> csr_matrix:
         """Normalized adjacency, both directions of every edge.
 
-        Entries go in ``graph.edges`` order, ``(u, v)`` before
-        ``(v, u)``: that order fixes Dijkstra's predecessor tie-breaking.
+        Entries go in edge-array (``graph.edges``) order, ``(u, v)``
+        before ``(v, u)``: that order fixes Dijkstra's predecessor
+        tie-breaking.
         """
-        if edges is None:
-            edges = _edge_array(self._graph)
+        edges = self._edges
         u = edges[:, 0].astype(np.int64)
         v = edges[:, 1].astype(np.int64)
         return csr_matrix(
@@ -180,15 +195,6 @@ class GraphMetric:
     # ------------------------------------------------------------------
     # Edits (churn pipeline)
     # ------------------------------------------------------------------
-
-    def detach_graph(self) -> None:
-        """Replace the wrapped graph with a private copy.
-
-        Called by ``BuildContext.apply_edit`` *before* mutating a graph
-        this metric aliases, so the (now stale) metric keeps a coherent
-        pre-edit view for readers that still hold it.
-        """
-        self._graph = self._graph.copy()
 
     def updated(self, post_graph: nx.Graph) -> "GraphMetric":
         """A cold build of ``post_graph`` with this metric's settings.
@@ -242,9 +248,9 @@ class GraphMetric:
         """Recompute and splice the SSSP rows of ``sources``, in place.
 
         The integrity-healing primitive: each source's distances and
-        predecessors are re-derived from the current graph by the same
-        per-row Dijkstra a cold build runs, so the spliced rows are
-        bit-identical to a from-scratch construction.  The sources'
+        predecessors are re-derived from the metric's own edge array by
+        the same per-row Dijkstra a cold build runs, so the spliced rows
+        are bit-identical to a from-scratch construction.  The sources'
         lazy per-row caches — including memoized next-hop rows — are
         invalidated together.
         """
@@ -264,9 +270,11 @@ class GraphMetric:
     # ------------------------------------------------------------------
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying (relabelled, weight-normalized-view) graph."""
-        return self._graph
+    def edges(self) -> np.ndarray:
+        """The graph's edges as read-only ``(m, 3)`` float rows
+        ``u, v, weight``: relabelled ids, raw (unnormalized) weights, in
+        the order the adjacency was built from."""
+        return self._edges.view()
 
     @property
     def scale(self) -> float:
@@ -348,6 +356,11 @@ class GraphMetric:
         searches relaxed.
         """
         return self._weights[u][v]
+
+    def neighbors(self, u: NodeId) -> KeysView[NodeId]:
+        """The neighbours of ``u``, in edge-array order (a read-only
+        view with O(1) membership tests)."""
+        return self._weights[u].keys()
 
     def edge_table(self) -> Tuple[np.ndarray, np.ndarray]:
         """Every directed edge as a sorted key ``u·n + v`` and its
@@ -607,14 +620,16 @@ class GraphMetric:
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, object]:
-        """Pickle the graph plus only *materialized* row state.
+        """Pickle the edge array plus only *materialized* row state.
 
-        The full rows currently in the store are kept (all of them on a
-        dense metric); partial searches and derived views are
-        recomputed on demand after unpickling.
+        The edge array is the metric's whole record of its graph: the
+        adjacency, the per-node weight maps and any row solved after
+        unpickling all come from it.  The full rows currently in the
+        store are kept (all of them on a dense metric); partial searches
+        and derived views are recomputed on demand after unpickling.
         """
         return {
-            "graph": self._graph,
+            "edges": self._edges,
             "n": self._n,
             "normalize": self._normalize,
             "scale": self._scale,
@@ -624,16 +639,14 @@ class GraphMetric:
         }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        self._graph = state["graph"]
         self._n = state["n"]
         self._normalize = state["normalize"]
         self._scale = state["scale"]
         self._diameter = state["diameter"]
         self._row_budget = state["row_budget"]
-        edges = _edge_array(self._graph)
-        self._set_edges(edges)
+        self._set_edges(state["edges"])
         self._strategy = LazyStrategy.restore(
-            state["strategy_state"], self._csr(edges), self._n
+            state["strategy_state"], self._csr(), self._n
         )
 
     def __repr__(self) -> str:
@@ -641,7 +654,7 @@ class GraphMetric:
         shown = f"{diameter:.3f}" if diameter is not None else "?"
         return (
             f"GraphMetric(n={self._n}, diameter={shown}, "
-            f"edges={self._graph.number_of_edges()})"
+            f"edges={len(self._edges)})"
         )
 
 

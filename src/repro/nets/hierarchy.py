@@ -237,10 +237,6 @@ class NetHierarchy:
         members = self._metric.ball_set(u, radius)
         return [x for x in self._nets[i] if x in members]
 
-    def zoom_cost_bound(self, i: int) -> float:
-        """Paper Eqn. (2) bound: ``Σ_{k<=i} d(u(k-1),u(k)) < 2^{i+1}``."""
-        return float(2 ** (i + 1))
-
     def __repr__(self) -> str:
         sizes = [len(net) for net in self._nets]
         return f"NetHierarchy(top={self._top}, net_sizes={sizes})"

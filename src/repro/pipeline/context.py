@@ -76,7 +76,8 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: (no XOR-aggregate key state).
 #: v16: hierarchies and packings carry no partition counts (they are
 #: never rebuilt partially after an edit).
-CACHE_FORMAT_VERSION = 16
+#: v17: metrics pickle their edge array instead of a networkx graph.
+CACHE_FORMAT_VERSION = 17
 
 
 @dataclasses.dataclass
@@ -116,10 +117,17 @@ def graph_content_key(graph: nx.Graph) -> str:
     the graph was mutated; the order edges were inserted in does not.
     """
     canonical, labels = _relabelled(graph)
-    head = f"v{CACHE_FORMAT_VERSION}|n={len(labels)}|"
-    if canonical is not graph:
-        head += repr(labels)
-    edges = _edge_array(canonical)
+    return _edges_key(
+        len(labels),
+        _edge_array(canonical),
+        labels=repr(labels) if canonical is not graph else "",
+    )
+
+
+def _edges_key(n: int, edges: np.ndarray, labels: str = "") -> str:
+    """The content key of ``n`` nodes (labelled ``labels``, when they
+    are not ``0 .. n-1``) and ``(m, 3)`` edge rows ``u, v, weight``."""
+    head = f"v{CACHE_FORMAT_VERSION}|n={n}|{labels}"
     rows = np.column_stack((np.sort(edges[:, :2], axis=1), edges[:, 2]))
     rows = rows[np.lexsort(rows.T[::-1])]
     return hashlib.sha256(head.encode() + rows.tobytes()).hexdigest()
@@ -237,16 +245,19 @@ class BuildContext:
     def metric_key(self, metric: GraphMetric) -> Tuple[str, float]:
         """Cache identity of a metric: ``(graph content hash, scale)``.
 
-        Works for metrics built outside the context too: the key is
-        computed from the underlying (relabelled) graph.  The applied
-        normalization scale is part of the key — ``GraphMetric(g)`` and
+        Works for metrics built outside the context too: the hash is
+        taken over the metric's own (relabelled) edge array
+        (:attr:`GraphMetric.edges`) as :func:`graph_content_key` takes
+        it over a graph's, so a graph edited after the metric was built
+        never changes the metric's key.  The applied normalization scale
+        is part of the key — ``GraphMetric(g)`` and
         ``GraphMetric(g, normalize=False)`` over a graph with min edge
         weight != 1 define *different* metrics and must never share
         hierarchies, packings, pairs, or schemes.
         """
         key = self._metric_keys.get(metric)
         if key is None:
-            key = (graph_content_key(metric.graph), float(metric.scale))
+            key = (_edges_key(metric.n, metric.edges), float(metric.scale))
             self._metric_keys[metric] = key
         return key
 
@@ -448,22 +459,16 @@ class BuildContext:
         old content hash is either *carried* (evaluation pairs, whose
         only dependency is ``n``, unless the node set changed) or
         *dropped* (metrics, hierarchies, packings, schemes and compiled
-        tables, each built cold on next demand).  Cached metrics that
-        alias ``graph`` get a private copy of it first, so stale metrics
-        handed out earlier keep a coherent pre-edit snapshot of the
-        graph, which is what the staleness-window routing in
-        :mod:`repro.churn` relies on.
+        tables, each built cold on next demand).  A metric holds its own
+        edge array, never the graph, so stale metrics handed out earlier
+        keep answering for the pre-edit graph, which is what the
+        staleness-window routing in :mod:`repro.churn` relies on.
         """
         start = time.perf_counter()
         old_key = graph_content_key(graph)
         stale_keys = [
             full_key for full_key in self._memory if _mentions(full_key, old_key)
         ]
-        for full_key in stale_keys:
-            artifact = self._memory[full_key]
-            if full_key[0] == "metric" and artifact.graph is graph:
-                artifact.detach_graph()
-
         apply_edit_to_graph(graph, edit)
         new_key = graph_content_key(graph)
 
@@ -540,15 +545,6 @@ class BuildContext:
     def profile_report(self) -> Dict[str, Any]:
         """Merged timing + hit/miss report (see ``BuildProfile.report``)."""
         return self.profile.report(self.stats, substrate=self.substrate_stats())
-
-    # -- maintenance ----------------------------------------------------
-
-    def clear_memory(self) -> None:
-        """Drop every in-memory artifact (disk entries are kept)."""
-        self._memory.clear()
-        self._metric_keys.clear()
-        self._scheme_keys.clear()
-        self._instance_tables.clear()
 
     def __repr__(self) -> str:
         kinds = sorted(

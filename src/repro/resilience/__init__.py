@@ -4,7 +4,8 @@ Every scheme in this library routes on a frozen topology; this package
 measures what happens when the topology changes *after* preprocessing:
 
 * :mod:`~repro.resilience.failure_plan` — seeded, fully deterministic
-  schedules of link-down/up, node-crash, and weight-perturbation events;
+  schedules of link-down/up events (the event vocabulary also holds the
+  node-crash and weight-perturbation events the churn overlay emits);
 * :mod:`~repro.resilience.degraded` — a cheap overlay view of a
   :class:`~repro.metric.graph_metric.GraphMetric` that masks failed
   edges and nodes without rebuilding any tables, including post-failure

@@ -13,7 +13,8 @@ an overlay:
   have done on the surviving topology) — are computed lazily, one
   Dijkstra per queried source, and cached until the overlay changes.
 
-Nothing here ever mutates the wrapped metric or the underlying graph.
+Nothing here ever mutates the wrapped metric, whose own edge array is
+the intact topology.
 """
 
 from __future__ import annotations
@@ -126,7 +127,7 @@ class DegradedNetwork:
             return False
         if edge_key(u, v) in self._failed_edges:
             return False
-        return self._metric.graph.has_edge(u, v)
+        return v in self._metric.neighbors(u)
 
     def edge_weight(self, u: NodeId, v: NodeId) -> float:
         """Current (possibly perturbed) weight of a live edge."""
@@ -138,9 +139,7 @@ class DegradedNetwork:
         if u in self._crashed_nodes:
             return []
         return sorted(
-            v
-            for v in self._metric.graph.neighbors(u)
-            if self.edge_alive(u, v)
+            v for v in self._metric.neighbors(u) if self.edge_alive(u, v)
         )
 
     # ------------------------------------------------------------------
@@ -148,19 +147,24 @@ class DegradedNetwork:
     # ------------------------------------------------------------------
 
     def _surviving_matrix(self) -> csr_matrix:
+        """Live edges at their current weights, both directions.
+
+        Read off the metric's edge table, so the entries come in key
+        order rather than edge-array order; only Dijkstra distances are
+        read from the matrix, and those do not depend on entry order.
+        """
         if self._matrix is not None and self._matrix_version == self._version:
             return self._matrix
         n = self._metric.n
+        keys, _ = self._metric.edge_table()
         rows: List[int] = []
         cols: List[int] = []
         vals: List[float] = []
-        for u, v in self._metric.graph.edges():
-            if not self.edge_alive(u, v):
-                continue
-            w = self.edge_weight(u, v)
-            rows.extend((u, v))
-            cols.extend((v, u))
-            vals.extend((w, w))
+        for u, v in zip((keys // n).tolist(), (keys % n).tolist()):
+            if self.edge_alive(u, v):
+                rows.append(u)
+                cols.append(v)
+                vals.append(self.edge_weight(u, v))
         self._matrix = csr_matrix((vals, (rows, cols)), shape=(n, n))
         self._matrix_version = self._version
         return self._matrix

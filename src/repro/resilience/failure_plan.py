@@ -17,8 +17,10 @@ Samplers cover the three failure geometries the literature cares about:
   first (adversarial/targeted failures), fed from
   :meth:`~repro.runtime.simulator.SimulationReport.busiest_links`.
 
-Node crashes and weight perturbations (congestion-driven re-weighting)
-complete the event vocabulary.
+The event vocabulary also holds node crashes and weight perturbations
+(congestion-driven re-weighting); the churn driver's overlay emits them
+(``NODE_DOWN`` for a node that left, ``WEIGHT_SCALE`` for a reweighted
+link), but no sampler draws them.
 """
 
 from __future__ import annotations
@@ -138,7 +140,10 @@ class FailurePlan:
 
     @staticmethod
     def _sorted_edges(metric: GraphMetric) -> List[EdgeKey]:
-        return sorted(edge_key(u, v) for u, v in metric.graph.edges())
+        """Every link once, as its :func:`edge_key`, ascending."""
+        keys, _ = metric.edge_table()
+        ends = zip((keys // metric.n).tolist(), (keys % metric.n).tolist())
+        return sorted({edge_key(u, v) for u, v in ends})
 
     @classmethod
     def uniform_links(
@@ -237,66 +242,6 @@ class FailurePlan:
         if recover_at is not None:
             events += [
                 FailureEvent(recover_at, EventKind.LINK_UP, edge=e)
-                for e in chosen
-            ]
-        return cls(events)
-
-    @classmethod
-    def node_crashes(
-        cls,
-        metric: GraphMetric,
-        count: int,
-        seed: int = 0,
-        at: float = 0.0,
-        recover_at: Optional[float] = None,
-    ) -> "FailurePlan":
-        """Crash ``count`` uniform random nodes (all their links drop)."""
-        if not 1 <= count <= metric.n:
-            raise ValueError(f"count must be in [1, {metric.n}]")
-        rng = random.Random(seed)
-        chosen = rng.sample(list(metric.nodes), count)
-        events = [
-            FailureEvent(at, EventKind.NODE_DOWN, node=v) for v in chosen
-        ]
-        if recover_at is not None:
-            events += [
-                FailureEvent(recover_at, EventKind.NODE_UP, node=v)
-                for v in chosen
-            ]
-        return cls(events)
-
-    @classmethod
-    def weight_storm(
-        cls,
-        metric: GraphMetric,
-        fraction: float,
-        factor: float,
-        seed: int = 0,
-        at: float = 0.0,
-        restore_at: Optional[float] = None,
-    ) -> "FailurePlan":
-        """Scale a random ``fraction`` of link weights by ``factor``.
-
-        Models congestion-driven latency inflation rather than hard
-        failure; ``restore_at`` resets the factors to 1.0.
-        """
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        edges = cls._sorted_edges(metric)
-        count = max(1, round(fraction * len(edges)))
-        rng = random.Random(seed)
-        chosen = rng.sample(edges, count)
-        events = [
-            FailureEvent(at, EventKind.WEIGHT_SCALE, edge=e, factor=factor)
-            for e in chosen
-        ]
-        if restore_at is not None:
-            events += [
-                FailureEvent(
-                    restore_at, EventKind.WEIGHT_SCALE, edge=e, factor=1.0
-                )
                 for e in chosen
             ]
         return cls(events)

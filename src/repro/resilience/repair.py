@@ -29,7 +29,6 @@ import networkx as nx
 
 from repro.core.params import SchemeParameters
 from repro.pipeline.context import BuildContext
-from repro.resilience.degraded import DegradedNetwork
 from repro.schemes.base import RoutingScheme
 
 
@@ -57,24 +56,6 @@ class RepairMeasurement:
     @property
     def reused_total(self) -> int:
         return sum(self.reused.values())
-
-
-def surviving_graph(degraded: DegradedNetwork) -> nx.Graph:
-    """The degraded topology as a standalone graph (for rebuilds).
-
-    Nodes are kept (so ids stay aligned); failed edges and every edge of
-    a crashed node are removed, and weight perturbations are applied.
-    Rebuilding on this graph raises ``PreprocessingError`` when the
-    failures disconnected it — a real deployment would rebuild per
-    component.
-    """
-    metric = degraded.metric
-    graph = nx.Graph()
-    graph.add_nodes_from(metric.graph.nodes())
-    for u, v in metric.graph.edges():
-        if degraded.edge_alive(u, v):
-            graph.add_edge(u, v, weight=degraded.edge_weight(u, v))
-    return graph
 
 
 def _snapshot(context: BuildContext) -> Tuple[Dict[str, int], Dict[str, int]]:

@@ -7,9 +7,9 @@ the classic landmark construction so the doubling-metric schemes can be
 compared against what general-graph techniques achieve on the same
 networks (see ``benchmarks/bench_related_work.py``):
 
-* choose a landmark set ``L`` (greedy: repeatedly take the node with
-  the largest remaining *cluster*, the textbook ``Õ(n^{2/3})`` balance
-  comes from ``|L| ≈ n^{1/3}``);
+* choose a landmark set ``L`` (:func:`greedy_landmarks`: repeatedly
+  take the node farthest from the landmarks so far; the textbook
+  ``Õ(n^{2/3})`` balance comes from ``|L| ≈ n^{1/3}``);
 * each node ``u`` stores a next hop for every landmark and for every
   node in its cluster ``C(u) = {v : d(u,v) < d(v, L(v))}`` (nodes
   strictly closer to ``u`` than to their own home landmark);
@@ -36,6 +36,27 @@ from repro.metric.graph_metric import GraphMetric
 from repro.schemes.base import LabeledScheme
 
 
+def greedy_landmarks(metric: GraphMetric, count: int) -> List[NodeId]:
+    """Farthest-point landmark selection (deterministic), sorted.
+
+    Starting from node 0, repeatedly add the node farthest from the
+    current landmark set — the standard k-center greedy, which spreads
+    landmarks so home-landmark distances (and hence detour costs and
+    cluster sizes) stay balanced.  Both landmark schemes pick their
+    landmarks here; fewer than ``count`` come back only when every node
+    already is one.
+    """
+    landmarks = [0]
+    mindist = np.array(metric.distances_from(0), dtype=float)
+    while len(landmarks) < count:
+        far = int(mindist.argmax())
+        if mindist[far] <= 0:
+            break
+        landmarks.append(far)
+        np.minimum(mindist, metric.distances_from(far), out=mindist)
+    return sorted(landmarks)
+
+
 class CowenLandmarkScheme(LabeledScheme):
     """Stretch-3 labeled routing via landmarks and clusters."""
 
@@ -54,7 +75,7 @@ class CowenLandmarkScheme(LabeledScheme):
             raise PreprocessingError(
                 f"landmark_count must be in [1, {metric.n}]"
             )
-        self._landmarks = self._greedy_landmarks(landmark_count)
+        self._landmarks = greedy_landmarks(metric, landmark_count)
         self._home: List[NodeId] = metric.nearest_many(
             metric.nodes, self._landmarks
         ).tolist()
@@ -67,27 +88,6 @@ class CowenLandmarkScheme(LabeledScheme):
         ]
 
     # ------------------------------------------------------------------
-
-    def _greedy_landmarks(self, count: int) -> List[NodeId]:
-        """Farthest-point landmark selection (deterministic).
-
-        Starting from node 0, repeatedly add the node farthest from the
-        current landmark set — the standard k-center greedy, which
-        spreads landmarks so home-landmark distances (and hence detour
-        costs and cluster sizes) stay balanced.
-        """
-        metric = self._metric
-        landmarks = [0]
-        mindist = np.array(metric.distances_from(0), dtype=float)
-        while len(landmarks) < count:
-            far = int(mindist.argmax())
-            if mindist[far] <= 0:
-                break
-            landmarks.append(far)
-            np.minimum(
-                mindist, metric.distances_from(far), out=mindist
-            )
-        return sorted(landmarks)
 
     def _cluster_of(self, u: NodeId, home_dist: np.ndarray) -> Set[NodeId]:
         du = self._metric.distances_from(u)

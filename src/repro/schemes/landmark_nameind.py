@@ -54,6 +54,7 @@ from repro.core.params import SchemeParameters
 from repro.core.types import NodeId, PreprocessingError, RouteFailure, RouteResult
 from repro.metric.graph_metric import GraphMetric
 from repro.schemes.base import NameIndependentScheme
+from repro.schemes.cowen_landmark import greedy_landmarks
 
 
 class LandmarkNameIndependentScheme(NameIndependentScheme):
@@ -85,7 +86,7 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
             raise PreprocessingError(
                 f"vicinity_size must be in [1, {n}]"
             )
-        self._landmarks = self._greedy_landmarks(landmark_count)
+        self._landmarks = greedy_landmarks(metric, landmark_count)
         self._landmark_index = {
             l: i for i, l in enumerate(self._landmarks)
         }
@@ -120,19 +121,6 @@ class LandmarkNameIndependentScheme(NameIndependentScheme):
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-
-    def _greedy_landmarks(self, count: int) -> List[NodeId]:
-        """Farthest-point landmark selection (deterministic)."""
-        metric = self._metric
-        landmarks = [0]
-        mindist = np.array(metric.distances_from(0), dtype=float)
-        while len(landmarks) < count:
-            far = int(mindist.argmax())
-            if mindist[far] <= 0:
-                break
-            landmarks.append(far)
-            np.minimum(mindist, metric.distances_from(far), out=mindist)
-        return sorted(landmarks)
 
     def _build_vicinities(
         self, size: int

@@ -389,10 +389,6 @@ class SearchTree:
             s = forest.parent[s]
         return cost
 
-    def depth_cost(self, v: NodeId) -> float:
-        """Distance from the root to ``v`` along tree edges."""
-        return self._depth(self._slot_of(v))
-
     def height(self) -> float:
         """Largest root-to-node distance along tree edges.
 

@@ -29,43 +29,54 @@ def params():
     return SchemeParameters(epsilon=0.5)
 
 
+#: The generator behind each ``<family>_metric`` fixture.  A metric
+#: keeps only its own edge array, so a test that checks the metric
+#: against its graph regenerates the graph here.
+FAMILY_GRAPHS = {
+    "grid": lambda: grid_2d(6),
+    "holes": lambda: grid_with_holes(7, hole_fraction=0.25, seed=3),
+    "geometric": lambda: random_geometric(48, seed=2),
+    "exponential": lambda: exponential_path(14),
+}
+
+
 @pytest.fixture(scope="session")
 def grid_metric():
     """6x6 unit grid: the canonical growth-bounded testbed."""
-    return GraphMetric(grid_2d(6))
+    return GraphMetric(FAMILY_GRAPHS["grid"]())
 
 
 @pytest.fixture(scope="session")
 def holes_metric():
     """Grid with holes: doubling but not growth-bounded."""
-    return GraphMetric(grid_with_holes(7, hole_fraction=0.25, seed=3))
+    return GraphMetric(FAMILY_GRAPHS["holes"]())
 
 
 @pytest.fixture(scope="session")
 def geometric_metric():
     """Random geometric graph with non-uniform weights."""
-    return GraphMetric(random_geometric(48, seed=2))
+    return GraphMetric(FAMILY_GRAPHS["geometric"]())
 
 
 @pytest.fixture(scope="session")
 def exponential_metric():
     """Path with exponentially growing weights: huge normalized diameter."""
-    return GraphMetric(exponential_path(14))
+    return GraphMetric(FAMILY_GRAPHS["exponential"]())
 
 
 @pytest.fixture(
     scope="session",
     params=["grid", "holes", "geometric", "exponential"],
 )
-def any_metric(request, grid_metric, holes_metric, geometric_metric,
-               exponential_metric):
-    """Parametrized fixture running a test over all graph families."""
-    return {
-        "grid": grid_metric,
-        "holes": holes_metric,
-        "geometric": geometric_metric,
-        "exponential": exponential_metric,
-    }[request.param]
+def any_family(request):
+    """Parametrized fixture naming each graph family in turn."""
+    return request.param
+
+
+@pytest.fixture(scope="session")
+def any_metric(request, any_family):
+    """The metric of ``any_family``: runs a test over all graph families."""
+    return request.getfixturevalue(f"{any_family}_metric")
 
 
 @pytest.fixture(scope="session")

@@ -572,7 +572,7 @@ class TestTableAudit:
         injected = CorruptionInjector(seed=1).corrupt(metric, [6, 17])
         quarantine_and_repair(context, auditor, injected=injected)
         pairs = verify_against_cold(
-            scheme, SimpleNameIndependentScheme, seed=5
+            scheme, SimpleNameIndependentScheme, grid_2d(5), seed=5
         )
         assert pairs > 0
 
@@ -589,7 +589,9 @@ class TestTableAudit:
         scheme.route = lying_route
         try:
             with pytest.raises(TableIntegrityError):
-                verify_against_cold(scheme, ShortestPathScheme, seed=5)
+                verify_against_cold(
+                    scheme, ShortestPathScheme, grid_2d(5), seed=5
+                )
         finally:
             scheme.route = true_route
 

@@ -29,9 +29,6 @@ from repro.graphs.generators import grid_2d, preferential_attachment
 from repro.metric.graph_metric import GraphMetric
 from repro.observability.trace import replay
 from repro.pipeline.context import BuildContext
-from repro.resilience import EventKind, FailureEvent
-from repro.resilience.degraded import DegradedNetwork
-from repro.resilience.repair import surviving_graph
 from repro.schemes.base import RoutingScheme
 from repro.schemes.cowen_landmark import CowenLandmarkScheme
 from repro.schemes.labeled_nonscalefree import NonScaleFreeLabeledScheme
@@ -190,13 +187,10 @@ class TestTraceReplay:
 class TestDegradedOverlay:
     """A scheme rebuilt on the surviving subgraph compiles bit-identical."""
 
-    def test_degraded_rebuild(self, grid_metric, params):
-        degraded = DegradedNetwork(grid_metric)
-        for u, v in ((0, 1), (7, 8), (14, 20)):
-            degraded.apply(
-                FailureEvent(0.0, EventKind.LINK_DOWN, edge=(u, v))
-            )
-        metric = GraphMetric(surviving_graph(degraded))
+    def test_degraded_rebuild(self, params):
+        graph = grid_2d(6)
+        graph.remove_edges_from(((0, 1), (7, 8), (14, 20)))
+        metric = GraphMetric(graph)
         for scheme in (
             ShortestPathScheme(metric),
             LandmarkNameIndependentScheme(metric, params),
@@ -384,7 +378,7 @@ class TestNonEdgeHop:
         """The least node that is neither ``u`` nor a neighbour of it."""
         return next(
             v for v in metric.nodes
-            if v != u and not metric.graph.has_edge(u, v)
+            if v != u and v not in metric.neighbors(u)
         )
 
     def test_landmark_vicinity_hop(self, grid_metric, params):

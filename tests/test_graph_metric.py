@@ -1,12 +1,17 @@
 """Unit tests for the shortest-path metric substrate."""
 
+import pickle
+
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.core.edits import EditKind, GraphEdit, apply_edit_to_graph
 from repro.core.types import PreprocessingError
-from repro.graphs.generators import path_graph
+from repro.graphs.generators import grid_2d, path_graph
 from repro.metric.graph_metric import GraphMetric, stretch_of
+
+from tests.conftest import FAMILY_GRAPHS
 
 
 class TestConstruction:
@@ -55,6 +60,53 @@ class TestConstruction:
         assert metric.n == 1
         assert metric.diameter == 1.0  # degenerate convention
         assert metric.log_diameter == 0
+
+
+class TestOwnEdges:
+    """The edge array read at construction is the metric's only record
+    of its graph: editing the caller's graph afterwards changes nothing
+    the metric answers or pickles."""
+
+    @staticmethod
+    def _answers(metric):
+        return (
+            metric.distance(0, 1),
+            metric.distance(0, 35),
+            metric.edge_weight(0, 1),
+            metric.next_hop(0, 35),
+        )
+
+    @pytest.mark.parametrize("strategy", ["dense", "lazy"])
+    def test_editing_the_graph_after_construction_changes_nothing(
+        self, strategy
+    ):
+        graph = grid_2d(6)
+        metric = GraphMetric(graph, strategy=strategy)
+        before = self._answers(metric)
+        assert before == (1.0, 10.0, 1.0, 6)
+        graph[0][1]["weight"] = 7.0
+        graph.add_edge(0, 35)
+        graph.remove_edge(0, 6)
+        assert self._answers(metric) == before
+        # A pickle holds the metric's own edges, not the edited graph:
+        # rows a lazy clone solves afresh come from them too.
+        clone = pickle.loads(pickle.dumps(metric))
+        assert self._answers(clone) == before
+        assert clone.distance(2, 0) == 2.0  # row 2 never solved before
+        assert sorted(metric.neighbors(0)) == sorted(clone.neighbors(0)) == [1, 6]
+        assert np.array_equal(clone.edges, metric.edges)
+        edited = GraphMetric(graph, strategy=strategy)
+        assert self._answers(edited) == (7.0, 1.0, 7.0, 35)
+        assert sorted(edited.neighbors(0)) == [1, 35]
+
+    def test_edges_are_read_only(self):
+        metric = GraphMetric(path_graph(4))
+        edges = metric.edges
+        with pytest.raises(ValueError):
+            edges[0, 2] = 5.0
+        with pytest.raises(ValueError):
+            edges.flags.writeable = True
+        assert metric.edge_weight(0, 1) == 1.0
 
 
 class TestDistances:
@@ -163,8 +215,8 @@ class TestBalls:
 
 
 class TestNextHops:
-    def test_next_hop_is_neighbour(self, any_metric):
-        graph = any_metric.graph
+    def test_next_hop_is_neighbour(self, any_metric, any_family):
+        graph = FAMILY_GRAPHS[any_family]()
         for u in range(0, any_metric.n, 5):
             for v in range(0, any_metric.n, 3):
                 if u == v:
@@ -188,28 +240,28 @@ class TestNextHops:
 
     @pytest.mark.parametrize("factor", [1.5, 0.25])
     def test_edge_weights_match_the_graph_before_and_after_an_edit(
-        self, any_metric, factor
+        self, any_metric, any_family, factor
     ):
-        def check(metric):
+        def check(metric, graph):
             keys, weights = metric.edge_table()
             table = dict(zip(keys.tolist(), weights.tolist()))
-            assert len(table) == 2 * metric.graph.number_of_edges()
-            for u, v, data in metric.graph.edges(data=True):
+            assert len(table) == 2 * graph.number_of_edges()
+            for u, v, data in graph.edges(data=True):
                 want = float(data.get("weight", 1.0)) / metric.scale
                 assert metric.edge_weight(u, v) == want
                 assert metric.edge_weight(v, u) == want
                 assert table[u * metric.n + v] == table[v * metric.n + u] == want
 
-        check(any_metric)
+        graph = FAMILY_GRAPHS[any_family]()
+        check(any_metric, graph)
         # A heavier weight keeps the scale; a lighter one may change it:
         # a cold build after either must read the edited weights.
-        graph = any_metric.graph.copy()
         u, v, data = next(iter(graph.edges(data=True)))
         weight = float(data.get("weight", 1.0)) * factor
         edit = GraphEdit(EditKind.WEIGHT, edge=(u, v), weight=weight)
         apply_edit_to_graph(graph, edit)
         edited = GraphMetric(graph, strategy=any_metric.strategy)
-        check(edited)
+        check(edited, graph)
         assert edited.edge_weight(u, v) == weight / edited.scale
 
     def test_paths_from_one_source_form_tree(self, grid_metric):

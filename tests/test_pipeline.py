@@ -95,6 +95,30 @@ def test_graph_content_key_is_content_based():
     assert graph_content_key(grid_2d(4)) == graph_content_key(grid_2d(4))
 
 
+def test_editing_the_graph_after_the_metric_aliases_no_cache_entry():
+    """Regression: a metric's key was read off the caller's live graph.
+
+    A metric built before an out-of-band weight poke was keyed by the
+    poked graph, so its scheme was served for the edited graph too.
+    """
+    from repro.metric.graph_metric import GraphMetric
+    from repro.schemes.shortest_path import ShortestPathScheme
+
+    graph = grid_2d(6)
+    metric = GraphMetric(graph)
+    key = BuildContext().metric_key(metric)
+    assert key[0] == graph_content_key(graph)
+    graph[0][1]["weight"] = 7.0
+
+    context = BuildContext()
+    stale = context.scheme(ShortestPathScheme, metric)
+    fresh = context.scheme(ShortestPathScheme, context.metric(graph))
+    assert fresh is not stale
+    assert stale.metric.distance(0, 1) == 1.0
+    assert fresh.metric.distance(0, 1) == 3.0  # round 0-6-7-1
+    assert context.metric_key(metric) == key
+
+
 # -- on-disk cache ----------------------------------------------------------
 
 

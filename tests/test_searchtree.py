@@ -246,12 +246,13 @@ class TestSearchTreeProperties:
 # ----------------------------------------------------------------------
 
 
-def _all_pairs(metric):
-    """Row v of one scipy all-pairs matrix: v's own distances."""
+def _all_pairs(graph, scale):
+    """Row v of one scipy all-pairs matrix of ``graph`` (weights divided
+    by ``scale``): v's own distances."""
     adjacency = nx.to_scipy_sparse_array(
-        metric.graph, nodelist=range(metric.n), weight="weight", format="csr"
+        graph, nodelist=range(len(graph)), weight="weight", format="csr"
     )
-    return dijkstra(adjacency / metric.scale, directed=True)
+    return dijkstra(adjacency / scale, directed=True)
 
 
 def _ref_nearest(rows, v, candidates, tol=0.0):
@@ -368,22 +369,23 @@ def _absent(keys, n):
     return [-1] + gaps + [n + g for g in range(1, 5 - len(gaps))]
 
 
-REFERENCE_METRICS = {
-    "grid": lambda: GraphMetric(grid_2d(8)),
-    "geometric-lazy": lambda: GraphMetric(
-        random_geometric(128, seed=11), strategy="lazy"
-    ),
-    "exponential": lambda: GraphMetric(exponential_path(12)),
+REFERENCE_GRAPHS = {
+    "grid": (lambda: grid_2d(8), "auto"),
+    "geometric-lazy": (lambda: random_geometric(128, seed=11), "lazy"),
+    "exponential": (lambda: exponential_path(12), "auto"),
 }
 
 
-@pytest.fixture(scope="module", params=sorted(REFERENCE_METRICS))
+@pytest.fixture(scope="module", params=sorted(REFERENCE_GRAPHS))
 def reference_case(request):
-    metric = REFERENCE_METRICS[request.param]()
+    make_graph, strategy = REFERENCE_GRAPHS[request.param]
+    graph = make_graph()
+    metric = GraphMetric(graph, strategy=strategy)
     params = SchemeParameters(epsilon=EPS)
     simple = SimpleNameIndependentScheme(metric, params)
     scale_free = ScaleFreeNameIndependentScheme(metric, params)
-    return request.param, metric, _all_pairs(metric), simple, scale_free
+    rows = _all_pairs(graph, metric.scale)
+    return request.param, metric, rows, simple, scale_free
 
 
 class TestReference:
@@ -456,8 +458,9 @@ NEAREST_GRAPHS = {
 def test_nearest_many_matches_per_source_brute_force(family, strategy, tol, hint):
     """One call answers every source from its own row, ties by least id,
     whatever the first reach (0.25 covers no candidate)."""
-    metric = GraphMetric(NEAREST_GRAPHS[family](), strategy=strategy)
-    rows = _all_pairs(metric)
+    graph = NEAREST_GRAPHS[family]()
+    metric = GraphMetric(graph, strategy=strategy)
+    rows = _all_pairs(graph, metric.scale)
     candidates = list(range(3, metric.n, 7))
     sources = list(metric.nodes)
     found = metric.nearest_many(sources, candidates, tol=tol, hint=hint)

@@ -153,7 +153,7 @@ class TestLocality:
         _, views = stepwise
         for u in grid_metric.nodes:
             for hop in views[u]["R_NH"].tolist():
-                assert hop == u or grid_metric.graph.has_edge(u, hop)
+                assert hop == u or hop in grid_metric.neighbors(u)
 
 
 class TestEquivalence:

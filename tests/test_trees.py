@@ -12,6 +12,7 @@ from repro.metric.graph_metric import GraphMetric
 from repro.trees.spt import ShortestPathTree, voronoi_partition
 from repro.trees.tree_router import TreeRouter
 
+from tests.conftest import FAMILY_GRAPHS
 from tests.test_rnet import random_connected_graph
 
 
@@ -53,7 +54,7 @@ class TestVoronoiPartition:
         # The reference reads d(v, c) off v's own full row; a lazy
         # metric answers each node from its bounded nearest_in search.
         reference = request.getfixturevalue(f"{family}_metric")
-        metric = GraphMetric(reference.graph.copy(), strategy=strategy)
+        metric = GraphMetric(FAMILY_GRAPHS[family](), strategy=strategy)
         rng = random.Random(family)
         for k in (1, 2, 5, reference.n // 4):
             centers = rng.sample(list(reference.nodes), k)
@@ -79,7 +80,7 @@ class TestShortestPathTree:
         tree = ShortestPathTree(grid_metric, 0, list(grid_metric.nodes))
         for v in tree.nodes:
             if v != tree.root:
-                assert grid_metric.graph.has_edge(v, tree.parent_of(v))
+                assert tree.parent_of(v) in grid_metric.neighbors(v)
 
     def test_tree_path_endpoints(self, grid_metric):
         tree = ShortestPathTree(grid_metric, 0, list(grid_metric.nodes))
