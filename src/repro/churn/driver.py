@@ -15,7 +15,8 @@ churn:
    :class:`~repro.resilience.degraded.DegradedNetwork` overlay that
    mirrors the committed edits, and the walks the router actually took
    are pushed through the store-and-forward simulator for queueing
-   measurements;
+   measurements — once per fallback policy, the only step that
+   differs between policies;
 4. the tables are **repaired**: the metric, the hierarchy, the
    packings and every scheme are built cold through the warm context,
    once per round however many edits it committed.  Repair throughput
@@ -34,13 +35,18 @@ Optionally every ``verify_every`` rounds the repaired scheme is
 checked **bit-identical** to a cold rebuild of the current graph (every
 routed :class:`~repro.core.types.RouteResult` compared with ``==``,
 and the per-node ``table_bits_vector``); any divergence raises.
+
+Given several fallback policies, one run serves all of them: each round
+draws, commits, repairs and verifies once, and only the staleness
+window is routed per policy, so the per-policy reports share every
+edit, repair and verification record.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Dict, List, Optional, Tuple, Type, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Type, Union
 
 import networkx as nx
 
@@ -51,9 +57,8 @@ from repro.core.types import NodeId, PreprocessingError
 from repro.pipeline.context import BuildContext, EditReport
 from repro.resilience.degraded import DegradedNetwork
 from repro.resilience.failure_plan import EventKind, FailureEvent, edge_key
-from repro.resilience.repair import _counter_delta
 from repro.resilience.router import FallbackPolicy, ResilientRouter
-from repro.runtime.simulator import TrafficSimulator, uniform_demands
+from repro.runtime.simulator import Demand, TrafficSimulator, uniform_demands
 from repro.schemes.base import RoutingScheme
 
 
@@ -208,7 +213,9 @@ class ChurnDriver:
     Args:
         graph: The evolving network; mutated in place by every edit.
         scheme_cls: Scheme under maintenance.
-        policy: Fallback policy for the staleness windows.
+        policy: Fallback policy for the staleness windows, or a sequence
+            of them: each window is then routed once per policy, and
+            :meth:`run` returns one report per policy.
         params: Scheme parameters.
         context: Warm :class:`BuildContext` (owns all cached state);
             a fresh one is created when omitted.
@@ -229,7 +236,9 @@ class ChurnDriver:
         self,
         graph: nx.Graph,
         scheme_cls: Type[RoutingScheme],
-        policy: Union[str, FallbackPolicy] = "fail-fast",
+        policy: Union[
+            str, FallbackPolicy, Sequence[Union[str, FallbackPolicy]]
+        ] = "fail-fast",
         params: Optional[SchemeParameters] = None,
         context: Optional[BuildContext] = None,
         stream=None,
@@ -250,9 +259,12 @@ class ChurnDriver:
             stream = EditStream(
                 seed=seed, max_nodes=2 * graph.number_of_nodes()
             )
+        self._single = isinstance(policy, (str, FallbackPolicy))
+        self._policies = [policy] if self._single else list(policy)
+        if not self._policies:
+            raise ValueError("policy must name at least one policy")
         self._graph = graph
         self._scheme_cls = scheme_cls
-        self._policy = policy
         self._params = params if params is not None else SchemeParameters()
         self._context = context if context is not None else BuildContext()
         self._stream = stream
@@ -345,8 +357,48 @@ class ChurnDriver:
     # The service loop
     # ------------------------------------------------------------------
 
-    def run(self, edits: int = 100) -> ChurnReport:
-        """Commit ``edits`` edits under load; returns the full record."""
+    @staticmethod
+    def _window(
+        stale_scheme: RoutingScheme,
+        degraded: DegradedNetwork,
+        policy: Union[str, FallbackPolicy],
+        demands: List[Demand],
+    ) -> Dict[str, object]:
+        """Route one staleness window under ``policy``: the routing
+        fields of a :class:`ChurnRoundRecord`."""
+        router = ResilientRouter(stale_scheme, degraded, policy=policy)
+        results = [router.route(d.source, d.target) for d in demands]
+        simulation = TrafficSimulator(stale_scheme).run(
+            demands, paths=[r.path for r in results]
+        )
+        stretches = [r.stretch for r in results if r.delivered]
+        outcomes: Dict[str, int] = {}
+        for r in results:
+            outcomes[r.status.value] = outcomes.get(r.status.value, 0) + 1
+        return dict(
+            demand_count=len(results),
+            delivered=len(stretches),
+            unreachable=sum(
+                1 for r in results if not _finite(r.post_failure_optimal)
+            ),
+            mean_stretch=(
+                sum(stretches) / len(stretches) if stretches else 0.0
+            ),
+            max_stretch=max(stretches, default=0.0),
+            mean_detours=(
+                sum(r.detours for r in results) / len(results)
+                if results
+                else 0.0
+            ),
+            outcomes=outcomes,
+            mean_latency=simulation.mean_latency(),
+            mean_queueing=simulation.mean_queueing(),
+        )
+
+    def run(self, edits: int = 100) -> Union[ChurnReport, List[ChurnReport]]:
+        """Commit ``edits`` edits under load; returns the full record:
+        one report, or one per policy (in the order given) when the
+        driver was given a sequence of policies."""
         if edits < 1:
             raise ValueError("edits must be >= 1")
         context = self._context
@@ -354,7 +406,7 @@ class ChurnDriver:
         metric = context.metric(self._graph)
         scheme = context.scheme(self._scheme_cls, metric, self._params)
 
-        rounds: List[ChurnRoundRecord] = []
+        rounds: List[List[ChurnRoundRecord]] = [[] for _ in self._policies]
         committed = 0
         index = 0
         while committed < edits:
@@ -377,20 +429,17 @@ class ChurnDriver:
                 for event in self._overlay_events(edit, stale_graph, factors):
                     degraded.apply(event)
 
-            # -- staleness window: route + load ------------------------
+            # -- staleness window: route + load, per policy ------------
             demands = uniform_demands(
                 stale_metric.n,
                 self._pairs_per_round,
                 rate=self._demand_rate,
                 seed=self._seed * 100003 + index,
             )
-            router = ResilientRouter(
-                stale_scheme, degraded, policy=self._policy
-            )
-            results = [router.route(d.source, d.target) for d in demands]
-            simulation = TrafficSimulator(stale_scheme).run(
-                demands, paths=[r.path for r in results]
-            )
+            windows = [
+                self._window(stale_scheme, degraded, policy, demands)
+                for policy in self._policies
+            ]
 
             # -- repair: rebuild through the warm context -------------
             built_before = dict(context.stats.misses)
@@ -406,56 +455,44 @@ class ChurnDriver:
             if self._verify_every and (index + 1) % self._verify_every == 0:
                 verified = self._verify(scheme)
 
-            delivered = [r for r in results if r.delivered]
-            stretches = [r.stretch for r in delivered]
-            outcomes: Dict[str, int] = {}
-            for r in results:
-                outcomes[r.status.value] = outcomes.get(r.status.value, 0) + 1
-            unreachable = sum(
-                1
-                for r in results
-                if not _finite(r.post_failure_optimal)
-            )
-            rounds.append(
-                ChurnRoundRecord(
-                    index=index,
-                    edits=edit_reports,
-                    built=built,
-                    reused=reused,
-                    apply_seconds=apply_seconds,
-                    rebuild_seconds=rebuild_seconds,
-                    demand_count=len(results),
-                    delivered=len(delivered),
-                    unreachable=unreachable,
-                    mean_stretch=(
-                        sum(stretches) / len(stretches) if stretches else 0.0
-                    ),
-                    max_stretch=max(stretches, default=0.0),
-                    mean_detours=(
-                        sum(r.detours for r in results) / len(results)
-                        if results
-                        else 0.0
-                    ),
-                    outcomes=outcomes,
-                    mean_latency=simulation.mean_latency(),
-                    mean_queueing=simulation.mean_queueing(),
-                    verified=verified,
+            for records, window in zip(rounds, windows):
+                records.append(
+                    ChurnRoundRecord(
+                        index=index,
+                        edits=edit_reports,
+                        built=built,
+                        reused=reused,
+                        apply_seconds=apply_seconds,
+                        rebuild_seconds=rebuild_seconds,
+                        verified=verified,
+                        **window,
+                    )
                 )
-            )
             committed += batch
             index += 1
 
-        return ChurnReport(
-            scheme=scheme.name,
-            policy=(
-                self._policy
-                if isinstance(self._policy, str)
-                else self._policy.name
-            ),
-            rounds=rounds,
-            initial_nodes=initial_nodes,
-            final_nodes=self._graph.number_of_nodes(),
-        )
+        reports = [
+            ChurnReport(
+                scheme=scheme.name,
+                policy=policy if isinstance(policy, str) else policy.name,
+                rounds=records,
+                initial_nodes=initial_nodes,
+                final_nodes=self._graph.number_of_nodes(),
+            )
+            for policy, records in zip(self._policies, rounds)
+        ]
+        return reports[0] if self._single else reports
+
+
+def _counter_delta(
+    before: Dict[str, int], after: Dict[str, int]
+) -> Dict[str, int]:
+    """Per-kind growth of a counter, omitting kinds that did not move."""
+    return {
+        kind: after.get(kind, 0) - before.get(kind, 0)
+        for kind in set(before) | set(after)
+        if after.get(kind, 0) - before.get(kind, 0)
+    }
 
 
 def _finite(x: float) -> bool:

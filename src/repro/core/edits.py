@@ -80,11 +80,6 @@ class GraphEdit:
             if any(w <= 0 for _, w in self.attach):
                 raise PreprocessingError("attachment weights must be positive")
 
-    @property
-    def changes_node_set(self) -> bool:
-        """Whether the edit changes ``n`` (forcing a full re-key)."""
-        return self.kind in (EditKind.NODE_JOIN, EditKind.NODE_LEAVE)
-
     def describe(self) -> str:
         """One-line human-readable form."""
         if self.kind is EditKind.WEIGHT:
@@ -103,8 +98,8 @@ def apply_edit_to_graph(graph: nx.Graph, edit: GraphEdit) -> None:
 
     Callers that keep derived state (cached metrics and what was built
     on them) must route edits through :meth:`BuildContext.apply_edit`
-    instead, which snapshots stale metrics' graphs and drops those
-    caches; this function is the raw primitive underneath.  Content keys need nothing:
+    instead, which drops those caches; this function is the raw
+    primitive underneath.  Content keys need nothing:
     ``graph_content_key`` hashes the graph afresh on every call.
 
     Raises:

@@ -8,11 +8,6 @@ delivered packets against the **post-failure** shortest paths, detour
 counts, and the typed outcome breakdown (no packet may hang — every
 undelivered packet terminates as dropped / TTL-expired / loop-detected).
 
-A second table measures recovery cost: once the failed link comes back
-up, rebuilding the schemes *incrementally* through the shared
-:class:`BuildContext` (content-hash cache: the recovered graph's
-artifacts are all reused) versus a cold from-scratch rebuild.
-
 Cells are independent and fan out over ``--jobs`` processes; results
 are bit-identical to the serial run (ordered, seeded, no shared state).
 """
@@ -29,7 +24,6 @@ from repro.pipeline.context import BuildContext
 from repro.pipeline.parallel import parallel_map
 from repro.resilience.degraded import DegradedNetwork
 from repro.resilience.failure_plan import FailurePlan
-from repro.resilience.repair import measure_repair, rebuild_through_context
 from repro.resilience.router import POLICIES, ResilientRouter
 from repro.schemes.nameind_scalefree import ScaleFreeNameIndependentScheme
 from repro.schemes.nameind_simple import SimpleNameIndependentScheme
@@ -140,72 +134,8 @@ def run(
     )
 
 
-def run_repair(
-    epsilon: float = 0.5,
-    suite: Optional[List[Tuple[str, nx.Graph]]] = None,
-    context: Optional[BuildContext] = None,
-) -> ExperimentTable:
-    """Recovery cost: incremental rebuild (warm context) vs cold rebuild.
-
-    One ``recover`` event per graph: a link fails and comes back, so the
-    topology is content-identical to what the warm context already
-    built and *everything* is a cache hit.  This is the best case; after
-    a real edit :meth:`BuildContext.apply_edit` drops every artifact of
-    the old graph, so that repair is a cold build (E17 measures it under
-    churn).
-    """
-    params = SchemeParameters(epsilon=epsilon)
-    if suite is None:
-        suite = standard_suite("small")
-    if context is None:
-        context = BuildContext()
-    classes = [cls for cls, _ in SCHEME_LINEUP]
-    rows: List[List[object]] = []
-    for graph_name, graph in suite:
-        # Prime the warm context (the pre-failure build a deployment
-        # would already have), then measure both rebuild paths.
-        rebuild_through_context(
-            context, graph, classes, params, label="prime"
-        )
-        cold, incremental = measure_repair(
-            graph, classes, params, warm_context=context
-        )
-        rows.append(
-            [
-                graph_name,
-                "recover",
-                round(cold.seconds, 4),
-                cold.built_total,
-                round(incremental.seconds, 4),
-                incremental.built_total,
-                incremental.reused_total,
-            ]
-        )
-    return ExperimentTable(
-        title="Recovery cost (E16): cold vs incremental rebuild "
-        "after full recovery",
-        columns=[
-            "graph",
-            "event",
-            "cold s",
-            "cold built",
-            "incr s",
-            "incr built",
-            "incr reused",
-        ],
-        rows=rows,
-        notes=[
-            "recover = link failed and came back: content hash unchanged, "
-            "every substrate a cache hit (best case)",
-            "timing rows are wall-clock and vary run to run; the "
-            "built/reused artifact counts are deterministic",
-        ],
-    )
-
-
 def main() -> None:
     run().print()
-    run_repair().print()
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ doubling dimension at most ``6 - log ε`` (Lemma 5.8).
 For finite ``n`` the fractional-power path sizes are rarely integers;
 we round them with the largest-remainder method subject to a minimum of
 one node per path, which preserves ``|V| = n`` exactly and keeps every
-spoke present.  (The counting argument of §5.1 is carried out exactly,
+spoke present.  (The counting argument of §5.1 is worked out exactly,
 on the ideal sizes, in :mod:`repro.lowerbound.counting`.)
 """
 

@@ -55,7 +55,7 @@ import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from repro.core.types import NodeId, PreprocessingError
+from repro.core.types import NodeId, PreprocessingError, RouteFailure
 from repro.metric.substrate import (
     DEFAULT_ROW_BUDGET_BYTES,
     DENSE_NODE_LIMIT,
@@ -108,7 +108,7 @@ class GraphMetric:
         if not nx.is_connected(graph):
             raise PreprocessingError("graph must be connected")
 
-        graph, _ = _relabelled(graph)
+        graph, self._labels = _relabelled(graph)
         self._n = graph.number_of_nodes()
         self._normalize = normalize
 
@@ -275,6 +275,13 @@ class GraphMetric:
         ``u, v, weight``: relabelled ids, raw (unnormalized) weights, in
         the order the adjacency was built from."""
         return self._edges.view()
+
+    @property
+    def labels(self) -> Optional[Tuple]:
+        """The graph's own node labels in sorted order (node ``i`` was
+        ``labels[i]``), or None when they were ``0 .. n-1`` already.
+        With :attr:`edges`, the record the metric's content key digests."""
+        return self._labels
 
     @property
     def scale(self) -> float:
@@ -583,12 +590,28 @@ class GraphMetric:
         return dist, hops
 
     def shortest_path(self, u: NodeId, v: NodeId) -> List[NodeId]:
-        """The canonical shortest path from ``u`` to ``v`` (inclusive)."""
+        """The canonical shortest path from ``u`` to ``v`` (inclusive).
+
+        Raises:
+            RouteFailure: If a stored next hop is not a neighbour of the
+                node it leaves, or the walk has not reached ``v`` after
+                ``n - 1`` hops (corrupted rows).
+        """
         path = [u]
         current = u
         while current != v:
-            current = self.next_hop(current, v)
-            path.append(current)
+            hop = self.next_hop(current, v)
+            if hop not in self._weights[current]:
+                raise RouteFailure(
+                    f"path {u}->{v}: next hop {hop} of {current} is not "
+                    "its neighbour"
+                )
+            if len(path) == self._n:
+                raise RouteFailure(
+                    f"path {u}->{v}: not reached in {self._n - 1} hops"
+                )
+            path.append(hop)
+            current = hop
         return path
 
     # ------------------------------------------------------------------
@@ -630,6 +653,7 @@ class GraphMetric:
         """
         return {
             "edges": self._edges,
+            "labels": self._labels,
             "n": self._n,
             "normalize": self._normalize,
             "scale": self._scale,
@@ -640,6 +664,7 @@ class GraphMetric:
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self._n = state["n"]
+        self._labels = state["labels"]
         self._normalize = state["normalize"]
         self._scale = state["scale"]
         self._diameter = state["diameter"]
@@ -672,18 +697,19 @@ def _check_hint(hint: Optional[float]) -> None:
         raise ValueError(f"hint must be a positive number, got {hint!r}")
 
 
-def _relabelled(graph: nx.Graph) -> Tuple[nx.Graph, list]:
+def _relabelled(graph: nx.Graph) -> Tuple[nx.Graph, Optional[Tuple]]:
     """``graph`` on nodes ``0 .. n-1``, and its labels in sorted order.
 
     The i-th sorted label becomes node i; a graph already on
-    ``0 .. n-1`` is returned as it is, not copied.
+    ``0 .. n-1`` is returned as it is, not copied, with labels None.
     """
     nodes = sorted(graph.nodes())
-    if nodes != list(range(len(nodes))):
-        graph = nx.relabel_nodes(
-            graph, {v: i for i, v in enumerate(nodes)}, copy=True
-        )
-    return graph, nodes
+    if nodes == list(range(len(nodes))):
+        return graph, None
+    relabelled = nx.relabel_nodes(
+        graph, {v: i for i, v in enumerate(nodes)}, copy=True
+    )
+    return relabelled, tuple(nodes)
 
 
 def _edge_array(graph: nx.Graph) -> np.ndarray:

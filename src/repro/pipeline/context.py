@@ -22,9 +22,9 @@ the same object to every consumer:
 With ``cache_dir`` set (conventionally ``.repro-cache/``), artifacts are
 additionally pickled to disk keyed by the same content hash, so a second
 process — or a second run — skips construction entirely.  Delete the
-directory (``rm -rf .repro-cache``) to drop all cached artifacts; keys
-include a format version, so stale caches are never silently reused
-across incompatible library versions.
+directory (``rm -rf .repro-cache``) to drop all cached artifacts; file
+names include a format version, so stale caches are never silently
+reused across incompatible library versions.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ from repro.pipeline.sampling import sample_ordered_pairs
 #: v16: hierarchies and packings carry no partition counts (they are
 #: never rebuilt partially after an edit).
 #: v17: metrics pickle their edge array instead of a networkx graph.
-CACHE_FORMAT_VERSION = 17
+#: v18: metrics pickle their node labels, and metric keys digest them;
+#: pair samples are keyed by ``n`` alone; file names carry the version.
+CACHE_FORMAT_VERSION = 18
 
 
 @dataclasses.dataclass
@@ -108,38 +110,28 @@ class BuildStats:
 def graph_content_key(graph: nx.Graph) -> str:
     """Content hash of a graph: nodes, edges, and exact weights.
 
-    One SHA-256, taken afresh on every call, over the format version,
-    ``n``, the node labels' ``repr`` (only when they are not
-    ``0 .. n-1``) and the graph's canonical edge array: nodes relabelled
-    as :class:`GraphMetric` relabels them, each edge a float64
-    ``(min, max, weight)`` row, rows lexsorted.  Any change to the node
-    set, the edge set, or a single edge weight changes the key, however
-    the graph was mutated; the order edges were inserted in does not.
+    One SHA-256, taken afresh on every call, over the record a
+    :class:`GraphMetric` of the graph keeps (:func:`_edges_key`), so a
+    graph and its metric share one key.  Any change to the node set,
+    the edge set, or a single edge weight changes the key, however the
+    graph was mutated; the order edges were inserted in does not.
     """
     canonical, labels = _relabelled(graph)
     return _edges_key(
-        len(labels),
-        _edge_array(canonical),
-        labels=repr(labels) if canonical is not graph else "",
+        canonical.number_of_nodes(), _edge_array(canonical), labels
     )
 
 
-def _edges_key(n: int, edges: np.ndarray, labels: str = "") -> str:
-    """The content key of ``n`` nodes (labelled ``labels``, when they
-    are not ``0 .. n-1``) and ``(m, 3)`` edge rows ``u, v, weight``."""
-    head = f"v{CACHE_FORMAT_VERSION}|n={n}|{labels}"
+def _edges_key(n: int, edges: np.ndarray, labels: Optional[Tuple]) -> str:
+    """The content key of ``n`` nodes and ``(m, 3)`` edge rows ``u, v,
+    weight``: a SHA-256 over the format version, ``n``, the node labels'
+    ``repr`` (None when they are ``0 .. n-1``) and the rows as float64
+    ``(min, max, weight)``, lexsorted."""
+    shown = "" if labels is None else repr(labels)
+    head = f"v{CACHE_FORMAT_VERSION}|n={n}|{shown}"
     rows = np.column_stack((np.sort(edges[:, :2], axis=1), edges[:, 2]))
     rows = rows[np.lexsort(rows.T[::-1])]
     return hashlib.sha256(head.encode() + rows.tobytes()).hexdigest()
-
-
-def _rekey(obj: Any, old: str, new: str) -> Any:
-    """Replace the old content hash inside a (nested) key tuple."""
-    if obj == old:
-        return new
-    if isinstance(obj, tuple):
-        return tuple(_rekey(item, old, new) for item in obj)
-    return obj
 
 
 def _mentions(obj: Any, key: str) -> bool:
@@ -184,11 +176,9 @@ class EditReport:
     Attributes:
         edit: The applied edit.
         old_key / new_key: Graph content keys before and after.
-        carried: Artifacts moved to the new key untouched, per kind
-            (pair samples, unless the node set changed).
-        dropped: Artifacts discarded outright, per kind: every one keyed
-            to the old graph but the carried ones, metrics included
-            (each is built cold again on next demand).
+        dropped: Artifacts discarded, per kind: every one keyed to the
+            old graph, metrics included (each is built cold again on
+            next demand).
         seconds: Wall-clock time spent repairing the cache.
         dirty / rows_reused / full_rebuild: Every node of the edited
             graph, 0 and ``True`` on every edit, since no metric row
@@ -199,7 +189,6 @@ class EditReport:
     edit: GraphEdit
     old_key: str
     new_key: str
-    carried: Dict[str, int]
     dropped: Dict[str, int]
     seconds: float
     dirty: FrozenSet[NodeId]
@@ -246,10 +235,11 @@ class BuildContext:
         """Cache identity of a metric: ``(graph content hash, scale)``.
 
         Works for metrics built outside the context too: the hash is
-        taken over the metric's own (relabelled) edge array
-        (:attr:`GraphMetric.edges`) as :func:`graph_content_key` takes
-        it over a graph's, so a graph edited after the metric was built
-        never changes the metric's key.  The applied normalization scale
+        taken over the metric's own record (:attr:`GraphMetric.edges`
+        and :attr:`GraphMetric.labels`), the one
+        :func:`graph_content_key` takes of its graph, so a metric has
+        one key in every context and a graph edited after the metric was
+        built never changes it.  The applied normalization scale
         is part of the key — ``GraphMetric(g)`` and
         ``GraphMetric(g, normalize=False)`` over a graph with min edge
         weight != 1 define *different* metrics and must never share
@@ -257,7 +247,10 @@ class BuildContext:
         """
         key = self._metric_keys.get(metric)
         if key is None:
-            key = (_edges_key(metric.n, metric.edges), float(metric.scale))
+            key = (
+                _edges_key(metric.n, metric.edges, metric.labels),
+                float(metric.scale),
+            )
             self._metric_keys[metric] = key
         return key
 
@@ -285,7 +278,11 @@ class BuildContext:
     def _disk_path(self, kind: str, full_key: Tuple) -> Optional[str]:
         if self._cache_dir is None:
             return None
-        digest = hashlib.sha256(repr(full_key).encode()).hexdigest()[:24]
+        # The format version is in the file name: pair keys carry no
+        # content hash (the one other place it is).
+        digest = hashlib.sha256(
+            f"v{CACHE_FORMAT_VERSION}|{full_key!r}".encode()
+        ).hexdigest()[:24]
         return os.path.join(self._cache_dir, f"{kind}-{digest}.pkl")
 
     def _disk_load(self, kind: str, full_key: Tuple) -> Any:
@@ -356,7 +353,8 @@ class BuildContext:
         )
         # Register the *applied* scale (not the normalize flag): with
         # min edge weight 1 both flags build the same metric, and keying
-        # on the scale lets them share downstream artifacts.
+        # on the scale lets them share downstream artifacts.  key[0] is
+        # the digest metric_key takes of the metric's own record.
         self._metric_keys.setdefault(metric, (key[0], float(metric.scale)))
         return metric
 
@@ -377,8 +375,11 @@ class BuildContext:
     def pairs(
         self, metric: GraphMetric, count: int, seed: int = 0
     ) -> List[Tuple[NodeId, NodeId]]:
-        """Deterministic evaluation pairs, deduplicated across callers."""
-        key = (self.metric_key(metric), metric.n, count, seed)
+        """Deterministic evaluation pairs, deduplicated across callers.
+
+        A sample depends on ``n``, ``count`` and ``seed`` alone, so it is
+        keyed by them and no edit drops it."""
+        key = (metric.n, count, seed)
         return self._get_or_build(
             "pairs",
             key,
@@ -456,12 +457,11 @@ class BuildContext:
 
         The graph is mutated in place and hashed before and after the
         edit (``old_key``, ``new_key``).  Every artifact keyed to the
-        old content hash is either *carried* (evaluation pairs, whose
-        only dependency is ``n``, unless the node set changed) or
-        *dropped* (metrics, hierarchies, packings, schemes and compiled
-        tables, each built cold on next demand).  A metric holds its own
-        edge array, never the graph, so stale metrics handed out earlier
-        keep answering for the pre-edit graph, which is what the
+        old content hash is *dropped* (metrics, hierarchies, packings,
+        schemes and compiled tables, each built cold on next demand);
+        pair samples are keyed by ``n`` alone and stay.  A metric holds
+        its own edge array, never the graph, so stale metrics handed out
+        earlier keep answering for the pre-edit graph, which is what the
         staleness-window routing in :mod:`repro.churn` relies on.
         """
         start = time.perf_counter()
@@ -470,28 +470,16 @@ class BuildContext:
             full_key for full_key in self._memory if _mentions(full_key, old_key)
         ]
         apply_edit_to_graph(graph, edit)
-        new_key = graph_content_key(graph)
 
-        carried: Dict[str, int] = {}
         dropped: Dict[str, int] = {}
         for full_key in stale_keys:
-            artifact = self._memory.pop(full_key)
-            kind = full_key[0]
-            # Pair samples depend only on (n, count, seed) — carry
-            # unless the node set changed (then the key's n field is
-            # stale anyway and the entry would never be hit).
-            if kind == "pairs" and not edit.changes_node_set:
-                self._memory[_rekey(full_key, old_key, new_key)] = artifact
-                carried[kind] = carried.get(kind, 0) + 1
-                self.stats.record(kind, "hits")
-            else:
-                dropped[kind] = dropped.get(kind, 0) + 1
+            del self._memory[full_key]
+            dropped[full_key[0]] = dropped.get(full_key[0], 0) + 1
 
         return EditReport(
             edit=edit,
             old_key=old_key,
-            new_key=new_key,
-            carried=carried,
+            new_key=graph_content_key(graph),
             dropped=dropped,
             seconds=time.perf_counter() - start,
             dirty=frozenset(range(graph.number_of_nodes())),

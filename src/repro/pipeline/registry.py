@@ -137,9 +137,8 @@ _SPECS = [
     ),
     ExperimentSpec(
         "resilience",
-        "delivery and stretch under link failures, plus recovery cost",
+        "delivery and stretch under link failures",
         "repro.experiments.resilience",
-        funcs=("run", "run_repair"),
     ),
     ExperimentSpec(
         "churn",

@@ -13,10 +13,7 @@ measures what happens when the topology changes *after* preprocessing:
 * :mod:`~repro.resilience.router` — hop-by-hop forwarding with *stale*
   routing tables on the degraded topology, under pluggable fallback
   policies, with every packet terminating in a typed
-  :class:`~repro.core.types.DeliveryStatus`;
-* :mod:`~repro.resilience.repair` — measured full-rebuild vs
-  incremental-rebuild cost after recovery, routed through the shared
-  :class:`~repro.pipeline.context.BuildContext`.
+  :class:`~repro.core.types.DeliveryStatus`.
 """
 
 from repro.resilience.degraded import DegradedNetwork
@@ -25,7 +22,6 @@ from repro.resilience.failure_plan import (
     FailureEvent,
     FailurePlan,
 )
-from repro.resilience.repair import RepairMeasurement, measure_repair
 from repro.resilience.router import (
     FailFast,
     FallbackPolicy,
@@ -46,10 +42,8 @@ __all__ = [
     "FallbackPolicy",
     "LevelEscalation",
     "LocalDetour",
-    "RepairMeasurement",
     "ResilienceReport",
     "ResilientRouteResult",
     "ResilientRouter",
     "make_policy",
-    "measure_repair",
 ]

@@ -151,7 +151,7 @@ class PacketOutcome:
     """
 
     demand: Demand
-    #: Per-packet sequence number (injection index; carried on the
+    #: Per-packet sequence number (injection index; sent on the
     #: wire mod 2^16 in reliability mode).
     seq: int
     status: TransportStatus

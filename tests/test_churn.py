@@ -5,8 +5,8 @@ stream's invariants (determinism, connectivity, scale preservation),
 what an edit drops from the build context (the metric included), the
 acceptance property — after a single-edge weight change on every
 fixture graph the warm context rebuilds tables bit-identical to a cold
-build — and the :class:`ChurnDriver` service loop (determinism, overlay
-semantics, cold-rebuild verification).
+build — and the :class:`ChurnDriver` service loop (determinism, one run
+serving every policy, overlay semantics, cold-rebuild verification).
 """
 
 import gc
@@ -26,7 +26,7 @@ from repro.pipeline.context import BuildContext, graph_content_key
 from repro.pipeline.registry import run_experiment
 from repro.pipeline.sampling import sample_ordered_pairs
 from repro.resilience.failure_plan import EventKind
-from repro.resilience.repair import measure_repair, rebuild_through_context
+from repro.resilience.router import POLICIES
 from repro.schemes.nameind_scalefree import ScaleFreeNameIndependentScheme
 from repro.schemes.nameind_simple import SimpleNameIndependentScheme
 from repro.schemes.shortest_path import ShortestPathScheme
@@ -162,15 +162,16 @@ def _rebuilt_after_edit(graph, classes):
     """``classes`` rebuilt by a warm context after one weight edit of
     ``graph``, and built cold on the edited graph."""
     context = BuildContext()
-    rebuild_through_context(context, graph, classes, PARAMS)
+    metric = context.metric(graph)
+    for cls in classes:
+        context.scheme(cls, metric, PARAMS)
     context.apply_edit(graph, _weight_edit(graph))
-    warm = rebuild_through_context(
-        context, graph, classes, PARAMS, keep_schemes=True
-    )
-    cold = rebuild_through_context(
-        BuildContext(), graph.copy(), classes, PARAMS, keep_schemes=True
-    )
-    return warm.schemes, cold.schemes
+    metric = context.metric(graph)
+    warm = [context.scheme(cls, metric, PARAMS) for cls in classes]
+    cold_context = BuildContext()
+    cold_metric = cold_context.metric(graph.copy())
+    cold = [cold_context.scheme(cls, cold_metric, PARAMS) for cls in classes]
+    return warm, cold
 
 
 def _assert_identical(warm, cold, pairs):
@@ -228,6 +229,17 @@ class TestEditRepairAcceptance:
         assert stale.distance(u, v) == 1.0
         assert metric.distance(u, v) == 1.5
 
+    def test_pair_sample_survives_an_edit(self):
+        """A pair sample depends on ``n`` alone: an edit that keeps the
+        node count leaves it cached for the edited graph's metric."""
+        graph = grid_2d(4)
+        context = BuildContext()
+        pairs = context.pairs(context.metric(graph), 20)
+        report = context.apply_edit(graph, _weight_edit(graph))
+        assert "pairs" not in report.dropped
+        assert context.pairs(context.metric(graph), 20) is pairs
+        assert context.stats.misses["pairs"] == 1
+
     def test_weight_edit_drops_every_derived_artifact(self):
         """Substrates, schemes and their compiled tables are all dropped
         at an edit, so the pre-edit tables die with the caller's last
@@ -282,34 +294,18 @@ class TestEditRepairAcceptance:
             assert after.packing.packing(j) == cold.packing.packing(j)
 
 
-# -- schemes retention (opt-in) --------------------------------------------
-
-
-class TestRepairMeasurementRetention:
-    def test_schemes_dropped_by_default(self):
-        graph = grid_2d(3)
-        cold, incremental = measure_repair(
-            graph, [SimpleNameIndependentScheme], PARAMS
-        )
-        assert cold.schemes == [] and incremental.schemes == []
-
-    def test_schemes_kept_on_request(self):
-        graph = grid_2d(3)
-        cold, incremental = measure_repair(
-            graph, [SimpleNameIndependentScheme], PARAMS, keep_schemes=True
-        )
-        assert len(cold.schemes) == 1 and len(incremental.schemes) == 1
-
-
 # -- the churn driver -------------------------------------------------------
 
 
 def _round_fingerprint(record):
+    """Everything a round records but its seconds."""
     return (
         [r.edit.describe() for r in record.edits],
         record.delivered,
         record.unreachable,
-        round(record.mean_stretch, 9),
+        record.mean_stretch,
+        record.max_stretch,
+        dict(record.outcomes),
         dict(record.built),
         dict(record.reused),
         record.verified,
@@ -336,6 +332,35 @@ class TestChurnDriver:
             _round_fingerprint(r) for r in b.rounds
         ]
         assert a.final_nodes == b.final_nodes
+
+    def test_one_run_serves_every_policy(self):
+        """A driver given every policy reports, per policy, the rounds a
+        driver given that policy alone reports, and no fallback policy
+        delivers less than fail-fast in any round."""
+
+        def driver(policy):
+            return ChurnDriver(
+                grid_2d(4),
+                SimpleNameIndependentScheme,
+                policy=policy,
+                params=PARAMS,
+                seed=6,
+                edits_per_round=4,
+                pairs_per_round=8,
+                verify_every=2,
+            )
+
+        shared = driver(POLICIES).run(edits=12)
+        assert [report.policy for report in shared] == list(POLICIES)
+        for report in shared:
+            alone = driver(report.policy).run(edits=12)
+            assert [_round_fingerprint(r) for r in report.rounds] == [
+                _round_fingerprint(r) for r in alone.rounds
+            ]
+        fail_fast, *fallbacks = shared
+        for report in fallbacks:
+            for base, record in zip(fail_fast.rounds, report.rounds):
+                assert record.delivered >= base.delivered
 
     @pytest.mark.parametrize("scheme_cls", SCHEMES)
     def test_random_streams_verify_bit_identical(self, scheme_cls):

@@ -7,15 +7,33 @@ These tests corrupt specific table entries and assert the defined
 failure behaviour.
 """
 
+import threading
+
+import networkx as nx
 import pytest
 
+from repro.chaos.audit import CorruptionInjector
 from repro.core.params import SchemeParameters
 from repro.core.types import RouteFailure
 from repro.metric.graph_metric import GraphMetric
-from repro.graphs.generators import grid_2d
+from repro.graphs.generators import exponential_path, grid_2d
+from repro.pipeline.sampling import sample_ordered_pairs
 from repro.schemes.nameind_simple import SimpleNameIndependentScheme
 from repro.schemes.labeled_nonscalefree import NonScaleFreeLabeledScheme
+from repro.schemes.shortest_path import ShortestPathScheme
 from repro.searchtree.tree import SearchTree
+
+
+def _within(seconds, fn):
+    """``fn()``, run in a daemon thread; fails if it has not returned
+    within ``seconds`` (a walk that never ends) or raised."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"still running after {seconds} s"
+    assert result, "raised (see the thread exception warning)"
+    return result[0]
 
 
 @pytest.fixture()
@@ -102,7 +120,7 @@ class TestEscalation:
             for v in metric.nodes:
                 if u != v:
                     assert scheme.route(u, v).target == v
-        # The global (j = log n) level carried the corrupted lookups.
+        # The global (j = log n) level served the corrupted lookups.
         assert scheme.fallback_count >= before
 
     def test_global_level_alone_suffices(self):
@@ -135,6 +153,42 @@ class TestConvergenceGuards:
             rows[u] = [entry[:-1] + (flip.get(u, 1),) for entry in rows[u]]
         with pytest.raises(RouteFailure):
             scheme.route(0, metric.n - 1)
+
+    def test_corrupted_metric_rows_fail_the_baseline_typed(self):
+        """Corrupted rows can send the metric's shortest-path walk to a
+        non-neighbour: every pair must route or raise RouteFailure."""
+        metric = GraphMetric(exponential_path(16))
+        scheme = ShortestPathScheme(metric)
+        CorruptionInjector(seed=3).corrupt(metric, [1, 5, 9, 13])
+
+        def probe():
+            failed = 0
+            for u, v in sample_ordered_pairs(16, 60, seed=0):
+                try:
+                    scheme.route(u, v)
+                except RouteFailure:
+                    failed += 1
+            return failed
+
+        assert _within(30, probe) > 0
+
+    def test_metric_walk_cap_trips_on_a_next_hop_cycle(self):
+        """Node 1's corrupted row steps back to 0 on its way to 3, and
+        0's steps to 1: the walk from 0 must stop after n - 1 hops."""
+        metric = GraphMetric(nx.path_graph(4))
+        _, pred = metric.mutable_row(1)
+        pred[3] = 0
+        metric.invalidate_derived(1)
+        assert (metric.next_hop(0, 3), metric.next_hop(1, 3)) == (1, 0)
+
+        def walk():
+            try:
+                metric.shortest_path(0, 3)
+            except RouteFailure as exc:
+                return str(exc)
+            return "no failure"
+
+        assert "0->3" in _within(30, walk)
 
     def test_bad_name_rejected_before_any_hop(self, fresh_scheme):
         with pytest.raises(RouteFailure):

@@ -119,6 +119,33 @@ def test_editing_the_graph_after_the_metric_aliases_no_cache_entry():
     assert context.metric_key(metric) == key
 
 
+def test_a_labelled_metric_has_one_key_in_every_context():
+    """Regression: ``BuildContext.metric`` keyed a metric with its node
+    labels and ``metric_key`` anywhere else without them, so a labelled
+    metric's artifacts landed under a key that depended on where the
+    metric was built."""
+    import pickle
+
+    import networkx as nx
+
+    from repro.metric.graph_metric import GraphMetric
+
+    graph = nx.grid_2d_graph(3, 3)
+    context = BuildContext()
+    metric = context.metric(graph)
+    key = context.metric_key(metric)
+    assert key[0] == graph_content_key(graph)
+    assert BuildContext().metric_key(metric) == key
+    assert BuildContext().metric_key(pickle.loads(pickle.dumps(metric))) == key
+
+    params = SchemeParameters(epsilon=0.5)
+    scheme = context.scheme(SimpleNameIndependentScheme, metric, params)
+    built = dict(context.stats.misses)
+    again = context.scheme(SimpleNameIndependentScheme, GraphMetric(graph), params)
+    assert again is scheme
+    assert context.stats.misses == built
+
+
 # -- on-disk cache ----------------------------------------------------------
 
 
